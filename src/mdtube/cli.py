@@ -22,8 +22,6 @@ def _cmd_run(args) -> int:
         return 2
     if args.levels is not None:
         config = replace(config, levels=args.levels)
-    if args.threads is not None:
-        config = replace(config, threads=args.threads)
     out_dir = args.out or config.out_dir
     try:
         run_scenario(config, out_dir)
@@ -60,8 +58,6 @@ def main(argv=None) -> int:
     run_p.add_argument("--out", help="output directory (overrides config)")
     run_p.add_argument("--levels", type=int,
                        help="number of refinement levels (overrides config)")
-    run_p.add_argument("--threads", type=int,
-                       help="thread count hint (overrides config)")
     run_p.set_defaults(func=_cmd_run)
 
     verify_p = sub.add_parser("verify", help="run the acceptance suite")

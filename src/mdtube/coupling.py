@@ -1,11 +1,18 @@
 """Kernel weights and sampling stencils tying segment cells to bulk cells.
 
 For every segment cell the uniform kernel is integrated over the bulk
-cells it touches (adaptive bisection of cells straddling the support
-boundary). The reconstruction samples the bulk field through a stencil:
-all cells whose closure contains the segment-cell midpoint, averaged with
-equal weights so midpoints on faces or corners are treated symmetrically.
-The mean minimum distance of a cell to the segment provides the optional
+cells it touches, from the geometry of the support. In 2D the support is
+a disc and its overlap with a cell is the closed-form area of a disc and
+a rectangle. In 3D the support is a finite cylinder: in the cylinder's
+frame the axial chord through a cell is piecewise linear along every
+radial ray, so the radial integral is exact, and a fixed periodic
+trapezoid rule integrates over the angle. A cylinder parallel to a grid
+axis is a disc area times an axial overlap.
+
+The reconstruction samples the bulk field through a stencil: all cells
+whose closure contains the segment-cell midpoint, averaged with equal
+weights so midpoints on faces or corners are treated symmetrically. The
+mean minimum distance of a cell to the segment provides the optional
 delta correction.
 """
 
@@ -37,84 +44,149 @@ def point_segment_distance(points: np.ndarray, p0: np.ndarray,
     return np.linalg.norm(points - (p0 + t[:, None] * axis), axis=-1)
 
 
-def _axis_params(points: np.ndarray, p0: np.ndarray, p1: np.ndarray):
-    """Unclamped axial parameter t in [0, 1] and perpendicular distance."""
-    axis = p1 - p0
-    l2 = float(axis @ axis)
-    t = (points - p0) @ axis / l2
-    perp = np.linalg.norm(points - (p0 + t[:, None] * axis), axis=-1)
-    return t, perp
+def _disc_primitive(x, rho: float):
+    """Integral of sqrt(rho^2 - s^2) over s in [0, x], for 0 <= x <= rho."""
+    return 0.5 * (x * np.sqrt(np.maximum(rho * rho - x * x, 0.0))
+                  + rho * rho * np.arcsin(np.minimum(x / rho, 1.0)))
 
 
-def _support_indicator_fraction(lo: np.ndarray, hi: np.ndarray,
-                                seg: SegmentCell, tol: float,
-                                max_depth: int | None = None) -> float:
-    """Volume fraction of the box [lo, hi] inside the kernel support.
+def _cap_integral(a0, a1, b, rho: float):
+    """Integral of max(0, sqrt(rho^2 - x^2) - b) over x in [a0, a1].
 
-    The support is a disc (2D, degenerate segment) or a finite cylinder
-    around the segment cell. Boxes straddling the boundary are bisected
-    per axis until the undecided measure is below ``tol`` of the box.
+    Requires 0 <= a0 <= a1 and b >= 0: the integrand is positive on
+    x < sqrt(rho^2 - b^2), where it integrates through ``_disc_primitive``.
     """
-    lo = np.asarray(lo, float)
-    hi = np.asarray(hi, float)
-    dim = len(lo)
-    if max_depth is None:
-        # boundary-straddling boxes multiply like the support surface, so
-        # the affordable depth drops with the dimension
-        max_depth = 13 if dim < 3 else 7
-    rho = seg.kernel_radius
-    degenerate = np.allclose(seg.p0, seg.p1)
-    total_measure = float(np.prod(hi - lo))
+    c = np.sqrt(np.maximum(rho * rho - b * b, 0.0))
+    u0 = np.minimum(a0, c)
+    u1 = np.minimum(a1, c)
+    return (_disc_primitive(u1, rho) - _disc_primitive(u0, rho)
+            - b * (u1 - u0))
 
-    boxes_lo = lo[None, :]
-    boxes_hi = hi[None, :]
-    inside_measure = 0.0
-    for depth in range(max_depth + 1):
-        center = 0.5 * (boxes_lo + boxes_hi)
-        half_diag = 0.5 * np.linalg.norm(boxes_hi - boxes_lo, axis=-1)
-        measure = np.prod(boxes_hi - boxes_lo, axis=-1)
 
-        if degenerate:
-            d = np.linalg.norm(center - seg.p0[:dim], axis=-1)
-            fully_in = d + half_diag <= rho
-            fully_out = d - half_diag >= rho
-        else:
-            t, perp = _axis_params(center, seg.p0, seg.p1)
-            seg_len = float(np.linalg.norm(seg.p1 - seg.p0))
-            t_half = half_diag / seg_len
-            fully_in = ((perp + half_diag <= rho)
-                        & (t - t_half >= 0.0) & (t + t_half <= 1.0))
-            fully_out = ((perp - half_diag >= rho)
-                         | (t + t_half <= 0.0) | (t - t_half >= 1.0))
+def _disc_rect_area(x0, x1, y0, y1, rho: float):
+    """Area of the disc of radius rho at the origin inside [x0,x1]x[y0,y1].
 
-        inside_measure += float(np.sum(measure[fully_in]))
-        undecided = ~(fully_in | fully_out)
-        if not np.any(undecided):
-            return inside_measure / total_measure
-        if (float(np.sum(measure[undecided])) < tol * total_measure
-                or depth == max_depth):
-            # midpoint rule on the remaining sliver
-            if degenerate:
-                d = np.linalg.norm(center[undecided] - seg.p0[:dim], axis=-1)
-                hit = d <= rho
-            else:
-                t, perp = _axis_params(center[undecided], seg.p0, seg.p1)
-                hit = (perp <= rho) & (t >= 0.0) & (t <= 1.0)
-            inside_measure += float(np.sum(measure[undecided][hit]))
-            return inside_measure / total_measure
+    Each quadrant's part of the rectangle is mirrored into the first
+    quadrant, [a0,a1]x[b0,b1] with a0, b0 >= 0, where the overlap is the
+    integral of clip(sqrt(rho^2 - x^2), b0, b1) - b0 over [a0, a1]. Working
+    per quadrant keeps every term of the size of the result.
+    """
+    area = 0.0
+    for a0, a1 in ((np.maximum(x0, 0.0), np.maximum(x1, 0.0)),
+                   (np.maximum(-x1, 0.0), np.maximum(-x0, 0.0))):
+        for b0, b1 in ((np.maximum(y0, 0.0), np.maximum(y1, 0.0)),
+                       (np.maximum(-y1, 0.0), np.maximum(-y0, 0.0))):
+            area = (area + _cap_integral(a0, a1, b0, rho)
+                    - _cap_integral(a0, a1, b1, rho))
+    return area
 
-        # split undecided boxes along every axis
-        blo = boxes_lo[undecided]
-        bhi = boxes_hi[undecided]
-        mid = 0.5 * (blo + bhi)
-        children_lo, children_hi = [], []
-        for bits in range(2 ** dim):
-            sel = np.array([(bits >> a) & 1 for a in range(dim)], bool)
-            children_lo.append(np.where(sel, mid, blo))
-            children_hi.append(np.where(sel, bhi, mid))
-        boxes_lo = np.concatenate(children_lo)
-        boxes_hi = np.concatenate(children_hi)
-    return inside_measure / total_measure
+
+#: angles of the periodic trapezoid rule over a cylinder's cross-section
+_N_ANGLES = 128
+#: candidate boxes integrated at once; each of the ~10 temporaries of the
+#: ray integration holds boxes x angles x 50 floats (3.3 MB at 64 boxes)
+_BOX_CHUNK = 64
+#: two-point Gauss nodes at mid +- half / sqrt(3) of each piece
+_GAUSS_NODE = 1.0 / np.sqrt(3.0)
+#: a smaller share of the support is the rounding residue of a cell that
+#: the support only touches (a shared face computed twice, say)
+_NEGLIGIBLE_SHARE = 1e-12
+
+
+def _ray_volumes(lo: np.ndarray, hi: np.ndarray, e: np.ndarray,
+                 d: np.ndarray, length: float, rho: float) -> np.ndarray:
+    """Volumes of boxes inside the cylinder r <= rho, 0 <= z <= length.
+
+    ``lo``/``hi`` (m, 3) are relative to the cylinder's start point, ``e``
+    is its unit axis and ``d`` (angles, 3) the unit radial directions. On
+    the ray at angle theta and radius r the box holds the axial chord
+    {z in [0, length]: lo <= r d + z e <= hi}. In the (r, z) plane every
+    face of the box and each cap is a line d_a r + e_a z = c, so the chord
+    is piecewise linear in r with breakpoints where two such lines cross;
+    two-point Gauss per piece integrates chord(r) r dr exactly.
+    """
+    m = len(lo)
+    n_angles = len(d)
+    # lines d_g r + e_g z = c: the two faces of each axis, then the caps
+    line_d = np.concatenate([d, np.zeros((n_angles, 1))], axis=1)
+    line_e = np.append(e, 1.0)
+    line_c = np.stack([np.concatenate([lo, np.zeros((m, 1))], axis=1),
+                       np.concatenate([hi, np.full((m, 1), length)],
+                                      axis=1)], axis=-1)     # (m, 4, 2)
+    crossings = []
+    for g in range(4):
+        for h in range(g + 1, 4):
+            det = line_d[:, g] * line_e[h] - line_d[:, h] * line_e[g]
+            num = (line_c[:, g, :, None] * line_e[h]
+                   - line_c[:, h, None, :] * line_e[g]).reshape(m, 4)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                crossings.append(num[:, None, :] / det[None, :, None])
+    r = np.concatenate([np.zeros((m, n_angles, 1)),
+                        np.full((m, n_angles, 1), rho)] + crossings, axis=-1)
+    # parallel lines never cross; a non-finite crossing adds no breakpoint
+    r = np.sort(np.clip(np.where(np.isfinite(r), r, 0.0), 0.0, rho), axis=-1)
+    half = 0.5 * np.diff(r, axis=-1)
+    mid = 0.5 * (r[..., 1:] + r[..., :-1])
+    r = np.concatenate([mid - _GAUSS_NODE * half, mid + _GAUSS_NODE * half],
+                       axis=-1)
+    half = np.concatenate([half, half], axis=-1)
+
+    lower = np.zeros(r.shape)
+    upper = np.full(r.shape, length)
+    for a in range(3):
+        base = r * d[None, :, None, a]
+        lo_a = lo[:, a, None, None]
+        hi_a = hi[:, a, None, None]
+        if e[a] == 0.0:
+            # the axis is normal to the segment: the ray is in the slab or
+            # the chord is empty
+            upper = np.where((base >= lo_a) & (base <= hi_a), upper, -np.inf)
+            continue
+        z0 = (lo_a - base) / e[a]
+        z1 = (hi_a - base) / e[a]
+        if e[a] < 0.0:
+            z0, z1 = z1, z0
+        np.maximum(lower, z0, out=lower)
+        np.minimum(upper, z1, out=upper)
+    chord = np.maximum(upper - lower, 0.0)
+    return (2.0 * np.pi / n_angles) * np.sum(chord * r * half, axis=(1, 2))
+
+
+def _cylinder_box_volumes(lo: np.ndarray, hi: np.ndarray, p0: np.ndarray,
+                          p1: np.ndarray, rho: float) -> np.ndarray:
+    """Volumes of the boxes [lo, hi] (n, 3) inside the finite cylinder of
+    radius rho around the segment p0-p1."""
+    axis = p1 - p0
+    length = float(np.linalg.norm(axis))
+    along = np.flatnonzero(axis)
+    if along.size == 1:
+        # parallel to a grid axis: cross-section area times axial overlap
+        k = int(along[0])
+        i, j = [a for a in range(3) if a != k]
+        area = _disc_rect_area(lo[:, i] - p0[i], hi[:, i] - p0[i],
+                               lo[:, j] - p0[j], hi[:, j] - p0[j], rho)
+        z0, z1 = min(p0[k], p1[k]), max(p0[k], p1[k])
+        overlap = np.minimum(hi[:, k], z1) - np.maximum(lo[:, k], z0)
+        return area * np.maximum(overlap, 0.0)
+
+    e = axis / length
+    n1 = np.cross(e, np.eye(3)[np.argmin(np.abs(e))])
+    n1 /= np.linalg.norm(n1)
+    n2 = np.cross(e, n1)
+    theta = 2.0 * np.pi * (np.arange(_N_ANGLES) + 0.5) / _N_ANGLES
+    d = np.cos(theta)[:, None] * n1 + np.sin(theta)[:, None] * n2
+
+    volumes = np.zeros(len(lo))
+    # a box farther than rho from the segment holds no chord on any ray
+    center = 0.5 * (lo + hi)
+    half_diag = 0.5 * np.linalg.norm(hi - lo, axis=-1)
+    near = np.flatnonzero(point_segment_distance(center, p0, p1)
+                          < rho + half_diag)
+    for s in range(0, near.size, _BOX_CHUNK):
+        idx = near[s:s + _BOX_CHUNK]
+        volumes[idx] = _ray_volumes(lo[idx] - p0, hi[idx] - p0, e, d,
+                                    length, rho)
+    return volumes
 
 
 def mean_distance(grid: BulkGrid, cell: int, p0, p1,
@@ -176,9 +248,27 @@ def _candidate_cells(grid: BulkGrid, seg: SegmentCell) -> np.ndarray:
     return np.ravel_multi_index([m.ravel() for m in mesh], grid.shape)
 
 
+def _support_measures(grid: BulkGrid, seg: SegmentCell,
+                      cells: np.ndarray) -> np.ndarray:
+    """Measure of the kernel support inside each of the given cells."""
+    multi = np.stack(np.unravel_index(cells, grid.shape), axis=-1)
+    lo = grid.origin + multi * grid.spacing
+    hi = grid.origin + (multi + 1) * grid.spacing
+    if grid.dimension == "2d":
+        if not np.array_equal(seg.p0, seg.p1):
+            raise CouplingError("2D kernel supports are discs: the segment "
+                                "cell must be degenerate")
+        return _disc_rect_area(lo[:, 0] - seg.p0[0], hi[:, 0] - seg.p0[0],
+                               lo[:, 1] - seg.p0[1], hi[:, 1] - seg.p0[1],
+                               seg.kernel_radius)
+    if np.array_equal(seg.p0, seg.p1):
+        raise CouplingError("3D kernel supports are cylinders: the segment "
+                            "cell must have a length")
+    return _cylinder_box_volumes(lo, hi, seg.p0, seg.p1, seg.kernel_radius)
+
+
 def build_segment_coupling(grid: BulkGrid, seg: SegmentCell,
-                           delta_correction: bool = False,
-                           tol: float = 1e-6) -> SegmentCoupling:
+                           delta_correction: bool = False) -> SegmentCoupling:
     rho = seg.kernel_radius
     if grid.dimension == "radial":
         cells, weights = _radial_weights(grid, seg)
@@ -187,15 +277,10 @@ def build_segment_coupling(grid: BulkGrid, seg: SegmentCell,
         candidates = _candidate_cells(grid, seg)
         if candidates.size == 0:
             raise CouplingError("segment cell lies outside the bulk grid")
-        weights = []
         seg_len = float(np.linalg.norm(seg.p1 - seg.p0))
         support_measure = np.pi * rho ** 2 * (seg_len if seg_len > 0.0 else 1.0)
-        for c in candidates:
-            lo, hi = grid.cell_bounds(c)
-            frac = _support_indicator_fraction(lo, hi, seg, tol)
-            weights.append(frac * float(np.prod(hi - lo)) / support_measure)
-        weights = np.asarray(weights)
-        keep = weights > 0.0
+        weights = _support_measures(grid, seg, candidates) / support_measure
+        keep = weights > _NEGLIGIBLE_SHARE
         cells, weights = candidates[keep], weights[keep]
         if cells.size == 0:
             raise CouplingError("kernel support does not intersect the grid")
@@ -204,8 +289,7 @@ def build_segment_coupling(grid: BulkGrid, seg: SegmentCell,
     inside = float(np.sum(weights))
     clipped = inside < 1.0 - 1e-6
     # conservative deposition: the bulk always sees the full source, also
-    # when the support is truncated by the domain boundary; this also
-    # removes the quadrature residue of the indicator integration
+    # when the support is truncated by the domain boundary
     weights = weights / inside
 
     if delta_correction:
@@ -223,7 +307,7 @@ def build_segment_coupling(grid: BulkGrid, seg: SegmentCell,
                            stencil=stencil, delta=delta)
 
 
-def build_coupling(grid: BulkGrid, seg_cells, delta_correction: bool = False,
-                   tol: float = 1e-6) -> list[SegmentCoupling]:
-    return [build_segment_coupling(grid, seg, delta_correction, tol)
+def build_coupling(grid: BulkGrid, seg_cells,
+                   delta_correction: bool = False) -> list[SegmentCoupling]:
+    return [build_segment_coupling(grid, seg, delta_correction)
             for seg in seg_cells]

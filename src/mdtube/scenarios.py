@@ -12,7 +12,6 @@ from __future__ import annotations
 import configparser
 import csv
 import os
-import warnings
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -48,7 +47,6 @@ class ScenarioConfig:
     seed: int = 2024
     delta_correction: bool = False
     write_vtk: bool = False
-    threads: int = 1
     # law parameters
     law_type: str = "exponential"       # exponential | constant | van_genuchten
     d0: float = 0.5
@@ -134,7 +132,6 @@ _SCHEMA = {
     ("scenario", "seed"): ("seed", int),
     ("scenario", "delta_correction"): ("delta_correction", _parse_bool),
     ("scenario", "write_vtk"): ("write_vtk", _parse_bool),
-    ("scenario", "threads"): ("threads", int),
     ("law", "type"): ("law_type", str),
     ("law", "d0"): ("d0", float),
     ("law", "k"): ("k", float),
@@ -269,15 +266,20 @@ def _degenerate_segments(specs) -> list[SegmentCell]:
             for i, t in enumerate(specs)]
 
 
-def solve_parallel_level(law: DiffusionLaw, specs, n: int,
-                         ref: MultiTubeSolution,
-                         delta_correction: bool = False) -> CoupledState:
-    """Solve the three-tube cross-section on an n-by-n grid of [-1,1]^2."""
+def parallel_level_coupling(specs, n: int, delta_correction: bool = False):
+    """Grid of [-1,1]^2 with n-by-n cells, the tubes' segment cells and
+    their coupling; both reference variants of a level solve on these."""
     grid = BulkGrid("2d", [-1.0, -1.0], [2.0, 2.0], (n, n))
     segs = _degenerate_segments(specs)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")     # large-kernel sweeps
-        cpl = build_coupling(grid, segs, delta_correction=delta_correction)
+    return grid, segs, build_coupling(grid, segs,
+                                      delta_correction=delta_correction)
+
+
+def solve_parallel_level(law: DiffusionLaw, specs, grid: BulkGrid,
+                         segs: list[SegmentCell], cpl,
+                         ref: MultiTubeSolution) -> CoupledState:
+    """Solve the three-tube cross-section on one level's grid and coupling
+    (see ``parallel_level_coupling``) against the reference ``ref``."""
     bc = {s: ref.u(grid.bface_center[grid.bface_side == s]) for s in range(4)}
     prob = CoupledProblem(grid=grid, law=law, dirichlet=bc, seg_cells=segs,
                           couplings=cpl,
@@ -299,7 +301,6 @@ def solve_parallel_level(law: DiffusionLaw, specs, n: int,
             except NonconvergenceError:
                 if decay == 1.05:
                     raise
-    state.grid = grid
     return state
 
 
@@ -371,11 +372,12 @@ def run_parallel_tubes(config: ScenarioConfig,
     report = ErrorReport(label=f"k={k:g}_rmax={r_max:g}")
     for level in range(config.levels):
         n = 4 * 2 ** level
+        grid, segs, cpl = parallel_level_coupling(specs, n,
+                                                  config.delta_correction)
         row = LevelErrors(h=2.0 / n)
         for variant, ref in refs.items():
-            state = solve_parallel_level(law, specs, n, ref,
-                                         config.delta_correction)
-            e_ub, e_psi, e_q = _level_errors(state.grid, law, state, ref)
+            state = solve_parallel_level(law, specs, grid, segs, cpl, ref)
+            e_ub, e_psi, e_q = _level_errors(grid, law, state, ref)
             if variant == "u":
                 row.e_ub, row.e_psi, row.e_q = e_ub, e_psi, e_q
             else:
@@ -414,7 +416,8 @@ def run_kernel_radius_study(config: ScenarioConfig) -> list[tuple[float, float]]
         specs = three_tube_specs(config.r_max, float(factor), config.gamma)
         ref = solve_multi_tube(specs, law, anchor=(0, config.anchor),
                                variant="u")
-        state = solve_parallel_level(law, specs, 16, ref)
+        state = solve_parallel_level(law, specs,
+                                     *parallel_level_coupling(specs, 16), ref)
         rows.append((float(factor), source_l2_error(state.q, ref.q)))
     return rows
 

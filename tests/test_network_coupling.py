@@ -1,19 +1,24 @@
 """Network parsing/discretization and kernel-weight coupling.
 
-Geometric reference values are frozen from Monte Carlo estimates with
-4e6 samples (stated next to each use).
+Geometric reference values are frozen from Monte Carlo estimates (sample
+counts and seeds stated next to each use).
 """
+
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
-from mdtube.coupling import (build_coupling, build_segment_coupling,
-                             mean_distance, point_segment_distance)
+from mdtube.coupling import (CouplingError, build_coupling,
+                             build_segment_coupling, mean_distance,
+                             point_segment_distance)
 from mdtube.grid import BulkGrid
 from mdtube.network import (NetworkFormatError, Segment, SegmentCell,
                             TubeNetwork, discretize_network, kernel_value,
                             parse_network, synthetic_root_network,
                             write_network)
+from mdtube.scenarios import parallel_level_coupling, three_tube_specs
 
 
 def simple_network():
@@ -87,12 +92,21 @@ class TestSegmentCoupling:
         assert np.sum(cpl.weights) == pytest.approx(1.0, abs=1e-9)
         assert not cpl.clipped
 
+    def test_disc_inside_one_cell_exact(self):
+        g = BulkGrid("2d", [0.0, 0.0], [1.0, 1.0], (4, 4))
+        cpl = build_segment_coupling(g, make_cell([0.6, 0.4], [0.6, 0.4],
+                                                  rho=0.05))
+        assert cpl.cells.tolist() == [9]
+        assert cpl.inside_fraction == pytest.approx(1.0, rel=0, abs=1e-14)
+        assert not cpl.clipped
+
     def test_disc_at_four_cell_corner_is_symmetric(self):
         g = BulkGrid("2d", [0.0, 0.0], [1.0, 1.0], (4, 4))
         cpl = build_segment_coupling(g, make_cell([0.5, 0.5], [0.5, 0.5],
                                                   rho=0.1))
         assert len(cpl.cells) == 4
-        assert np.allclose(cpl.weights, 0.25, atol=1e-9)
+        assert np.allclose(cpl.weights, 0.25, rtol=0, atol=1e-14)
+        assert cpl.inside_fraction == pytest.approx(1.0, rel=0, abs=1e-14)
         # the midpoint sits on the corner: all four cells in the stencil
         assert len(cpl.stencil) == 4
 
@@ -105,15 +119,106 @@ class TestSegmentCoupling:
         assert cpl.inside_fraction < 1.0
         assert np.sum(cpl.weights) == pytest.approx(1.0, abs=1e-9)
 
+    def test_half_clipped_disc_inside_fraction_exact(self):
+        # centred on the left boundary: exactly half the disc is inside
+        g = BulkGrid("2d", [0.0, 0.0], [1.0, 1.0], (8, 8))
+        cpl = build_segment_coupling(g, make_cell([0.0, 0.5], [0.0, 0.5],
+                                                  rho=0.1))
+        assert cpl.clipped
+        assert cpl.inside_fraction == pytest.approx(0.5, rel=0, abs=1e-14)
+        assert np.sum(cpl.weights) == pytest.approx(1.0, rel=0, abs=1e-14)
+
+    def test_disc_cell_overlaps_match_quadrature(self):
+        # off-centre disc on an 8x8 grid: every cell's overlap area
+        # against adaptive quadrature of the vertical chord
+        center, rho = np.array([0.437, 0.561]), 0.19
+        g = BulkGrid("2d", [0.0, 0.0], [1.0, 1.0], (8, 8))
+        cpl = build_segment_coupling(g, make_cell(center, center, rho=rho))
+        weights = dict(zip(cpl.cells.tolist(), cpl.weights))
+        for c in range(g.n_cells):
+            lo, hi = g.cell_bounds(c)
+
+            def chord(x):
+                s = np.sqrt(max(rho ** 2 - (x - center[0]) ** 2, 0.0))
+                return max(0.0, min(hi[1], center[1] + s)
+                           - max(lo[1], center[1] - s))
+
+            kinks = [center[0] + sgn * np.sqrt(rho ** 2 - (y - center[1]) ** 2)
+                     for y in (lo[1], hi[1]) if abs(y - center[1]) < rho
+                     for sgn in (-1.0, 1.0)]
+            area, _ = quad(chord, lo[0], hi[0], epsabs=1e-15, epsrel=1e-13,
+                           points=[k for k in kinks if lo[0] < k < hi[0]]
+                           or None, limit=200)
+            assert weights.get(c, 0.0) * np.pi * rho ** 2 == pytest.approx(
+                area, rel=1e-11, abs=1e-15)
+
     def test_interior_support_captured_under_refinement_3d(self):
-        # a fully interior cylinder support: the indicator integration
-        # must recover (nearly) the whole kernel mass on either grid
-        cell = make_cell([0.4, 0.5, 0.3], [0.4, 0.5, 0.7], rho=0.15)
-        for n in (4, 8):
-            g = BulkGrid("3d", [0, 0, 0], [1, 1, 1], (n, n, n))
-            cpl = build_segment_coupling(g, cell)
-            # bisection depth is capped in 3D, so allow sub-percent slack
-            assert cpl.inside_fraction == pytest.approx(1.0, abs=5e-3)
+        # fully interior cylinder supports, axis-aligned and oblique: the
+        # integration over cells must recover the whole kernel mass on
+        # either grid
+        cells = (make_cell([0.4, 0.5, 0.3], [0.4, 0.5, 0.7], rho=0.15),
+                 make_cell([0.35, 0.52, 0.3], [0.61, 0.4, 0.66], rho=0.12))
+        for cell in cells:
+            for n in (4, 8):
+                g = BulkGrid("3d", [0, 0, 0], [1, 1, 1], (n, n, n))
+                cpl = build_segment_coupling(g, cell)
+                assert cpl.inside_fraction == pytest.approx(1.0, rel=0,
+                                                            abs=1e-12)
+
+    def test_axis_aligned_cylinder_closed_form(self):
+        # z-aligned cylinder centred on a vertical cell edge: each of the
+        # four cell columns holds a quarter disc times its axial overlap
+        # with z in [0.1, 0.6] (0.15, 0.25 and 0.1 for the three layers)
+        g = BulkGrid("3d", [0, 0, 0], [1, 1, 1], (4, 4, 4))
+        cpl = build_segment_coupling(g, make_cell([0.5, 0.5, 0.1],
+                                                  [0.5, 0.5, 0.6], rho=0.1))
+        expect = {}
+        for i in (1, 2):
+            for j in (1, 2):
+                for k, overlap in ((0, 0.15), (1, 0.25), (2, 0.1)):
+                    expect[np.ravel_multi_index((i, j, k), g.shape)] = (
+                        0.25 * overlap / 0.5)
+        assert sorted(cpl.cells.tolist()) == sorted(expect)
+        got = dict(zip(cpl.cells.tolist(), cpl.weights))
+        for c, w in expect.items():
+            assert got[c] == pytest.approx(w, rel=0, abs=1e-14)
+        assert cpl.inside_fraction == pytest.approx(1.0, rel=0, abs=1e-14)
+
+    def test_oblique_cylinder_matches_monte_carlo(self):
+        # oracle: 1.6e7 points uniform in the cylinder (seed 12345) binned
+        # into the 4x4x4 cells; standard error sqrt(w (1 - w) / N) per
+        # cell, at most 1.2e-4. Tolerance: 4 standard errors plus 1e-5 for
+        # the angular rule (2.8e-6 against 4096 angles here).
+        g = BulkGrid("3d", [0, 0, 0], [1, 1, 1], (4, 4, 4))
+        cpl = build_segment_coupling(g, make_cell(
+            [0.38, 0.41, 0.30], [0.62, 0.55, 0.68], rho=0.09))
+        oracle = {20: 2.75e-05, 21: 0.357878, 22: 0.0466107, 25: 0.0603424,
+                  26: 0.0348099, 37: 0.0747551, 38: 0.1476, 41: 0.0330297,
+                  42: 0.244947}
+        n_samples = 1.6e7
+        assert sorted(cpl.cells.tolist()) == sorted(oracle)
+        assert cpl.inside_fraction == pytest.approx(1.0, rel=0, abs=1e-12)
+        for c, w in zip(cpl.cells.tolist(), cpl.weights):
+            sigma = np.sqrt(oracle[c] * (1.0 - oracle[c]) / n_samples)
+            assert abs(w - oracle[c]) <= 4.0 * sigma + 1e-5
+
+    def test_support_must_match_grid_dimension(self):
+        g2 = BulkGrid("2d", [0.0, 0.0], [1.0, 1.0], (4, 4))
+        with pytest.raises(CouplingError, match="degenerate"):
+            build_segment_coupling(g2, make_cell([0.3, 0.5], [0.6, 0.5]))
+        g3 = BulkGrid("3d", [0, 0, 0], [1, 1, 1], (4, 4, 4))
+        with pytest.raises(CouplingError, match="length"):
+            build_segment_coupling(g3, make_cell([0.5] * 3, [0.5] * 3))
+
+    def test_clipped_large_kernel_builds_without_warnings(self):
+        # kernel factor 12 on 16x16: every support is cut by the boundary
+        specs = three_tube_specs(0.2, 12.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, _, cpl = parallel_level_coupling(specs, 16)
+        assert all(c.clipped for c in cpl)
+        for c in cpl:
+            assert np.sum(c.weights) == pytest.approx(1.0, abs=1e-12)
 
     def test_radial_weights_closed_form(self):
         g = BulkGrid("radial", [0.0], [1.0], (10,))

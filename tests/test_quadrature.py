@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import mdtube.quadrature as quadrature
 from mdtube.quadrature import (QuadratureError, tanh_sinh,
                                tanh_sinh_piecewise_cumulative)
 
@@ -63,3 +64,17 @@ def test_cumulative_monotone_for_positive_integrand():
     nodes = np.linspace(0.0, 1.0, 101)
     cum = tanh_sinh_piecewise_cumulative(lambda x: 1.0 + x * x, nodes)
     assert np.all(np.diff(cum) > 0.0)
+
+
+def test_cumulative_chunked_matches_single_chunk(monkeypatch):
+    # chunking over intervals must not change the per-interval sums; 1000
+    # does not divide the 10,000 intervals' count, so the last chunk is
+    # short
+    f = lambda x: np.exp(-x) * np.sin(3.0 * x) + 2.0
+    nodes = np.linspace(-1.0, 4.0, 10_001)
+    monkeypatch.setattr(quadrature, "_CHUNK_INTERVALS", 10 ** 9)
+    whole = tanh_sinh_piecewise_cumulative(f, nodes)
+    monkeypatch.setattr(quadrature, "_CHUNK_INTERVALS", 999)
+    chunked = tanh_sinh_piecewise_cumulative(f, nodes)
+    assert chunked[0] == 0.0
+    np.testing.assert_allclose(chunked, whole, rtol=1e-15, atol=0.0)

@@ -10,10 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mdtube.scenarios as scenarios
 from mdtube.laws import ConstantLaw, ExponentialLaw, VanGenuchtenLaw
 from mdtube.scenarios import (ConfigError, ErrorReport, LevelErrors,
                               ScenarioConfig, parse_config,
-                              radius_sweep_anchor, run_scenario, write_config)
+                              radius_sweep_anchor, run_parallel_tubes,
+                              run_scenario, write_config)
 
 SINGLE_TUBE_INI = """\
 [scenario]
@@ -59,11 +61,13 @@ class TestConfigParsing:
         assert parse_config(path) == config
 
     def test_unknown_key_reports_section(self, tmp_path):
+        # ``threads`` was once parsed and never read; it is rejected now
         path = tmp_path / "bad.ini"
-        path.write_text("[scenario]\nkind = single_tube\nbogus = 1\n")
-        with pytest.raises(ConfigError,
-                           match=r"unknown key \[scenario\] bogus"):
-            parse_config(path)
+        for key in ("bogus", "threads"):
+            path.write_text(f"[scenario]\nkind = single_tube\n{key} = 1\n")
+            with pytest.raises(ConfigError,
+                               match=rf"unknown key \[scenario\] {key}"):
+                parse_config(path)
 
     def test_bad_value_reported(self, tmp_path):
         path = tmp_path / "bad.ini"
@@ -113,6 +117,22 @@ class TestHelpers:
         for h in (0.4, 0.2, 0.1):
             rep.rows.append(LevelErrors(h=h, e_ub=h ** 2))
         assert np.allclose(rep.orders("e_ub"), 2.0)
+
+    def test_parallel_tubes_builds_one_coupling_per_level(self, monkeypatch):
+        # both reference variants of a level solve on the same coupling
+        built = []
+        build = scenarios.build_coupling
+
+        def counting_build(grid, *args, **kwargs):
+            built.append(grid.shape)
+            return build(grid, *args, **kwargs)
+
+        monkeypatch.setattr(scenarios, "build_coupling", counting_build)
+        report = run_parallel_tubes(
+            ScenarioConfig(kind="parallel_tubes", levels=2), k=1.0)
+        assert built == [(4, 4), (8, 8)]
+        for name in ("e_q", "et_q"):
+            assert np.all(np.isfinite(report.column(name)))
 
 
 class TestArtifacts:
