@@ -23,12 +23,23 @@ from .grid import BulkGrid, bulk_l2_error, observed_orders, source_l2_error
 from .laws import ConstantLaw, DiffusionLaw, ExponentialLaw, VanGenuchtenLaw
 from .network import NetworkMesh, SegmentCell, discretize_network, \
     parse_network, synthetic_root_network
-from .solver import CoupledProblem, CoupledState, NonconvergenceError, \
-    SolverControls, collar_flux_total, newton_solve, pseudo_transient_solve
+from .solver import CoupledProblem, CoupledState, SolverControls, \
+    collar_flux_total, newton_solve
 from . import vtk as vtk_io
 
 SCENARIO_KINDS = ("single_tube", "parallel_tubes", "kernel_radius_study",
                   "delta_study", "root_soil")
+
+#: ``[law] type`` values each scenario kind reads, its default first; the
+#: three-tube studies build their law from ``k`` and the root scenario
+#: always uses the soil law
+_KIND_LAW_TYPES = {
+    "single_tube": ("exponential", "constant", "van_genuchten"),
+    "parallel_tubes": ("exponential",),
+    "kernel_radius_study": ("exponential",),
+    "delta_study": ("exponential",),
+    "root_soil": ("van_genuchten",),
+}
 
 #: cross-sectional tube centers of the three-tube verification setup
 TUBE_CENTERS = ((-0.5, -0.5), (0.5, -0.5), (0.0, 0.5))
@@ -48,7 +59,7 @@ class ScenarioConfig:
     delta_correction: bool = False
     write_vtk: bool = False
     # law parameters
-    law_type: str = "exponential"       # exponential | constant | van_genuchten
+    law_type: str | None = None         # None: the kind's default law
     d0: float = 0.5
     k: float = 1.0
     d_min: float = 1e-6
@@ -78,15 +89,20 @@ class ScenarioConfig:
             raise ConfigError(f"unknown scenario kind {self.kind!r}")
         if self.levels < 1:
             raise ConfigError("levels must be >= 1")
+        used = _KIND_LAW_TYPES[self.kind]
+        if self.law_type is None:
+            self.law_type = used[0]
+        elif self.law_type not in used:
+            raise ConfigError(
+                f"[law] type = {self.law_type} is not used by scenario kind "
+                f"{self.kind!r}; it uses {' or '.join(used)}")
 
     def build_law(self) -> DiffusionLaw:
         if self.law_type == "exponential":
             return ExponentialLaw(self.d0, self.k, self.d_min)
         if self.law_type == "constant":
             return ConstantLaw(self.d0)
-        if self.law_type == "van_genuchten":
-            return VanGenuchtenLaw(self.permeability, mu=self.viscosity)
-        raise ConfigError(f"unknown law type {self.law_type!r}")
+        return VanGenuchtenLaw(self.permeability, mu=self.viscosity)
 
 
 # -- config file round trip ------------------------------------------------
@@ -275,33 +291,25 @@ def parallel_level_coupling(specs, n: int, delta_correction: bool = False):
                                       delta_correction=delta_correction)
 
 
+def _physical_state(law: DiffusionLaw, state: CoupledState) -> CoupledState:
+    """``state`` of a ``bulk_transformed`` solve with its bulk mapped from
+    psi back to the physical variable."""
+    return replace(state, u_b=law.inverse_transform(state.u_b))
+
+
 def solve_parallel_level(law: DiffusionLaw, specs, grid: BulkGrid,
                          segs: list[SegmentCell], cpl,
                          ref: MultiTubeSolution) -> CoupledState:
     """Solve the three-tube cross-section on one level's grid and coupling
     (see ``parallel_level_coupling``) against the reference ``ref``."""
-    bc = {s: ref.u(grid.bface_center[grid.bface_side == s]) for s in range(4)}
+    bc = {s: law.transform(ref.u(grid.bface_center[grid.bface_side == s]))
+          for s in range(4)}
     prob = CoupledProblem(grid=grid, law=law, dirichlet=bc, seg_cells=segs,
                           couplings=cpl,
-                          u_e_fixed=np.array([t.u_e for t in specs]))
-    u0 = ref.u(grid.cell_centers)
-    try:
-        state = newton_solve(prob, u0)
-    except NonconvergenceError:
-        # a very coarse grid with a stiff law can make damped Newton
-        # cycle; a slowly relaxed pseudo-transient continuation tracks
-        # the solution branch instead (retried with a gentler relaxation
-        # schedule if the first attempt still stalls)
-        state = None
-        for decay in (1.25, 1.05):
-            try:
-                state = pseudo_transient_solve(prob, u0, lam0=100.0,
-                                               lam_min=1e-12, decay=decay)
-                break
-            except NonconvergenceError:
-                if decay == 1.05:
-                    raise
-    return state
+                          u_e_fixed=np.array([t.u_e for t in specs]),
+                          bulk_transformed=True)
+    state = newton_solve(prob, law.transform(ref.u(grid.cell_centers)))
+    return _physical_state(law, state)
 
 
 def _level_errors(grid: BulkGrid, law: DiffusionLaw, state: CoupledState,
@@ -334,11 +342,12 @@ def run_single_tube(config: ScenarioConfig) -> ErrorReport:
                           joint_a=0, joint_b=1)
         cpl = build_coupling(grid, [seg],
                              delta_correction=config.delta_correction)
-        bc = {1: np.array([sol.u(r_out)])}
-        prob = CoupledProblem(grid=grid, law=law, dirichlet=bc,
+        psi_out = law.transform(np.full(1, sol.u(r_out)))
+        prob = CoupledProblem(grid=grid, law=law, dirichlet={1: psi_out},
                               seg_cells=[seg], couplings=cpl,
-                              u_e_fixed=np.array([config.u_e]))
-        state = newton_solve(prob, np.full(n, sol.u(r_out)))
+                              u_e_fixed=np.array([config.u_e]),
+                              bulk_transformed=True)
+        state = _physical_state(law, newton_solve(prob, np.full(n, psi_out)))
         r = grid.cell_centers[:, 0]
         e_ub = bulk_l2_error(grid, state.u_b, sol.u(r), 1.0)
         e_psi = bulk_l2_error(grid, np.asarray(law.transform(state.u_b),
@@ -457,7 +466,7 @@ def run_root_soil(config: ScenarioConfig) -> RootSoilResult:
     the top face is zero-flux. Transpiration is the summed segment source,
     reported together with the collar flux it must balance.
     """
-    law = VanGenuchtenLaw(config.permeability, mu=config.viscosity)
+    law = config.build_law()
     law.attach_table(-1.0e6, 1.0e4)
     if config.boundary_pressure is not None:
         p_s = config.boundary_pressure
@@ -476,32 +485,21 @@ def run_root_soil(config: ScenarioConfig) -> RootSoilResult:
         mesh = discretize_network(net, config.segment_length)
         couplings = build_coupling(grid, mesh.cells,
                                    delta_correction=config.delta_correction)
-        dirichlet = {}
-        for side in (0, 1, 2, 3, 4):        # all but the top face
-            count = int(np.sum(grid.bface_side == side))
-            dirichlet[side] = np.full(count, p_s)
-        lengths = np.array([c.length for c in mesh.cells])
-
-        # the bulk is solved in the transformed variable: the conductivity
-        # floor of the soil law puts a coefficient kink through the dried
-        # region around the roots, which pins damped Newton on the
-        # pressure form at a residual floor; in the transformed variable
-        # the bulk operator is linear and Newton converges to rounding
+        # all but the top face are Dirichlet; the bulk is solved in psi
         psi_s = float(law.transform(np.float64(p_s)))
-        dirichlet = {side: np.full_like(vals, psi_s)
-                     for side, vals in dirichlet.items()}
+        dirichlet = {side: np.full(int(np.sum(grid.bface_side == side)),
+                                   psi_s)
+                     for side in (0, 1, 2, 3, 4)}
+        lengths = np.array([c.length for c in mesh.cells])
         u_b = np.full(grid.n_cells, psi_s)
         u_e = np.full(mesh.n_cells, p_s)
-        controls = SolverControls(tol_rel=1e-13, max_iter=60, stag_rel=1e-6)
+        controls = SolverControls(tol_rel=1e-13, max_iter=60)
         for p_rc in config.collar_pressures:
             mesh.joint_dirichlet = {mesh.joint_of_node[collar]: p_rc}
             prob = CoupledProblem(grid=grid, law=law, dirichlet=dirichlet,
                                   seg_cells=mesh.cells, couplings=couplings,
                                   network=mesh, bulk_transformed=True)
-            try:
-                state = newton_solve(prob, u_b, u_e, controls)
-            except NonconvergenceError:
-                state = pseudo_transient_solve(prob, u_b, u_e, controls)
+            state = newton_solve(prob, u_b, u_e, controls)
             u_b, u_e = state.u_b, state.u_e     # warm start for next sweep
             r_t = float(np.sum(state.q * lengths))
             result.transpiration.append({
@@ -511,6 +509,7 @@ def run_root_soil(config: ScenarioConfig) -> RootSoilResult:
                 "r_t": r_t,
                 "collar_flux": collar_flux_total(prob, state.u_e),
                 "iterations": state.iterations,
+                "status": state.status,
             })
             for j, cell in enumerate(mesh.cells):
                 result.segment_rows.append({
@@ -525,11 +524,7 @@ def run_root_soil(config: ScenarioConfig) -> RootSoilResult:
                     "u_hat": float(state.u_hat[j]),
                     "q": float(state.q[j]),
                 })
-            result.final_state = CoupledState(
-                u_b=np.asarray(law.inverse_transform(state.u_b), float),
-                u_e=state.u_e, u_hat=state.u_hat, q=state.q,
-                iterations=state.iterations,
-                residual_history=state.residual_history)
+            result.final_state = _physical_state(law, state)
             result.final_grid = grid
             result.final_mesh = mesh
     return result
@@ -566,6 +561,10 @@ _ERRORS_HEADER = ["label", "level", "h",
                   "order_et_ub", "order_et_psi", "order_et_q"]
 
 
+_TRANSPIRATION_HEADER = ["grid", "n_cells", "collar_pressure", "r_t",
+                         "collar_flux", "iterations", "status"]
+
+
 def emit_outputs(config: ScenarioConfig, results, out_dir):
     """Write the scenario artifacts (CSV tables, optional VTK) to out_dir."""
     os.makedirs(out_dir, exist_ok=True)
@@ -587,10 +586,8 @@ def emit_outputs(config: ScenarioConfig, results, out_dir):
         _write_csv(os.path.join(out_dir, "errors.csv"), _ERRORS_HEADER, rows)
     elif config.kind == "root_soil":
         _write_csv(os.path.join(out_dir, "transpiration.csv"),
-                   ["grid", "n_cells", "collar_pressure", "r_t",
-                    "collar_flux", "iterations"],
-                   [[d["grid"], d["n_cells"], d["collar_pressure"],
-                     d["r_t"], d["collar_flux"], d["iterations"]]
+                   _TRANSPIRATION_HEADER,
+                   [[d[h] for h in _TRANSPIRATION_HEADER]
                     for d in results.transpiration])
         seg_header = ["grid", "collar_pressure", "segment_id", "cell",
                       "depth", "length", "radius", "u_e", "u_hat", "q"]

@@ -12,10 +12,13 @@ import pytest
 
 import mdtube.scenarios as scenarios
 from mdtube.laws import ConstantLaw, ExponentialLaw, VanGenuchtenLaw
+from mdtube.analytic import solve_multi_tube
 from mdtube.scenarios import (ConfigError, ErrorReport, LevelErrors,
-                              ScenarioConfig, parse_config,
+                              ScenarioConfig, _level_errors,
+                              parallel_level_coupling, parse_config,
                               radius_sweep_anchor, run_parallel_tubes,
-                              run_scenario, write_config)
+                              run_scenario, solve_parallel_level,
+                              three_tube_specs, write_config)
 
 SINGLE_TUBE_INI = """\
 [scenario]
@@ -102,6 +105,35 @@ class TestConfigParsing:
             ScenarioConfig(kind="root_soil",
                            law_type="van_genuchten").build_law(),
             VanGenuchtenLaw)
+        # without a [law] section each kind gets the law it uses
+        assert ScenarioConfig(kind="root_soil").law_type == "van_genuchten"
+        assert ScenarioConfig(kind="delta_study").law_type == "exponential"
+
+    def test_tube_studies_reject_unused_law_type(self, tmp_path):
+        # the three-tube studies build an exponential law from k
+        for kind in ("parallel_tubes", "kernel_radius_study", "delta_study"):
+            for law_type in ("constant", "van_genuchten"):
+                with pytest.raises(ConfigError, match=r"\[law\] type"):
+                    ScenarioConfig(kind=kind, law_type=law_type)
+        path = tmp_path / "bad.ini"
+        path.write_text("[scenario]\nkind = parallel_tubes\n"
+                        "[law]\ntype = constant\n")
+        with pytest.raises(ConfigError, match=r"\[law\] type"):
+            parse_config(path)
+
+    def test_root_soil_rejects_unused_law_type(self, tmp_path):
+        for law_type in ("exponential", "constant"):
+            with pytest.raises(ConfigError, match=r"\[law\] type"):
+                ScenarioConfig(kind="root_soil", law_type=law_type)
+        path = tmp_path / "bad.ini"
+        path.write_text("[scenario]\nkind = root_soil\n"
+                        "[law]\ntype = exponential\n")
+        with pytest.raises(ConfigError, match=r"\[law\] type"):
+            parse_config(path)
+
+    def test_single_tube_rejects_unknown_law_type(self):
+        with pytest.raises(ConfigError, match=r"\[law\] type"):
+            ScenarioConfig(kind="single_tube", law_type="gardner")
 
 
 class TestHelpers:
@@ -134,6 +166,21 @@ class TestHelpers:
         for name in ("e_q", "et_q"):
             assert np.all(np.isfinite(report.column(name)))
 
+    def test_stiff_coarse_level_solved_by_newton(self):
+        # k = 5 on the 4x4 level once stalled Newton in the pressure form
+        # and fell back to a continuation that returned iterations = 0 and
+        # e_ub/e_psi/e_q = 0.758/0.329/0.599; in psi Newton converges
+        law = ExponentialLaw(0.5, 5.0, 1e-6)
+        specs = three_tube_specs(0.2, 2.0)
+        ref = solve_multi_tube(specs, law, anchor=(0, 0.8), variant="u")
+        grid, segs, cpl = parallel_level_coupling(specs, 4)
+        state = solve_parallel_level(law, specs, grid, segs, cpl, ref)
+        assert state.iterations > 0
+        assert state.status == "converged"
+        e_ub, _, e_q = _level_errors(grid, law, state, ref)
+        assert e_ub < 0.2
+        assert e_q < 0.3
+
 
 class TestArtifacts:
     def test_single_tube_csv_schema_and_determinism(self, tmp_path):
@@ -149,6 +196,17 @@ class TestArtifacts:
         # the echoed config parses back to the run configuration
         echoed = parse_config(tmp_path / "a" / "config.echo.ini")
         assert echoed.kind == "single_tube" and echoed.levels == 2
+
+    def test_root_soil_reports_solver_status(self, tmp_path):
+        config = ScenarioConfig(kind="root_soil", grids=((8, 8, 15),),
+                                collar_pressures=(-1e5,),
+                                delta_correction=True)
+        run_scenario(config, tmp_path)
+        lines = (tmp_path / "transpiration.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        assert header[-2:] == ["iterations", "status"]
+        assert len(lines) == 2
+        assert lines[1].split(",")[-1] in ("converged", "stagnated")
 
     def test_errors_decrease_under_refinement(self, tmp_path):
         config = ScenarioConfig(kind="single_tube", levels=3, rho_factor=5.0)

@@ -15,7 +15,7 @@ from mdtube.network import (Segment, SegmentCell, TubeNetwork,
 from mdtube.solver import (CoupledProblem, NonconvergenceError,
                            SolverControls, _polish_network, assemble_coupled,
                            boundary_flux_total, collar_flux_total,
-                           newton_solve, pseudo_transient_solve)
+                           newton_solve)
 
 LAW = ExponentialLaw(d0=0.5, k=1.0)
 
@@ -107,6 +107,18 @@ class TestNewton:
                          controls=SolverControls(max_iter=0))
         assert len(exc.value.history) >= 1
 
+    def test_status_tells_stagnation_from_convergence(self):
+        # tol_rel = 0 cannot be met, so Newton runs into the rounding floor
+        # and must say that it stalled there instead of converging
+        problem = point_source_problem()
+        u0 = np.full(problem.n_bulk, 0.1)
+        assert newton_solve(problem, u0).status == "converged"
+        stalled = newton_solve(problem, u0, controls=SolverControls(
+            tol_rel=0.0))
+        assert stalled.status == "stagnated"
+        history = stalled.residual_history
+        assert 0.0 < history[-1] <= 1e-8 * history[0]
+
     def test_axial_chain_linear_profile(self):
         # gamma = 0 decouples the tube from the bulk; with both segment
         # ends held at fixed values the cell unknowns must be the linear
@@ -151,7 +163,7 @@ class TestNewton:
         assert abs(out - src) < 1e-9 * scale
 
 
-class TestPolishAndContinuation:
+class TestPolish:
     def test_polish_reduces_network_residual(self):
         problem, mesh = small_coupled_problem()
         state = newton_solve(problem, np.full(problem.n_bulk, 0.1),
@@ -162,16 +174,6 @@ class TestPolishAndContinuation:
         u_e, res, _, _ = _polish_network(problem, state.u_b, u_e)
         assert (np.max(np.abs(res[n_b:]))
                 < 1e-6 * np.max(np.abs(res0[n_b:])))
-
-    def test_pseudo_transient_matches_newton(self):
-        problem, mesh = small_coupled_problem()
-        a = newton_solve(problem, np.full(problem.n_bulk, 0.1),
-                         np.full(problem.n_net, 0.4))
-        b = pseudo_transient_solve(problem, np.full(problem.n_bulk, 0.1),
-                                   np.full(problem.n_net, 0.4),
-                                   SolverControls(), lam0=1e-2)
-        assert np.max(np.abs(a.u_b - b.u_b)) < 1e-9
-        assert np.max(np.abs(a.u_e - b.u_e)) < 1e-9
 
 
 def to_transformed(problem, law=None):
