@@ -13,8 +13,7 @@ from .analytic import (AnalyticSolveError, MultiTubeSolution,
 from .coupling import (SegmentCoupling, build_coupling,
                        build_segment_coupling, mean_distance,
                        point_segment_distance)
-from .grid import (BulkGrid, DiscreteField, bulk_l2_error, observed_orders,
-                   source_l2_error)
+from .grid import BulkGrid, bulk_l2_error, observed_orders, source_l2_error
 from .laws import (ConstantLaw, DiffusionLaw, ExponentialLaw, TabulatedLaw,
                    TransformDomainError, TransformTable, VanGenuchtenLaw)
 from .network import (NetworkFormatError, NetworkMesh, Segment, SegmentCell,

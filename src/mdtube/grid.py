@@ -139,17 +139,6 @@ class BulkGrid:
         return lo, lo + self.spacing
 
 
-@dataclass
-class DiscreteField:
-    grid: BulkGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, float).reshape(self.grid.n_cells)
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("field contains non-finite entries")
-
-
 def assemble_flux_jacobian(grid: BulkGrid, law, u: np.ndarray,
                            dirichlet: dict[int, np.ndarray] | None = None):
     """TPFA residual and Jacobian triplets for -div(D(u) grad u).

@@ -271,8 +271,6 @@ class VanGenuchtenLaw(DiffusionLaw):
     k_r(S_e) = S_e^lam * (1 - (1 - S_e^(1/m))^m)^2 (standard Mualem form),
     S_e(p_c) = (1 + (alpha p_c)^n)^(-m), p_c = -p.
 
-    ``printed_form=True`` drops the outer exponent m inside the bracket,
-    reproducing a variant sometimes seen in print (kept for comparison).
     The unknown is the water pressure in Pa.
     """
 
@@ -284,7 +282,6 @@ class VanGenuchtenLaw(DiffusionLaw):
     n: float = 1.6
     lam: float = 0.5
     eps: float = 1e-6       # relative floor: d_min = eps * K / mu
-    printed_form: bool = False
     table: TransformTable | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -313,9 +310,7 @@ class VanGenuchtenLaw(DiffusionLaw):
 
     def relative_permeability(self, p):
         se = self.effective_saturation(p)
-        inner = 1.0 - np.clip(se, 0.0, 1.0) ** (1.0 / self.m)
-        if not self.printed_form:
-            inner = inner ** self.m
+        inner = (1.0 - np.clip(se, 0.0, 1.0) ** (1.0 / self.m)) ** self.m
         return se ** self.lam * (1.0 - inner) ** 2
 
     def eval(self, u):

@@ -134,10 +134,6 @@ class SegmentCell:
     def midpoint(self) -> np.ndarray:
         return 0.5 * (self.p0 + self.p1)
 
-    @property
-    def perimeter(self) -> float:
-        return 2.0 * np.pi * self.radius
-
 
 @dataclass
 class NetworkMesh:

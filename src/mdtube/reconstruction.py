@@ -3,7 +3,8 @@
 Given the regularized bulk value sampled at distance ``delta`` from a tube
 centerline, the interface value is the root of a scalar nonlinear equation
 built from the Kirchhoff transform and the radial kernel profile. The
-coupling source then follows from the wall transmissibility.
+coupling source then follows from the wall transmissibility. Inputs may
+be arrays over segment cells, solved together; scalars return floats.
 """
 
 from __future__ import annotations
@@ -12,127 +13,138 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .laws import DiffusionLaw
 
 
 class ReconstructionError(RuntimeError):
-    """No bracketing interval found for the interface equation."""
+    """Non-finite inputs, or the interface equation unsolved in time."""
 
 
-def kernel_profile_f(distance, tube_radius: float, kernel_radius: float):
+def _scalar_or_array(out):
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def kernel_profile_f(distance, tube_radius, kernel_radius):
     """Radial profile of the regularized logarithmic solution.
 
     ``(1/2pi) [d^2/(2 rho^2) + ln(rho/R) - 1/2]`` inside the kernel support
     and ``(1/2pi) ln(d/R)`` outside; continuous at ``d = rho`` and zero at
     the tube wall in the unregularized limit ``rho = R``.
     """
-    if kernel_radius < tube_radius:
+    if np.any(kernel_radius < tube_radius):
         raise ValueError("kernel radius must not be smaller than tube radius")
     d = np.asarray(distance, float)
     rho, radius = kernel_radius, tube_radius
     inside = (d ** 2 / (2.0 * rho ** 2) + np.log(rho / radius) - 0.5)
     with np.errstate(divide="ignore"):
         outside = np.log(np.maximum(d, 1e-300) / radius)
-    out = np.where(d <= rho, inside, outside) / (2.0 * np.pi)
-    return float(out) if out.ndim == 0 else out
+    return _scalar_or_array(np.where(d <= rho, inside, outside)
+                            / (2.0 * np.pi))
 
 
 @dataclass
 class ReconstructionInput:
-    """Inputs of the scalar interface equation for one segment cell."""
+    """Inputs of the interface equation: floats for one segment cell, or
+    arrays with one entry per segment cell."""
 
-    u_b_delta: float        # bulk value sampled at distance delta
-    u_e: float              # tube unknown
-    tube_radius: float
-    kernel_radius: float
-    delta: float
-    gamma: float            # wall permeability
+    u_b_delta: float | np.ndarray   # bulk value sampled at distance delta
+    u_e: float | np.ndarray         # tube unknown
+    tube_radius: float | np.ndarray
+    kernel_radius: float | np.ndarray
+    delta: float | np.ndarray
+    gamma: float | np.ndarray       # wall permeability
     law: DiffusionLaw
 
     def __post_init__(self):
-        if not (0.0 <= self.delta < self.kernel_radius):
+        if not np.all((0.0 <= self.delta) & (self.delta < self.kernel_radius)):
             raise ValueError("require 0 <= delta < kernel radius")
-        if self.tube_radius > self.kernel_radius:
+        if np.any(self.tube_radius > self.kernel_radius):
             raise ValueError("require tube radius <= kernel radius")
-        if np.log(self.kernel_radius / self.tube_radius) < 0.5:
+        if np.any(np.log(self.kernel_radius / self.tube_radius) < 0.5):
             warnings.warn(
                 "ln(rho/R) < 0.5: uniqueness of the interface equation is "
                 "not guaranteed", stacklevel=2)
 
     @property
-    def perimeter(self) -> float:
+    def perimeter(self):
         return 2.0 * np.pi * self.tube_radius
 
     @property
-    def coupling_factor(self) -> float:
+    def coupling_factor(self):
         """|P| gamma f(delta), the linear coefficient of the interface term."""
         f = kernel_profile_f(self.delta, self.tube_radius, self.kernel_radius)
         return self.perimeter * self.gamma * f
 
 
-def reconstruct_interface(inp: ReconstructionInput,
-                          tol: float = 1e-12,
-                          max_expansions: int = 60) -> tuple[float, float]:
+def reconstruct_interface(inp: ReconstructionInput, tol: float = 1e-12,
+                          max_iter: int = 100):
     """Solve the interface equation; returns ``(u_hat, q)``.
 
-    ``u_hat`` satisfies ``T(u_b_delta) - T(u_hat) - |P| gamma f(delta)
-    (u_hat - u_e) = 0`` and ``q = -|P| gamma (u_hat - u_e)`` is the source
-    per unit tube length.
+    ``u_hat`` satisfies ``g(u_hat) = T(u_b_delta) - T(u_hat) - |P| gamma
+    f(delta) (u_hat - u_e) = 0`` and ``q = -|P| gamma (u_hat - u_e)`` is the
+    source per unit tube length. As ``g' = -(D(u_hat) + |P| gamma f) < 0``,
+    the root lies between ``u_e`` and ``u_b_delta``: Newton runs in that
+    bracket, padded, and bisects when an iterate leaves it or stalls. A cell
+    is done once its step or its bracket is at most ``tol * max(1, |u_e|,
+    |u_b_delta|)``; :class:`ReconstructionError` is raised for non-finite
+    inputs or after ``max_iter`` iterations.
     """
     law = inp.law
+    u_b = np.asarray(inp.u_b_delta, float)
+    u_e = np.asarray(inp.u_e, float)
+    if not (np.all(np.isfinite(u_b)) and np.all(np.isfinite(u_e))):
+        raise ReconstructionError(
+            f"non-finite input to the interface equation: {inp!r}")
     pf = inp.coupling_factor
-    psi_delta = float(law.transform(np.float64(inp.u_b_delta)))
+    psi_delta = law.transform(u_b)
 
-    def g(u_hat):
-        return (psi_delta - float(law.transform(np.float64(u_hat)))
-                - pf * (u_hat - inp.u_e))
-
-    scale = max(1.0, abs(inp.u_e), abs(inp.u_b_delta))
-    lo = min(inp.u_e, inp.u_b_delta)
-    hi = max(inp.u_e, inp.u_b_delta)
-    pad = 0.1 * max(hi - lo, 1e-12 * scale)
+    scale = np.maximum(1.0, np.maximum(np.abs(u_e), np.abs(u_b)))
+    lo = np.minimum(u_e, u_b)
+    hi = np.maximum(u_e, u_b)
+    pad = 0.1 * np.maximum(hi - lo, 1e-12 * scale)
     lo, hi = lo - pad, hi + pad
 
-    glo, ghi = g(lo), g(hi)
-    for _ in range(max_expansions):
-        # g is decreasing in u_hat: root bracketed once g(lo) >= 0 >= g(hi)
-        if glo >= 0.0 >= ghi:
+    # the root of the equation linearized at u_b_delta, exact for D = const
+    d_b = law.eval(u_b)
+    u = np.clip((d_b * u_b + pf * u_e) / (d_b + pf), lo, hi)
+    step = hi - lo
+    active = np.ones(u.shape, bool)
+    for _ in range(max_iter):
+        g = psi_delta - law.transform(u) - pf * (u - u_e)
+        lo = np.where(g > 0.0, u, lo)
+        hi = np.where(g > 0.0, hi, u)
+        newton = g / (law.eval(u) + pf)
+        converged = np.abs(newton) <= tol * scale
+        # bisect where Newton leaves the bracket or gains less than a
+        # bisection would, as in a cycle on a law with non-monotone D
+        take = converged | ((lo <= u + newton) & (u + newton <= hi)
+                            & (np.abs(newton) <= 0.5 * np.abs(step)))
+        step = np.where(take, newton, 0.5 * (lo + hi) - u)
+        u = np.where(active, u + step, u)
+        # a bracket narrower than the tolerance ends a cell whose Newton
+        # step is held above it by rounding in g
+        active &= ~(converged | (hi - lo <= tol * scale))
+        if not np.any(active):
             break
-        width = hi - lo
-        if glo < 0.0:
-            lo -= width
-            glo = g(lo)
-        if ghi > 0.0:
-            hi += width
-            ghi = g(hi)
     else:
         raise ReconstructionError(
-            f"no sign change for interface equation; inputs: {inp!r}")
-
-    if glo == 0.0:
-        u_hat = lo
-    elif ghi == 0.0:
-        u_hat = hi
-    else:
-        u_hat = brentq(g, lo, hi, xtol=tol * scale, rtol=8.9e-16, maxiter=200)
-    q = -inp.perimeter * inp.gamma * (u_hat - inp.u_e)
-    return float(u_hat), float(q)
+            f"interface equation not solved in {max_iter} iterations; "
+            f"inputs: {inp!r}")
+    q = -inp.perimeter * inp.gamma * (u - u_e)
+    return _scalar_or_array(u), _scalar_or_array(q)
 
 
-def interface_derivatives(inp: ReconstructionInput,
-                          u_hat: float) -> tuple[float, float]:
+def interface_derivatives(inp: ReconstructionInput, u_hat):
     """Partial derivatives (du_hat/du_b_delta, du_hat/du_e) at the root.
 
     Obtained from the implicit function theorem on the interface equation;
     both denominators share ``D(u_hat) + |P| gamma f(delta) > 0``.
     """
     pf = inp.coupling_factor
-    d_hat = float(inp.law.eval(np.float64(u_hat)))
-    d_delta = float(inp.law.eval(np.float64(inp.u_b_delta)))
-    denom = d_hat + pf
-    return d_delta / denom, pf / denom
+    denom = inp.law.eval(u_hat) + pf
+    d_delta = inp.law.eval(inp.u_b_delta)
+    return _scalar_or_array(d_delta / denom), _scalar_or_array(pf / denom)
 
 
 def mvt_error_bound(law: DiffusionLaw, u_lo: float, u_hi: float,

@@ -96,6 +96,13 @@ class ScenarioConfig:
             raise ConfigError(
                 f"[law] type = {self.law_type} is not used by scenario kind "
                 f"{self.kind!r}; it uses {' or '.join(used)}")
+        for key, values in (("r_max", (self.r_max,)),
+                            ("r_max_values", self.r_max_values)):
+            for r_max in values:
+                try:
+                    three_tube_specs(r_max, self.rho_factor)
+                except ValueError as exc:
+                    raise ConfigError(f"[tubes] {key}: {exc}") from None
 
     def build_law(self) -> DiffusionLaw:
         if self.law_type == "exponential":
@@ -256,6 +263,11 @@ class ErrorReport:
 
 def three_tube_specs(r_max: float, rho_factor: float, gamma: float = 1.0,
                      u_es=TUBE_U_E) -> list[TubeSpec]:
+    # at TUBE_CENTERS tube 1 meets the boundary of [-1, 1]^2 at r_max = 0.5,
+    # before it meets tube 2 at r_max = 4/7
+    if not 0.0 < r_max < 0.5:
+        raise ValueError(f"r_max = {r_max:g}: the three tubes overlap or "
+                         "leave the domain [-1, 1]^2 unless 0 < r_max < 0.5")
     radii = (r_max, 0.75 * r_max, 0.5 * r_max)
     return [TubeSpec(center=c, tube_radius=r, kernel_radius=rho_factor * r,
                      gamma=gamma, u_e=ue)
@@ -490,7 +502,6 @@ def run_root_soil(config: ScenarioConfig) -> RootSoilResult:
         dirichlet = {side: np.full(int(np.sum(grid.bface_side == side)),
                                    psi_s)
                      for side in (0, 1, 2, 3, 4)}
-        lengths = np.array([c.length for c in mesh.cells])
         u_b = np.full(grid.n_cells, psi_s)
         u_e = np.full(mesh.n_cells, p_s)
         controls = SolverControls(tol_rel=1e-13, max_iter=60)
@@ -501,7 +512,7 @@ def run_root_soil(config: ScenarioConfig) -> RootSoilResult:
                                   network=mesh, bulk_transformed=True)
             state = newton_solve(prob, u_b, u_e, controls)
             u_b, u_e = state.u_b, state.u_e     # warm start for next sweep
-            r_t = float(np.sum(state.q * lengths))
+            r_t = float(np.sum(state.q * prob.lengths))
             result.transpiration.append({
                 "grid": "x".join(str(s) for s in shape),
                 "n_cells": grid.n_cells,

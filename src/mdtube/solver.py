@@ -2,11 +2,15 @@
 
 Unknowns are the bulk cell values followed by the network segment-cell
 values (the latter are absent when the tube unknowns are prescribed, as
-in the verification scenarios). Sources enter the bulk through kernel
-weights; the network sees the negated source plus axial TPFA fluxes with
-junction elimination at branching points. The coupling source is computed
-per segment cell by the nonlinear interface reconstruction, and its exact
-linearization enters the Jacobian through the implicit function theorem.
+in the verification scenarios). Everything but the interface equation is
+fixed per problem, so ``CoupledProblem`` builds it once from the grid, the
+couplings and the network: the kernel deposition matrix, the stencil
+sampling matrix and the network's axial TPFA operator with junction
+elimination at branching points. A Newton step then samples the bulk,
+solves the interface equation of all segment cells in one call, and forms
+the coupling blocks of the Jacobian by diagonal scalings of the two
+constant matrices; the exact linearization of the source comes from the
+implicit function theorem.
 
 Every scenario solves the bulk in the Kirchhoff variable psi = int_0^u D
 (``CoupledProblem.bulk_transformed``), where the bulk block is a linear
@@ -17,7 +21,7 @@ that stalls at the rounding floor says so in ``CoupledState.status``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -57,6 +61,12 @@ _UNIT_LAW = ConstantLaw(1.0)
 
 @dataclass
 class CoupledProblem:
+    """The coupled system; its state-independent operators are built at
+    construction: ``deposit`` (bulk by segment cells, kernel weight times
+    cell length), ``sample`` (segment by bulk cells, 1/|stencil|), the
+    interface geometry and the network's axial operator, the latter from
+    ``network.joint_dirichlet`` as it is at construction."""
+
     grid: BulkGrid
     law: DiffusionLaw
     dirichlet: dict[int, np.ndarray]
@@ -76,6 +86,76 @@ class CoupledProblem:
     def __post_init__(self):
         if self.network is None and self.u_e_fixed is None:
             raise ValueError("need either a network mesh or fixed tube values")
+        segs, cpls = self.seg_cells, self.couplings
+        self.lengths = np.array([s.length for s in segs])
+        self.interface = ReconstructionInput(
+            u_b_delta=0.0, u_e=0.0,
+            tube_radius=np.array([s.radius for s in segs]),
+            kernel_radius=np.array([s.kernel_radius for s in segs]),
+            delta=np.array([c.delta for c in cpls]),
+            gamma=np.array([s.gamma for s in segs]), law=self.law)
+
+        def by_segment(values, bulk_cells):
+            """Segment-by-bulk matrix, one row of values per segment cell."""
+            indptr = np.cumsum([0] + [len(c) for c in bulk_cells])
+            return sp.csr_matrix((np.concatenate(values),
+                                  np.concatenate(bulk_cells), indptr),
+                                 shape=(len(segs), self.n_bulk))
+
+        self.deposit = by_segment([c.weights * s.length for s, c
+                                   in zip(segs, cpls)],
+                                  [c.cells for c in cpls]).T.tocsr()
+        self.sample = by_segment([np.full(len(c.stencil), 1.0 / len(c.stencil))
+                                  for c in cpls], [c.stencil for c in cpls])
+        if self.network is not None:
+            self._build_axial()
+
+    def _build_axial(self):
+        """Axial TPFA operator with the joints eliminated: through
+        half-cell transmissibilities k, an interior joint couples each pair
+        of attached cells (i, m, k_i k_m / sum k), a Dirichlet joint each
+        attached cell (i, k_i, u_d), and a zero-flux tip nothing."""
+        mesh = self.network
+        cells = mesh.cells
+        n_e = len(cells)
+        half_k = np.array([c.d_e / (0.5 * c.length) for c in cells])
+        joint = np.array([c.joint_a for c in cells]
+                         + [c.joint_b for c in cells])
+        cell = np.tile(np.arange(n_e), 2)
+        u_dir = np.full(mesh.n_joints, np.nan)
+        u_dir[list(mesh.joint_dirichlet)] = list(mesh.joint_dirichlet.values())
+        at_dir = ~np.isnan(u_dir[joint])
+
+        self.dir_cell = cell[at_dir]
+        self.dir_k = half_k[self.dir_cell]
+        self.dir_value = u_dir[joint[at_dir]]
+
+        # off-diagonal entries of B^T diag(1/sum k) B, with B[joint, cell] = k
+        b = sp.csr_matrix((half_k[cell[~at_dir]],
+                           (joint[~at_dir], cell[~at_dir])),
+                          shape=(mesh.n_joints, n_e))
+        total = np.asarray(b.sum(axis=1)).ravel()
+        pairs = (b.T @ sp.diags(1.0 / np.where(total > 0.0, total, 1.0))
+                 @ b).tocoo()
+        off = pairs.row != pairs.col
+        self.pair_i, self.pair_m = pairs.row[off], pairs.col[off]
+        self.pair_k = pairs.data[off]
+
+        diag = (np.bincount(self.pair_i, self.pair_k, n_e)
+                + np.bincount(self.dir_cell, self.dir_k, n_e))
+        self.axial = (sp.diags(diag) - sp.csr_matrix(
+            (self.pair_k, (self.pair_i, self.pair_m)),
+            shape=(n_e, n_e))).tocsr()
+
+    def axial_residual(self, u_e: np.ndarray) -> np.ndarray:
+        """Axial residual in pairwise-difference form: ``k (u_i - u_m)``
+        keeps the conservation defect at the rounding scale of the tiny
+        differences, not of the O(u) eliminated joint values."""
+        n_e = len(u_e)
+        return (np.bincount(self.pair_i, self.pair_k
+                            * (u_e[self.pair_i] - u_e[self.pair_m]), n_e)
+                + np.bincount(self.dir_cell, self.dir_k
+                              * (u_e[self.dir_cell] - self.dir_value), n_e))
 
     @property
     def n_bulk(self) -> int:
@@ -103,50 +183,6 @@ class CoupledState:
         return self.q * np.array([s.length for s in seg_cells])
 
 
-def _axial_joint_terms(problem: CoupledProblem, u_e: np.ndarray):
-    """Residual contributions and triplets of the network axial operator.
-
-    Each joint couples the attached cell ends through half-cell
-    transmissibilities; the joint value is eliminated by flux conservation
-    (or fixed, for Dirichlet joints).
-    """
-    mesh = problem.network
-    res = np.zeros(len(u_e))
-    rows, cols, vals = [], [], []
-    half_k = {}
-    for i, cell in enumerate(mesh.cells):
-        half_k[i] = cell.d_e / (0.5 * cell.length)
-
-    for joint in range(mesh.n_joints):
-        attached = mesh.joint_cells[joint]
-        if joint in mesh.joint_dirichlet:
-            u_d = mesh.joint_dirichlet[joint]
-            for i in attached:
-                k = half_k[i]
-                res[i] += k * (u_e[i] - u_d)
-                rows.append(i)
-                cols.append(i)
-                vals.append(k)
-            continue
-        if len(attached) < 2:
-            continue                    # zero-flux tip
-        ks = np.array([half_k[i] for i in attached])
-        total = float(np.sum(ks))
-        for a, i in enumerate(attached):
-            # difference-first form of ks[a] * (u_e[i] - u_joint): the
-            # eliminated joint value is O(u) while the differences are
-            # tiny, so this keeps the conservation defect at the rounding
-            # scale of the differences rather than of u itself
-            res[i] += ks[a] * float(
-                np.sum(ks * (u_e[i] - u_e[attached]))) / total
-            for b, m in enumerate(attached):
-                rows.append(i)
-                cols.append(m)
-                vals.append(ks[a] * ((1.0 if i == m else 0.0)
-                                     - ks[b] / total))
-    return res, rows, cols, vals
-
-
 def assemble_coupled(problem: CoupledProblem, u_b: np.ndarray,
                      u_e: np.ndarray):
     """Residual and sparse Jacobian of the coupled system.
@@ -154,70 +190,36 @@ def assemble_coupled(problem: CoupledProblem, u_b: np.ndarray,
     Returns ``(res, jac, u_hat, q)`` with the reconstructed interface
     values and sources of this state.
     """
-    n_b = problem.n_bulk
-    n_e = problem.n_net
     law = problem.law
-
     res_b, rows, cols, vals = assemble_flux_jacobian(
         problem.grid, _UNIT_LAW if problem.bulk_transformed else law,
         u_b, problem.dirichlet)
-    rows, cols, vals = [rows], [cols], [vals]
-    res = np.concatenate([res_b, np.zeros(n_e)])
+    jac_bb = sp.csr_matrix((vals, (rows, cols)), shape=(len(res_b),) * 2)
 
-    u_hat = np.empty(len(problem.seg_cells))
-    q = np.empty(len(problem.seg_cells))
-    for j, (seg, cpl) in enumerate(zip(problem.seg_cells,
-                                       problem.couplings)):
-        u_bar = float(np.mean(u_b[cpl.stencil]))
-        if problem.bulk_transformed:
-            u_bar = float(law.inverse_transform(np.float64(u_bar)))
-        inp = ReconstructionInput(
-            u_b_delta=u_bar, u_e=float(u_e[j]), tube_radius=seg.radius,
-            kernel_radius=seg.kernel_radius, delta=cpl.delta,
-            gamma=seg.gamma, law=law)
-        u_hat[j], q[j] = reconstruct_interface(inp)
-        duh_dub, duh_due = interface_derivatives(inp, u_hat[j])
-        if problem.bulk_transformed:
-            # chain rule through u(psi): du/dpsi = 1 / D(u)
-            duh_dub /= float(law.eval(np.float64(u_bar)))
-        pg = seg.perimeter * seg.gamma
-        dq_dub = -pg * duh_dub
-        dq_due = -pg * (duh_due - 1.0)
+    u_bar = problem.sample @ u_b
+    if problem.bulk_transformed:
+        u_bar = law.inverse_transform(u_bar)
+    inp = replace(problem.interface, u_b_delta=u_bar, u_e=u_e)
+    u_hat, q = reconstruct_interface(inp)
+    duh_dub, duh_due = interface_derivatives(inp, u_hat)
+    if problem.bulk_transformed:
+        # chain rule through u(psi): du/dpsi = 1 / D(u)
+        duh_dub = duh_dub / law.eval(u_bar)
+    pg = inp.perimeter * inp.gamma
+    dq_dub = -pg * duh_dub
+    dq_due = -pg * (duh_due - 1.0)
 
-        length = seg.length
-        np.add.at(res, cpl.cells, -cpl.weights * q[j] * length)
-        n_st = len(cpl.stencil)
-        # bulk rows: -w L dq/du_bar distributed over the stencil columns
-        r = np.repeat(cpl.cells, n_st)
-        c = np.tile(cpl.stencil, len(cpl.cells))
-        v = (-np.repeat(cpl.weights, n_st) * length * dq_dub / n_st)
-        rows.append(r)
-        cols.append(c)
-        vals.append(v)
-        if n_e:
-            rows.append(cpl.cells)
-            cols.append(np.full(len(cpl.cells), n_b + j))
-            vals.append(-cpl.weights * length * dq_due)
-            # network row: +q L
-            res[n_b + j] += q[j] * length
-            rows.append(np.full(n_st + 1, n_b + j))
-            cols.append(np.concatenate([cpl.stencil, [n_b + j]]))
-            vals.append(np.concatenate([
-                np.full(n_st, length * dq_dub / n_st),
-                [length * dq_due]]))
+    res_b = res_b - problem.deposit @ q
+    jac_bb = jac_bb - problem.deposit @ sp.diags(dq_dub) @ problem.sample
+    if not problem.n_net:
+        return res_b, jac_bb.tocsc(), u_hat, q
 
-    if n_e:
-        res_ax, r_ax, c_ax, v_ax = _axial_joint_terms(problem, u_e)
-        res[n_b:] += res_ax
-        if r_ax:
-            rows.append(np.asarray(r_ax) + n_b)
-            cols.append(np.asarray(c_ax) + n_b)
-            vals.append(np.asarray(v_ax, float))
-
-    n = n_b + n_e
-    jac = sp.coo_matrix((np.concatenate(vals),
-                         (np.concatenate(rows), np.concatenate(cols))),
-                        shape=(n, n)).tocsc()
+    length = problem.lengths
+    res = np.concatenate([res_b, q * length + problem.axial_residual(u_e)])
+    jac = sp.bmat([
+        [jac_bb, -problem.deposit @ sp.diags(dq_due)],
+        [sp.diags(length * dq_dub) @ problem.sample,
+         sp.diags(length * dq_due) + problem.axial]], format="csc")
     return res, jac, u_hat, q
 
 
@@ -345,11 +347,5 @@ def boundary_flux_total(problem: CoupledProblem, u_b: np.ndarray) -> float:
 
 def collar_flux_total(problem: CoupledProblem, u_e: np.ndarray) -> float:
     """Flux leaving the network through its Dirichlet joints."""
-    mesh = problem.network
-    total = 0.0
-    for joint, u_d in mesh.joint_dirichlet.items():
-        for i in mesh.joint_cells[joint]:
-            cell = mesh.cells[i]
-            k = cell.d_e / (0.5 * cell.length)
-            total += k * (u_e[i] - u_d)
-    return total
+    return float(np.sum(problem.dir_k * (u_e[problem.dir_cell]
+                                         - problem.dir_value)))

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from mdtube.grid import (BulkGrid, DiscreteField, assemble_flux_jacobian,
-                         bulk_l2_error, observed_orders, source_l2_error)
+from mdtube.grid import (BulkGrid, assemble_flux_jacobian, bulk_l2_error,
+                         observed_orders, source_l2_error)
 from mdtube.laws import ConstantLaw, ExponentialLaw
 
 
@@ -160,10 +160,3 @@ class TestErrorsAndOrders:
         orders = observed_orders(h, 3.0 * h ** 2)
         assert np.allclose(orders, 2.0)
 
-
-def test_discrete_field_rejects_nan():
-    g = make_grid("2d")
-    values = np.zeros(g.n_cells)
-    values[3] = np.nan
-    with pytest.raises(ValueError):
-        DiscreteField(g, values)

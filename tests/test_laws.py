@@ -125,12 +125,6 @@ class TestVanGenuchtenLaw:
         assert abs(inside - float(loam.transform(np.float64(-5e4)))) < 1e-12
         assert abs(outside - float(loam.transform(np.float64(-2e5)))) < 1e-12
 
-    def test_printed_form_differs(self):
-        a = VanGenuchtenLaw(LOAM_PERMEABILITY)
-        b = VanGenuchtenLaw(LOAM_PERMEABILITY, printed_form=True)
-        assert float(a.relative_permeability(-1e4)) != pytest.approx(
-            float(b.relative_permeability(-1e4)), rel=1e-3)
-
 
 class TestTabulatedLaw:
     def test_interpolates_and_clamps(self):

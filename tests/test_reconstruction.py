@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
-from mdtube.laws import ConstantLaw, ExponentialLaw
-from mdtube.reconstruction import (ReconstructionInput, interface_derivatives,
-                                   kernel_profile_f, mvt_error_bound,
-                                   neighbor_error_bound,
+from mdtube.laws import (ConstantLaw, ExponentialLaw, TabulatedLaw,
+                         VanGenuchtenLaw)
+from mdtube.reconstruction import (ReconstructionError, ReconstructionInput,
+                                   interface_derivatives, kernel_profile_f,
+                                   mvt_error_bound, neighbor_error_bound,
                                    reconstruct_interface)
 
 
@@ -117,6 +119,102 @@ class TestDerivatives:
         d_ub, d_ue = interface_derivatives(inp, u_hat)
         assert d_ub > 0.0 and d_ue > 0.0
         assert d_ue < 1.0
+
+
+class TestArrayInputs:
+    """One call over many segment cells equals one call per cell, and
+    Brent's method on the scalar equation."""
+
+    @staticmethod
+    def check_elementwise(law, u_delta, u_e, delta, tube_radius):
+        n = len(u_delta)
+        gamma = np.linspace(0.5, 2.0, n)
+        inp = ReconstructionInput(
+            u_b_delta=np.asarray(u_delta, float), u_e=np.asarray(u_e, float),
+            tube_radius=np.asarray(tube_radius, float),
+            kernel_radius=np.full(n, 0.05), delta=np.asarray(delta, float),
+            gamma=gamma, law=law)
+        u_hat, q = reconstruct_interface(inp)
+        d_ub, d_ue = interface_derivatives(inp, u_hat)
+        assert u_hat.shape == q.shape == d_ub.shape == d_ue.shape == (n,)
+        for j in range(n):
+            one = ReconstructionInput(
+                u_b_delta=u_delta[j], u_e=u_e[j],
+                tube_radius=tube_radius[j], kernel_radius=0.05,
+                delta=delta[j], gamma=float(gamma[j]), law=law)
+            u_hat_j, q_j = reconstruct_interface(one)
+            assert isinstance(u_hat_j, float) and isinstance(q_j, float)
+            lo, hi = sorted((u_delta[j], u_e[j]))
+            pad = 1e-3 * max(1.0, abs(lo), abs(hi))
+            brent = brentq(lambda u: float(
+                law.transform(u_delta[j]) - law.transform(u)
+                - one.coupling_factor * (u - u_e[j])),
+                lo - pad, hi + pad, xtol=1e-15, rtol=8.9e-16)
+            assert u_hat_j == pytest.approx(brent, rel=1e-12, abs=1e-12)
+            expect = (u_hat_j, q_j) + interface_derivatives(one, u_hat_j)
+            got = (u_hat[j], q[j], d_ub[j], d_ue[j])
+            np.testing.assert_allclose(got, expect, rtol=1e-14, atol=0.0)
+        return u_hat
+
+    def test_brackets_straddling_the_exponential_kink(self):
+        law = ExponentialLaw(d0=0.5, k=1.0)      # kink u_c = -12.12
+        u_delta = [-14.0, -10.0, -12.2, 0.4, -12.122363377404328, 1.0]
+        u_e = [-10.0, -14.0, -12.0, 0.1, -11.0, 1.0]
+        u_hat = self.check_elementwise(law, u_delta, u_e,
+                                       [0.0, 0.01, 0.02, 0.03, 0.04, 0.0],
+                                       [0.01, 0.01, 0.02, 0.005, 0.01, 0.01])
+        lo = np.minimum(u_delta, u_e)
+        hi = np.maximum(u_delta, u_e)
+        assert np.all((lo <= u_hat) & (u_hat <= hi))
+        assert u_hat[-1] == 1.0                  # equal inputs: fixed point
+
+    def test_brackets_straddling_the_van_genuchten_floor(self):
+        law = VanGenuchtenLaw(5.89912e-13)       # floor near -7.24e4 Pa
+        floor = law._u_floor
+        u_delta = [2.0 * floor, 0.5 * floor, floor, -2.2e4]
+        u_e = [0.5 * floor, 2.0 * floor, 0.9 * floor, -1.0e5]
+        self.check_elementwise(law, u_delta, u_e, [0.0, 0.01, 0.02, 0.0],
+                               [0.01, 0.01, 0.01, 0.005])
+
+    def test_newton_cycle_on_non_monotone_law_is_broken(self):
+        # D with a dip and two peaks: from these inputs plain Newton cycles
+        # between -1.234 and 0.273, both inside the padded bracket
+        law = TabulatedLaw(np.linspace(-1.0, 1.0, 9), np.array(
+            [3e-4, 1e-4, 1e-2, 3e-4, 0.2, 0.02, 0.02, 0.3, 7e-3]))
+        inp = ReconstructionInput(
+            u_b_delta=-1.2, u_e=0.3, tube_radius=0.01, kernel_radius=0.05,
+            delta=0.0, gamma=1.5, law=law)
+        u_hat, _ = reconstruct_interface(inp)
+        assert -1.2 < u_hat < 0.3
+        resid = (law.transform(-1.2) - law.transform(u_hat)
+                 - inp.coupling_factor * (u_hat - 0.3))
+        assert abs(resid) < 1e-15
+
+    def test_rounding_bound_newton_ends_on_its_bracket(self):
+        # psi ~ 5 where D = 1e-6: rounding in g moves each Newton step by
+        # ~1e-9, far above tol, until the bracket closes round the root
+        law = TabulatedLaw(np.array([0.0, 0.5, 0.6, 2.0]),
+                           np.array([10.0, 10.0, 1e-6, 1e-6]))
+        inp = ReconstructionInput(
+            u_b_delta=1.5, u_e=0.8, tube_radius=0.01, kernel_radius=0.05,
+            delta=0.0, gamma=1e-6, law=law)
+        u_hat, _ = reconstruct_interface(inp)
+        pf = inp.coupling_factor        # g is linear on the D = 1e-6 stretch
+        assert u_hat == pytest.approx((1e-6 * 1.5 + pf * 0.8) / (1e-6 + pf),
+                                      abs=1e-8)
+
+    def test_iteration_budget_and_bad_input_raise(self):
+        law = ExponentialLaw(d0=0.5, k=1.0)
+        inp = ReconstructionInput(
+            u_b_delta=np.array([0.4, -14.0]), u_e=np.array([0.1, -10.0]),
+            tube_radius=0.01, kernel_radius=0.05, delta=0.0, gamma=1.0,
+            law=law)
+        reconstruct_interface(inp)
+        with pytest.raises(ReconstructionError, match="not solved in 1 "):
+            reconstruct_interface(inp, max_iter=1)
+        inp.u_b_delta = np.array([0.4, np.nan])
+        with pytest.raises(ReconstructionError, match="non-finite"):
+            reconstruct_interface(inp)
 
 
 @settings(max_examples=60, deadline=None)

@@ -135,6 +135,21 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=r"\[law\] type"):
             ScenarioConfig(kind="single_tube", law_type="gardner")
 
+    def test_tubes_must_be_disjoint_and_inside_domain(self, tmp_path):
+        # r_max = 0.6: tubes 1 and 2 overlap and tube 1 leaves [-1, 1]^2;
+        # r_max = 0.55: tube 1 leaves the domain, the tubes stay apart;
+        # r_max = 0.5: tube 1 touches the boundary
+        for r_max in (0.6, 0.55, 0.5, 0.0, -0.1):
+            with pytest.raises(ValueError, match="overlap or leave"):
+                three_tube_specs(r_max, 2.0)
+        assert len(three_tube_specs(0.49, 2.0)) == 3
+        path = tmp_path / "bad.ini"
+        for key, value in (("r_max", "0.6"), ("r_max_values", "0.2, 0.55")):
+            path.write_text("[scenario]\nkind = parallel_tubes\n"
+                            f"[tubes]\n{key} = {value}\n")
+            with pytest.raises(ConfigError, match=rf"\[tubes\] {key}:"):
+                parse_config(path)
+
 
 class TestHelpers:
     def test_radius_sweep_anchor_keeps_source_scale(self):

@@ -25,16 +25,22 @@ def box_dirichlet(grid, value):
             for s in range(2 * len(grid.shape))}
 
 
-def small_coupled_problem(gamma=2e-3, collar=0.8):
-    """Coarse 3D box with a two-branch tube network hanging from the top."""
+def small_coupled_problem(gamma=2e-3, collar=0.8, y_junction=False):
+    """Coarse 3D box with a two-branch tube network hanging from the top;
+    ``y_junction`` adds a third branch at the inner node, so three cells
+    meet at one joint."""
     grid = BulkGrid("3d", [-0.04, -0.04, -0.15], [0.08, 0.08, 0.15],
                     (6, 6, 8))
     nodes = np.array([[0.0, 0.0, -0.001],
                       [0.0, 0.0, -0.07],
-                      [0.025, 0.0, -0.11]])
-    net = TubeNetwork(nodes=nodes,
-                      segments=[Segment(0, 1, 2e-3, 3.0, gamma, 5e-4),
-                                Segment(1, 2, 1e-3, 3.0, gamma, 5e-5)])
+                      [0.025, 0.0, -0.11],
+                      [-0.02, 0.01, -0.1]])
+    segments = [Segment(0, 1, 2e-3, 3.0, gamma, 5e-4),
+                Segment(1, 2, 1e-3, 3.0, gamma, 5e-5),
+                Segment(1, 3, 1.5e-3, 3.0, gamma, 2e-4)]
+    if not y_junction:
+        nodes, segments = nodes[:3], segments[:2]
+    net = TubeNetwork(nodes=nodes, segments=segments)
     mesh = discretize_network(net, 0.02)
     mesh.joint_dirichlet = {mesh.joint_of_node[0]: collar}
     couplings = build_coupling(grid, mesh.cells, delta_correction=True)
@@ -43,6 +49,20 @@ def small_coupled_problem(gamma=2e-3, collar=0.8):
                              seg_cells=mesh.cells, couplings=couplings,
                              network=mesh)
     return problem, mesh
+
+
+def assert_jacobian_matches_fd(problem, u_b, u_e, rng):
+    res, jac, _, _ = assemble_coupled(problem, u_b, u_e)
+    v = rng.standard_normal(len(res))
+    eps = 1e-7
+    n_b = problem.n_bulk
+    res_p, *_ = assemble_coupled(problem, u_b + eps * v[:n_b],
+                                 u_e + eps * v[n_b:])
+    res_m, *_ = assemble_coupled(problem, u_b - eps * v[:n_b],
+                                 u_e - eps * v[n_b:])
+    fd = (res_p - res_m) / (2.0 * eps)
+    jv = jac @ v
+    assert np.max(np.abs(fd - jv)) / np.max(np.abs(jv)) < 1e-5
 
 
 def point_source_problem():
@@ -71,16 +91,65 @@ class TestAssembly:
         rng = np.random.default_rng(7)
         u_b = rng.uniform(0.0, 0.6, problem.n_bulk)
         u_e = rng.uniform(0.2, 0.8, problem.n_net)
-        res, jac, _, _ = assemble_coupled(problem, u_b, u_e)
-        v = rng.standard_normal(len(res))
-        eps = 1e-7
-        res_p, *_ = assemble_coupled(problem, u_b + eps * v[:problem.n_bulk],
-                                     u_e + eps * v[problem.n_bulk:])
-        res_m, *_ = assemble_coupled(problem, u_b - eps * v[:problem.n_bulk],
-                                     u_e - eps * v[problem.n_bulk:])
-        fd = (res_p - res_m) / (2.0 * eps)
-        jv = jac @ v
-        assert np.max(np.abs(fd - jv)) / np.max(np.abs(jv)) < 1e-5
+        assert_jacobian_matches_fd(problem, u_b, u_e, rng)
+
+    def test_y_junction_jacobian_matches_finite_differences(self):
+        problem, mesh = small_coupled_problem(y_junction=True)
+        assert max(len(c) for c in mesh.joint_cells) == 3
+        rng = np.random.default_rng(9)
+        u_b = rng.uniform(0.0, 0.6, problem.n_bulk)
+        u_e = rng.uniform(0.2, 0.8, problem.n_net)
+        assert_jacobian_matches_fd(problem, u_b, u_e, rng)
+        tp = to_transformed(problem)
+        assert_jacobian_matches_fd(tp, np.asarray(LAW.transform(u_b), float),
+                                   u_e, rng)
+
+    def test_branched_axial_residuals_sum_to_collar_flux(self):
+        # with gamma = 0 there is no source, every interior joint passes
+        # on what it receives, and the network residuals add up to the
+        # flux through the one Dirichlet joint
+        problem, mesh = small_coupled_problem(gamma=0.0, y_junction=True)
+        u_e = np.random.default_rng(5).uniform(0.2, 0.8, problem.n_net)
+        res, _, _, q = assemble_coupled(problem,
+                                        np.full(problem.n_bulk, 0.1), u_e)
+        assert np.all(q == 0.0)
+        net = res[problem.n_bulk:]
+        collar = collar_flux_total(problem, u_e)
+        assert abs(float(np.sum(net)) - collar) <= (
+            8 * np.finfo(float).eps * float(np.sum(np.abs(net))))
+
+    def test_operators_match_per_cell_and_per_joint_loops(self):
+        # reference: the coupling and axial terms assembled one segment
+        # cell and one joint at a time
+        problem, mesh = small_coupled_problem(y_junction=True)
+        n_b, n_e = problem.n_bulk, problem.n_net
+        deposit, sample = np.zeros((n_b, n_e)), np.zeros((n_e, n_b))
+        for j, (seg, cpl) in enumerate(zip(mesh.cells, problem.couplings)):
+            np.add.at(deposit[:, j], cpl.cells, cpl.weights * seg.length)
+            sample[j, cpl.stencil] = 1.0 / len(cpl.stencil)
+        u_e = np.random.default_rng(3).uniform(0.2, 0.8, n_e)
+        half_k = [c.d_e / (0.5 * c.length) for c in mesh.cells]
+        axial, res = np.zeros((n_e, n_e)), np.zeros(n_e)
+        for joint, attached in enumerate(mesh.joint_cells):
+            if joint in mesh.joint_dirichlet:
+                for i in attached:
+                    axial[i, i] += half_k[i]
+                    res[i] += half_k[i] * (u_e[i]
+                                           - mesh.joint_dirichlet[joint])
+                continue
+            total = sum(half_k[i] for i in attached)
+            for i in attached:
+                for m in attached:
+                    coef = half_k[i] * half_k[m] / total
+                    axial[i, m] += (half_k[i] if i == m else 0.0) - coef
+                    res[i] += coef * (u_e[i] - u_e[m])
+        np.testing.assert_array_equal(problem.deposit.toarray(), deposit)
+        np.testing.assert_array_equal(problem.sample.toarray(), sample)
+        scale = np.max(np.abs(axial))
+        np.testing.assert_allclose(problem.axial.toarray(), axial, rtol=0.0,
+                                   atol=4 * np.finfo(float).eps * scale)
+        np.testing.assert_allclose(problem.axial_residual(u_e), res, rtol=0.0,
+                                   atol=4 * np.finfo(float).eps * scale)
 
     def test_fixed_tube_values_have_no_network_rows(self):
         problem = point_source_problem()
@@ -210,16 +279,7 @@ class TestTransformedBulk:
         u_b = np.asarray(LAW.transform(
             rng.uniform(0.0, 0.6, tp.n_bulk)), float)
         u_e = rng.uniform(0.2, 0.8, tp.n_net)
-        res, jac, _, _ = assemble_coupled(tp, u_b, u_e)
-        v = rng.standard_normal(len(res))
-        eps = 1e-7
-        res_p, *_ = assemble_coupled(tp, u_b + eps * v[:tp.n_bulk],
-                                     u_e + eps * v[tp.n_bulk:])
-        res_m, *_ = assemble_coupled(tp, u_b - eps * v[:tp.n_bulk],
-                                     u_e - eps * v[tp.n_bulk:])
-        fd = (res_p - res_m) / (2.0 * eps)
-        jv = jac @ v
-        assert np.max(np.abs(fd - jv)) / np.max(np.abs(jv)) < 1e-5
+        assert_jacobian_matches_fd(tp, u_b, u_e, rng)
 
     def test_point_source_forms_agree(self):
         # harmonic-mean fluxes in the pressure variable and exact fluxes
