@@ -15,9 +15,13 @@ import numpy as np
 _T_MAX = 6.1
 
 #: intervals evaluated at once by ``tanh_sinh_piecewise_cumulative``; at
-#: the default level (97 nodes) one chunk holds 0.4 M points, 3 MB per
-#: temporary, whatever the node count
-_CHUNK_INTERVALS = 4096
+#: the default level (97 nodes) one chunk holds 25 k points, 0.2 MB per
+#: temporary, whatever the node count. Temporaries this small are reused
+#: from the allocator's heap; 3 MB ones (4096 intervals) were mapped and
+#: zero-filled afresh for every array unless an earlier large allocation
+#: had raised the allocator's mapping threshold, and the Van Genuchten
+#: table build took 0.95-1.45 s instead of 0.85 s
+_CHUNK_INTERVALS = 256
 
 
 class QuadratureError(RuntimeError):

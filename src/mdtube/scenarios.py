@@ -502,14 +502,18 @@ def run_root_soil(config: ScenarioConfig) -> RootSoilResult:
         dirichlet = {side: np.full(int(np.sum(grid.bface_side == side)),
                                    psi_s)
                      for side in (0, 1, 2, 3, 4)}
+        # one problem, and so one set of operators, per grid: the collar
+        # is its Dirichlet joint, set to each pressure of the sweep
+        collar_joint = mesh.joint_of_node[collar]
+        mesh.joint_dirichlet = {collar_joint: p_s}
+        prob = CoupledProblem(grid=grid, law=law, dirichlet=dirichlet,
+                              seg_cells=mesh.cells, couplings=couplings,
+                              network=mesh, bulk_transformed=True)
         u_b = np.full(grid.n_cells, psi_s)
         u_e = np.full(mesh.n_cells, p_s)
         controls = SolverControls(tol_rel=1e-13, max_iter=60)
         for p_rc in config.collar_pressures:
-            mesh.joint_dirichlet = {mesh.joint_of_node[collar]: p_rc}
-            prob = CoupledProblem(grid=grid, law=law, dirichlet=dirichlet,
-                                  seg_cells=mesh.cells, couplings=couplings,
-                                  network=mesh, bulk_transformed=True)
+            prob.set_joint_dirichlet({collar_joint: p_rc})
             state = newton_solve(prob, u_b, u_e, controls)
             u_b, u_e = state.u_b, state.u_e     # warm start for next sweep
             r_t = float(np.sum(state.q * prob.lengths))

@@ -4,24 +4,32 @@ Unknowns are the bulk cell values followed by the network segment-cell
 values (the latter are absent when the tube unknowns are prescribed, as
 in the verification scenarios). Everything but the interface equation is
 fixed per problem, so ``CoupledProblem`` builds it once from the grid, the
-couplings and the network: the kernel deposition matrix, the stencil
-sampling matrix and the network's axial TPFA operator with junction
-elimination at branching points. A Newton step then samples the bulk,
-solves the interface equation of all segment cells in one call, and forms
-the coupling blocks of the Jacobian by diagonal scalings of the two
-constant matrices; the exact linearization of the source comes from the
-implicit function theorem.
+couplings and the network: the kernel deposition matrix W, the stencil
+sampling matrix S and the network's axial TPFA operator with junction
+elimination at branching points. An assembly samples the bulk, solves the
+interface equation of all segment cells in one call and returns the
+residual with the two diagonal scalings of the coupling blocks, the
+derivatives of the sources with respect to the sampled bulk value and the
+tube value; the exact linearization of the source comes from the implicit
+function theorem.
 
 Every scenario solves the bulk in the Kirchhoff variable psi = int_0^u D
-(``CoupledProblem.bulk_transformed``), where the bulk block is a linear
-Laplacian; the pressure form remains as a reference for the tests. One
-damped Newton loop with a sparse direct solve per step serves both; a run
-that stalls at the rounding floor says so in ``CoupledState.status``.
+(``CoupledProblem.bulk_transformed``). There the bulk block of the
+Jacobian is ``L - W diag(a) S`` with the constant TPFA Laplacian L, whose
+direct solver is built once per problem (trigonometric transforms on 2D
+and 3D grids, a banded Cholesky factor on radial ones, see ``poisson``),
+and a Newton step is one capacitance-matrix solve (``CapacitanceStep``):
+two bulk solves and one dense system of at most twice the number of
+segment cells. The pressure form remains as a reference for the tests and
+solves each step with a sparse direct solve of the assembled Jacobian
+(``coupled_jacobian``). One damped Newton loop serves both; a run that
+stalls at the rounding floor says so in ``CoupledState.status``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -31,6 +39,7 @@ from .coupling import SegmentCoupling
 from .grid import BulkGrid, assemble_flux_jacobian
 from .laws import ConstantLaw, DiffusionLaw
 from .network import NetworkMesh, SegmentCell
+from .poisson import capacitance_matrix, laplacian, laplacian_solver
 from .reconstruction import (ReconstructionInput, interface_derivatives,
                              reconstruct_interface)
 
@@ -54,18 +63,28 @@ _MAX_HALVINGS = 10
 _STAG_REL = 1e-8
 
 
-#: identity coefficient for the bulk block when it is assembled in the
-#: transformed variable (see ``CoupledProblem.bulk_transformed``)
+#: identity coefficient of the boundary fluxes in the transformed
+#: variable (see ``CoupledProblem.bulk_transformed``)
 _UNIT_LAW = ConstantLaw(1.0)
 
 
 @dataclass
 class CoupledProblem:
     """The coupled system; its state-independent operators are built at
-    construction: ``deposit`` (bulk by segment cells, kernel weight times
-    cell length), ``sample`` (segment by bulk cells, 1/|stencil|), the
-    interface geometry and the network's axial operator, the latter from
-    ``network.joint_dirichlet`` as it is at construction."""
+    construction: ``deposit`` (W, bulk by segment cells, kernel weight
+    times cell length), ``sample`` (S, segment by bulk cells,
+    1/|stencil|), the interface geometry and the network's axial operator.
+
+    In the psi form (``bulk_transformed``) the construction also builds
+    the Laplacian L with its Dirichlet vector and the ``CapacitanceStep``
+    (the direct solver of L and the capacitance matrix S L^-1 W), which
+    ``solve_step`` uses; the pressure form solves each step with a sparse
+    direct solve of ``coupled_jacobian``.
+
+    Which network joints are Dirichlet is read from
+    ``network.joint_dirichlet`` at construction; their values are problem
+    data, changed with ``set_joint_dirichlet`` (a collar-pressure sweep
+    reuses one problem, and so its operators, for every pressure)."""
 
     grid: BulkGrid
     law: DiffusionLaw
@@ -109,6 +128,18 @@ class CoupledProblem:
                                   for c in cpls], [c.stencil for c in cpls])
         if self.network is not None:
             self._build_axial()
+        if self.bulk_transformed:
+            self.laplacian, self.dirichlet_rhs = laplacian(self.grid,
+                                                           self.dirichlet)
+            self.capacitance_step = CapacitanceStep(
+                self.grid, self.dirichlet, self.sample, self.deposit,
+                self.lengths, self.axial if self.n_net else None)
+
+    def solve_step(self, asm: Assembly) -> np.ndarray:
+        """Newton step at the state of ``asm``."""
+        if self.bulk_transformed:
+            return self.capacitance_step(asm)
+        return spsolve(coupled_jacobian(self, asm), -asm.res)
 
     def _build_axial(self):
         """Axial TPFA operator with the joints eliminated: through
@@ -128,7 +159,8 @@ class CoupledProblem:
 
         self.dir_cell = cell[at_dir]
         self.dir_k = half_k[self.dir_cell]
-        self.dir_value = u_dir[joint[at_dir]]
+        self.dir_joint = joint[at_dir]
+        self.dir_value = u_dir[self.dir_joint]
 
         # off-diagonal entries of B^T diag(1/sum k) B, with B[joint, cell] = k
         b = sp.csr_matrix((half_k[cell[~at_dir]],
@@ -146,6 +178,16 @@ class CoupledProblem:
         self.axial = (sp.diags(diag) - sp.csr_matrix(
             (self.pair_k, (self.pair_i, self.pair_m)),
             shape=(n_e, n_e))).tocsr()
+
+    def set_joint_dirichlet(self, values: dict[int, float]):
+        """New values for the Dirichlet joints, keyed by joint; the set of
+        Dirichlet joints is the one the problem was built with."""
+        if set(values) != set(self.dir_joint.tolist()):
+            raise ValueError(
+                f"Dirichlet joints {sorted(values)} differ from the "
+                f"problem's {sorted(set(self.dir_joint.tolist()))}")
+        self.dir_value = np.array([values[j] for j in self.dir_joint.tolist()],
+                                  float)
 
     def axial_residual(self, u_e: np.ndarray) -> np.ndarray:
         """Axial residual in pairwise-difference form: ``k (u_i - u_m)``
@@ -183,18 +225,33 @@ class CoupledState:
         return self.q * np.array([s.length for s in seg_cells])
 
 
-def assemble_coupled(problem: CoupledProblem, u_b: np.ndarray,
-                     u_e: np.ndarray):
-    """Residual and sparse Jacobian of the coupled system.
+class Assembly(NamedTuple):
+    """Residual of the coupled system at one state, with what its Jacobian
+    is made of: the bulk flux block and the two diagonal scalings of the
+    coupling blocks."""
 
-    Returns ``(res, jac, u_hat, q)`` with the reconstructed interface
-    values and sources of this state.
-    """
+    res: np.ndarray
+    u_hat: np.ndarray               # reconstructed interface values
+    q: np.ndarray                   # source per unit tube length
+    dq_dub: np.ndarray              # a: dq / d(sampled bulk value)
+    dq_due: np.ndarray              # b: dq / d(tube value)
+    flux_jacobian: sp.csr_matrix    # bulk fluxes; the constant L in psi
+
+
+def assemble_coupled(problem: CoupledProblem, u_b: np.ndarray,
+                     u_e: np.ndarray) -> Assembly:
+    """Residual of the coupled system and the parts of its Jacobian (see
+    ``coupled_jacobian``). In the psi form the bulk residual is
+    ``L u_b - g - W q`` from the constant Laplacian."""
     law = problem.law
-    res_b, rows, cols, vals = assemble_flux_jacobian(
-        problem.grid, _UNIT_LAW if problem.bulk_transformed else law,
-        u_b, problem.dirichlet)
-    jac_bb = sp.csr_matrix((vals, (rows, cols)), shape=(len(res_b),) * 2)
+    if problem.bulk_transformed:
+        flux_jac = problem.laplacian
+        res_b = flux_jac @ u_b - problem.dirichlet_rhs
+    else:
+        res_b, rows, cols, vals = assemble_flux_jacobian(
+            problem.grid, law, u_b, problem.dirichlet)
+        flux_jac = sp.csr_matrix((vals, (rows, cols)),
+                                 shape=(len(res_b),) * 2)
 
     u_bar = problem.sample @ u_b
     if problem.bulk_transformed:
@@ -209,49 +266,96 @@ def assemble_coupled(problem: CoupledProblem, u_b: np.ndarray,
     dq_dub = -pg * duh_dub
     dq_due = -pg * (duh_due - 1.0)
 
-    res_b = res_b - problem.deposit @ q
-    jac_bb = jac_bb - problem.deposit @ sp.diags(dq_dub) @ problem.sample
-    if not problem.n_net:
-        return res_b, jac_bb.tocsc(), u_hat, q
+    res = res_b - problem.deposit @ q
+    if problem.n_net:
+        res = np.concatenate([res, q * problem.lengths
+                              + problem.axial_residual(u_e)])
+    return Assembly(res, u_hat, q, dq_dub, dq_due, flux_jac)
 
-    length = problem.lengths
-    res = np.concatenate([res_b, q * length + problem.axial_residual(u_e)])
-    jac = sp.bmat([
-        [jac_bb, -problem.deposit @ sp.diags(dq_due)],
-        [sp.diags(length * dq_dub) @ problem.sample,
-         sp.diags(length * dq_due) + problem.axial]], format="csc")
-    return res, jac, u_hat, q
+
+def _network_block(problem: CoupledProblem, asm: Assembly) -> sp.csr_matrix:
+    return (sp.diags(problem.lengths * asm.dq_due) + problem.axial).tocsr()
+
+
+def coupled_jacobian(problem: CoupledProblem, asm: Assembly) -> sp.csc_matrix:
+    """Sparse Jacobian of the coupled residual at the state of ``asm``:
+    ``[[F - W diag(a) S, -W diag(b)], [diag(len a) S, diag(len b) + A]]``
+    with the bulk flux block F, the scalings a = ``dq_dub`` and
+    b = ``dq_due`` and the axial operator A."""
+    jac_bb = (asm.flux_jacobian
+              - problem.deposit @ sp.diags(asm.dq_dub) @ problem.sample)
+    if not problem.n_net:
+        return jac_bb.tocsc()
+    return sp.bmat([
+        [jac_bb, -problem.deposit @ sp.diags(asm.dq_due)],
+        [sp.diags(problem.lengths * asm.dq_dub) @ problem.sample,
+         _network_block(problem, asm)]], format="csc")
+
+
+class CapacitanceStep:
+    """Newton step of the psi form by the capacitance-matrix method
+    (Buzbee, Dorr, George & Golub, SIAM J. Numer. Anal. 8, 1971).
+
+    With z = a*(S x_b) + b*x_e the step equations read
+    ``L x_b - W z = r_b`` and ``len*z + A x_e = r_e``. So x_b =
+    y + L^-1 W z with y = L^-1 r_b, and with the capacitance matrix
+    C = S L^-1 W (built once per problem) z and x_e solve the dense system
+    ``[[I - diag(a) C, -diag(b)], [diag(len), A]] [z, x_e] =
+    [a*(S y), r_e]``, of size n_seg without network unknowns (``axial``
+    None). Then ``x_b = L^-1 (r_b + W z)``.
+    """
+
+    def __init__(self, grid: BulkGrid, dirichlet: dict[int, np.ndarray],
+                 sample: sp.csr_matrix, deposit: sp.csr_matrix,
+                 lengths: np.ndarray, axial: sp.csr_matrix | None):
+        self.sample, self.deposit, self.lengths = sample, deposit, lengths
+        self.solve_bulk = laplacian_solver(grid, dirichlet)
+        self.capacitance = capacitance_matrix(self.solve_bulk, sample,
+                                              deposit)
+        self.axial = None if axial is None else axial.toarray()
+
+    def __call__(self, asm: Assembly) -> np.ndarray:
+        n_b, n_s = self.deposit.shape
+        r_b = -asm.res[:n_b]
+        a = asm.dq_dub
+        system = np.eye(n_s) - a[:, None] * self.capacitance
+        rhs = a * (self.sample @ self.solve_bulk(r_b))
+        if self.axial is not None:
+            system = np.block([[system, -np.diag(asm.dq_due)],
+                               [np.diag(self.lengths), self.axial]])
+            rhs = np.concatenate([rhs, -asm.res[n_b:]])
+        sol = np.linalg.solve(system, rhs)
+        x_b = self.solve_bulk(r_b + self.deposit @ sol[:n_s])
+        return np.concatenate([x_b, sol[n_s:]])
 
 
 def _polish_network(problem: CoupledProblem, u_b: np.ndarray,
-                    u_e: np.ndarray, max_iter: int = 8):
+                    u_e: np.ndarray, asm: Assembly, max_iter: int = 8):
     """Newton on the network block alone, with the bulk field frozen.
 
     A nonsmooth diffusion law can pin the damped global iteration at a
     small bulk residual floor; the network equations themselves remain
     smooth in the tube unknowns, so a few block iterations restore the
-    bulk/network mass balance to rounding accuracy.
+    bulk/network mass balance to rounding accuracy. ``asm`` is the
+    assembly at (u_b, u_e); returns the tube values and their assembly.
     """
     n_b = problem.n_bulk
-    res, jac, u_hat, q = assemble_coupled(problem, u_b, u_e)
-    best = float(np.max(np.abs(res[n_b:])))
+    best = float(np.max(np.abs(asm.res[n_b:])))
     for _ in range(max_iter):
-        delta = spsolve(jac[n_b:, n_b:].tocsc(), -res[n_b:])
+        delta = spsolve(_network_block(problem, asm).tocsc(), -asm.res[n_b:])
         ue_try = u_e + delta
-        res_try, jac_try, uh_try, q_try = assemble_coupled(
-            problem, u_b, ue_try)
-        norm_try = float(np.max(np.abs(res_try[n_b:])))
+        asm_try = assemble_coupled(problem, u_b, ue_try)
+        norm_try = float(np.max(np.abs(asm_try.res[n_b:])))
         if norm_try >= best:
             break
-        u_e, best = ue_try, norm_try
-        res, jac, u_hat, q = res_try, jac_try, uh_try, q_try
-    return u_e, res, u_hat, q
+        u_e, best, asm = ue_try, norm_try, asm_try
+    return u_e, asm
 
 
 def newton_solve(problem: CoupledProblem, u_b0: np.ndarray,
                  u_e0: np.ndarray | None = None,
                  controls: SolverControls | None = None) -> CoupledState:
-    """Damped Newton iteration with a sparse direct linear sub-solve.
+    """Damped Newton iteration; each step is the problem's ``solve_step``.
 
     Raises :class:`NonconvergenceError` when the residual neither reaches
     ``tol_rel`` nor stalls below the accepted ``_STAG_REL`` reduction.
@@ -265,15 +369,15 @@ def newton_solve(problem: CoupledProblem, u_b0: np.ndarray,
         u_e = np.asarray(problem.u_e_fixed, float).copy()
 
     history = []
-    res, jac, u_hat, q = assemble_coupled(problem, u_b, u_e)
-    norm0 = float(np.max(np.abs(res)))
+    asm = assemble_coupled(problem, u_b, u_e)
+    norm0 = float(np.max(np.abs(asm.res)))
     tol = controls.tol_rel * max(norm0, 1e-300)
 
     def finish(it):
-        nonlocal u_e, res, u_hat, q
+        nonlocal u_e, asm
         if n_e:
-            u_e, res, u_hat, q = _polish_network(problem, u_b, u_e)
-        return CoupledState(u_b=u_b, u_e=u_e, u_hat=u_hat, q=q,
+            u_e, asm = _polish_network(problem, u_b, u_e, asm)
+        return CoupledState(u_b=u_b, u_e=u_e, u_hat=asm.u_hat, q=asm.q,
                             iterations=it, residual_history=history)
 
     def stagnate(it, reason):
@@ -282,7 +386,7 @@ def newton_solve(problem: CoupledProblem, u_b0: np.ndarray,
         # reduction once the network balance has been polished, and say
         # so in the state, else report failure
         state = finish(it)
-        norm = float(np.max(np.abs(res)))
+        norm = float(np.max(np.abs(asm.res)))
         history.append(norm)
         if norm > tol:
             if norm > _STAG_REL * max(norm0, 1e-300):
@@ -291,13 +395,13 @@ def newton_solve(problem: CoupledProblem, u_b0: np.ndarray,
         return state
 
     for it in range(controls.max_iter + 1):
-        norm = float(np.max(np.abs(res)))
+        norm = float(np.max(np.abs(asm.res)))
         history.append(norm)
         if norm <= tol:
             return finish(it)
         if it == controls.max_iter:
             break
-        delta = spsolve(jac, -res)
+        delta = problem.solve_step(asm)
         alpha = 1.0
         for _ in range(_MAX_HALVINGS + 1):
             ub_try = u_b + alpha * delta[:n_b]
@@ -308,22 +412,20 @@ def newton_solve(problem: CoupledProblem, u_b0: np.ndarray,
                 # step is halved, so silence the transient warnings
                 with np.errstate(over="ignore", invalid="ignore",
                                  divide="ignore"):
-                    res_try, jac_try, uh_try, q_try = assemble_coupled(
-                        problem, ub_try, ue_try)
+                    asm_try = assemble_coupled(problem, ub_try, ue_try)
             except (RuntimeError, ValueError):
                 alpha *= 0.5
                 continue
-            if (float(np.max(np.abs(res_try))) < norm
+            if (float(np.max(np.abs(asm_try.res))) < norm
                     or alpha <= 2.0 ** -_MAX_HALVINGS):
                 break
             alpha *= 0.5
         else:
             return stagnate(it + 1, "line search failed")
-        norm_try = float(np.max(np.abs(res_try)))
+        norm_try = float(np.max(np.abs(asm_try.res)))
         if norm_try >= norm:
             return stagnate(it + 1, "Newton stagnated")
-        u_b, u_e = ub_try, ue_try
-        res, jac, u_hat, q = res_try, jac_try, uh_try, q_try
+        u_b, u_e, asm = ub_try, ue_try, asm_try
 
     raise NonconvergenceError("Newton did not converge", history)
 

@@ -20,7 +20,7 @@ from mdtube.scenarios import (ScenarioConfig, model_error_plateau,
                               run_root_soil, run_single_tube,
                               three_tube_specs)
 from mdtube.solver import (CoupledProblem, assemble_coupled,
-                           collar_flux_total, newton_solve)
+                           collar_flux_total, coupled_jacobian, newton_solve)
 
 
 def report_line(criterion, ok, detail):
@@ -203,14 +203,14 @@ def test_criterion_7_property_suite():
 
     u_b = rng.uniform(0.0, 0.6, problem.n_bulk)
     u_e = rng.uniform(0.2, 0.8, problem.n_net)
-    res, jac, _, _ = assemble_coupled(problem, u_b, u_e)
-    v = rng.standard_normal(len(res))
+    asm = assemble_coupled(problem, u_b, u_e)
+    v = rng.standard_normal(len(asm.res))
     eps = 1e-7
-    rp, *_ = assemble_coupled(problem, u_b + eps * v[:problem.n_bulk],
-                              u_e + eps * v[problem.n_bulk:])
-    rm, *_ = assemble_coupled(problem, u_b - eps * v[:problem.n_bulk],
-                              u_e - eps * v[problem.n_bulk:])
-    jv = jac @ v
+    rp = assemble_coupled(problem, u_b + eps * v[:problem.n_bulk],
+                          u_e + eps * v[problem.n_bulk:]).res
+    rm = assemble_coupled(problem, u_b - eps * v[:problem.n_bulk],
+                          u_e - eps * v[problem.n_bulk:]).res
+    jv = coupled_jacobian(problem, asm) @ v
     checks["jacobian_fd"] = (float(np.max(np.abs((rp - rm) / (2 * eps) - jv)))
                              / float(np.max(np.abs(jv))) < 1e-5)
 

@@ -223,6 +223,27 @@ class TestArtifacts:
         assert len(lines) == 2
         assert lines[1].split(",")[-1] in ("converged", "stagnated")
 
+    def test_root_soil_builds_one_problem_per_grid(self, monkeypatch):
+        built = []
+
+        class CountingProblem(scenarios.CoupledProblem):
+            def __post_init__(self):
+                built.append(self.grid.shape)
+                super().__post_init__()
+
+        monkeypatch.setattr(scenarios, "CoupledProblem", CountingProblem)
+        config = ScenarioConfig(kind="root_soil", grids=((8, 8, 15),),
+                                collar_pressures=(-1e5, -2.5e5),
+                                delta_correction=True)
+        sweep = scenarios.run_root_soil(config).transpiration
+        assert built == [(8, 8, 15)]
+        # the second pressure reaches the reused problem: more suction,
+        # more uptake, and the collar passes on what the roots take up
+        assert sweep[1]["r_t"] < sweep[0]["r_t"] < 0.0
+        for row in sweep:
+            assert abs(row["r_t"] + row["collar_flux"]) < 1e-10 * abs(
+                row["r_t"])
+
     def test_errors_decrease_under_refinement(self, tmp_path):
         config = ScenarioConfig(kind="single_tube", levels=3, rho_factor=5.0)
         report = run_scenario(config, tmp_path / "out")

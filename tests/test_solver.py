@@ -12,10 +12,11 @@ from mdtube.grid import BulkGrid
 from mdtube.laws import ConstantLaw, ExponentialLaw
 from mdtube.network import (Segment, SegmentCell, TubeNetwork,
                             discretize_network)
-from mdtube.solver import (CoupledProblem, NonconvergenceError,
-                           SolverControls, _polish_network, assemble_coupled,
+from mdtube.solver import (CapacitanceStep, CoupledProblem,
+                           NonconvergenceError, SolverControls,
+                           _polish_network, assemble_coupled,
                            boundary_flux_total, collar_flux_total,
-                           newton_solve)
+                           coupled_jacobian, newton_solve)
 
 LAW = ExponentialLaw(d0=0.5, k=1.0)
 
@@ -52,14 +53,16 @@ def small_coupled_problem(gamma=2e-3, collar=0.8, y_junction=False):
 
 
 def assert_jacobian_matches_fd(problem, u_b, u_e, rng):
-    res, jac, _, _ = assemble_coupled(problem, u_b, u_e)
-    v = rng.standard_normal(len(res))
+    # the Jacobian is built from the scalings a and b the Newton step uses
+    asm = assemble_coupled(problem, u_b, u_e)
+    jac = coupled_jacobian(problem, asm)
+    v = rng.standard_normal(len(asm.res))
     eps = 1e-7
     n_b = problem.n_bulk
-    res_p, *_ = assemble_coupled(problem, u_b + eps * v[:n_b],
-                                 u_e + eps * v[n_b:])
-    res_m, *_ = assemble_coupled(problem, u_b - eps * v[:n_b],
-                                 u_e - eps * v[n_b:])
+    res_p = assemble_coupled(problem, u_b + eps * v[:n_b],
+                             u_e + eps * v[n_b:]).res
+    res_m = assemble_coupled(problem, u_b - eps * v[:n_b],
+                             u_e - eps * v[n_b:]).res
     fd = (res_p - res_m) / (2.0 * eps)
     jv = jac @ v
     assert np.max(np.abs(fd - jv)) / np.max(np.abs(jv)) < 1e-5
@@ -110,10 +113,9 @@ class TestAssembly:
         # flux through the one Dirichlet joint
         problem, mesh = small_coupled_problem(gamma=0.0, y_junction=True)
         u_e = np.random.default_rng(5).uniform(0.2, 0.8, problem.n_net)
-        res, _, _, q = assemble_coupled(problem,
-                                        np.full(problem.n_bulk, 0.1), u_e)
-        assert np.all(q == 0.0)
-        net = res[problem.n_bulk:]
+        asm = assemble_coupled(problem, np.full(problem.n_bulk, 0.1), u_e)
+        assert np.all(asm.q == 0.0)
+        net = asm.res[problem.n_bulk:]
         collar = collar_flux_total(problem, u_e)
         assert abs(float(np.sum(net)) - collar) <= (
             8 * np.finfo(float).eps * float(np.sum(np.abs(net))))
@@ -154,10 +156,10 @@ class TestAssembly:
     def test_fixed_tube_values_have_no_network_rows(self):
         problem = point_source_problem()
         assert problem.n_net == 0
-        res, jac, u_hat, q = assemble_coupled(
-            problem, np.full(problem.n_bulk, 0.1), problem.u_e_fixed)
-        assert res.shape == (problem.n_bulk,)
-        assert q[0] > 0.0                # tube above bulk: feeds the bulk
+        asm = assemble_coupled(problem, np.full(problem.n_bulk, 0.1),
+                               problem.u_e_fixed)
+        assert asm.res.shape == (problem.n_bulk,)
+        assert asm.q[0] > 0.0            # tube above bulk: feeds the bulk
 
 
 class TestNewton:
@@ -239,10 +241,10 @@ class TestPolish:
                              np.full(problem.n_net, 0.4))
         u_e = state.u_e + 1e-3          # spoil the network block
         n_b = problem.n_bulk
-        res0, *_ = assemble_coupled(problem, state.u_b, u_e)
-        u_e, res, _, _ = _polish_network(problem, state.u_b, u_e)
-        assert (np.max(np.abs(res[n_b:]))
-                < 1e-6 * np.max(np.abs(res0[n_b:])))
+        asm0 = assemble_coupled(problem, state.u_b, u_e)
+        u_e, asm = _polish_network(problem, state.u_b, u_e, asm0)
+        assert (np.max(np.abs(asm.res[n_b:]))
+                < 1e-6 * np.max(np.abs(asm0.res[n_b:])))
 
 
 def to_transformed(problem, law=None):
@@ -296,6 +298,71 @@ class TestTransformedBulk:
         # boundary flux balances the source in either form
         out = boundary_flux_total(tp, b.u_b)
         assert abs(out - b.q[0]) < 1e-9 * abs(b.q[0])
+
+
+def radial_single_tube_problem():
+    """One level of the single-tube study: radial bulk in psi around one
+    tube at a fixed value."""
+    grid = BulkGrid("radial", [0.0], [1.0], (40,))
+    seg = SegmentCell(p0=np.zeros(1), p1=np.zeros(1), length=1.0,
+                      radius=0.01, kernel_radius=0.05, gamma=1.0, d_e=0.0,
+                      segment_id=0, joint_a=0, joint_b=1)
+    return CoupledProblem(grid=grid, law=LAW,
+                          dirichlet={1: np.asarray(LAW.transform(
+                              np.full(1, 0.3)), float)},
+                          seg_cells=[seg],
+                          couplings=build_coupling(grid, [seg]),
+                          u_e_fixed=np.array([0.1]), bulk_transformed=True)
+
+
+class TestCapacitanceStep:
+    @pytest.mark.parametrize("case", ["chain", "y_junction", "point_source",
+                                      "radial"])
+    def test_step_matches_sparse_solve(self, case):
+        if case == "point_source":
+            problem = to_transformed(point_source_problem())
+        elif case == "radial":
+            problem = radial_single_tube_problem()
+        else:
+            problem = to_transformed(small_coupled_problem(
+                y_junction=case == "y_junction")[0])
+        assert isinstance(problem.capacitance_step, CapacitanceStep)
+        rng = np.random.default_rng(13)
+        u_b = np.asarray(LAW.transform(rng.uniform(0.0, 0.6,
+                                                   problem.n_bulk)), float)
+        u_e = (rng.uniform(0.2, 0.8, problem.n_net) if problem.n_net
+               else problem.u_e_fixed)
+        asm = assemble_coupled(problem, u_b, u_e)
+        assert np.all(asm.dq_dub != 0.0)
+        ref = spsolve(coupled_jacobian(problem, asm), -asm.res)
+        step = problem.solve_step(asm)
+        assert step.shape == ref.shape
+        assert np.max(np.abs(step - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    def test_pressure_form_keeps_sparse_solve(self):
+        problem, _ = small_coupled_problem()
+        assert not hasattr(problem, "capacitance_step")
+
+
+class TestJointDirichlet:
+    def test_changed_collar_matches_fresh_problem(self):
+        problem, mesh = small_coupled_problem(y_junction=True)
+        collar = mesh.joint_of_node[0]
+        u_e = np.random.default_rng(17).uniform(0.2, 0.8, problem.n_net)
+        before = problem.axial_residual(u_e)
+        problem.set_joint_dirichlet({collar: 0.3})
+        mesh.joint_dirichlet = {collar: 0.3}
+        fresh = replace(problem)
+        assert not np.array_equal(problem.axial_residual(u_e), before)
+        np.testing.assert_array_equal(problem.axial_residual(u_e),
+                                      fresh.axial_residual(u_e))
+        assert (collar_flux_total(problem, u_e)
+                == collar_flux_total(fresh, u_e))
+
+    def test_joint_set_is_fixed(self):
+        problem, mesh = small_coupled_problem()
+        with pytest.raises(ValueError, match="Dirichlet joints"):
+            problem.set_joint_dirichlet({mesh.joint_of_node[2]: 0.3})
 
 
 class TestFluxHelpers:
