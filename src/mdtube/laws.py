@@ -5,7 +5,14 @@ Each law provides the coefficient ``D(u)``, the Kirchhoff transform
 because every law is floored at a positive ``d_min``, so the inverse is
 globally defined. Constant and regularized-exponential laws have closed
 forms; the Van Genuchten-Mualem and tabulated laws integrate numerically
-(tanh-sinh) and can be accelerated by a lookup table.
+(tanh-sinh) unless a lookup table is attached.
+
+A law declares its constant-D tails (``_tails``): the kinks beyond which D
+is constant and the constant values there. Outside the kinks T is affine,
+so a ``TransformTable`` holds nodes only where D varies, padded by one node
+beyond each kink, and extrapolates affinely with the tail slopes: a tabled
+transform and its inverse are one ``np.interp`` plus the tail terms, exact
+(to the table's interpolation error) on all reals.
 """
 
 from __future__ import annotations
@@ -24,15 +31,20 @@ class TransformDomainError(ValueError):
 
 @dataclass(frozen=True)
 class TransformTable:
-    """Monotone samples of the Kirchhoff transform for fast lookup.
+    """Monotone samples of the Kirchhoff transform, with affine tails.
 
-    ``u`` and ``psi`` are strictly increasing arrays of equal length;
-    ``roundtrip_error`` is the max abs error of ``u -> psi -> u`` measured
-    on a finer probe grid at construction time.
+    ``u`` and ``psi`` are strictly increasing arrays of equal length. Their
+    ends lie on the law's constant-D tails, where T is affine with slopes
+    ``d_lo`` (below ``u[0]``) and ``d_hi`` (above ``u[-1]``); lookups
+    interpolate linearly between nodes and extrapolate along the tails.
+    ``roundtrip_error`` is the max abs error of ``u -> psi -> u`` over the
+    probe grid (twice as fine as the nodes) the table was built from.
     """
 
     u: np.ndarray
     psi: np.ndarray
+    d_lo: float
+    d_hi: float
     roundtrip_error: float
 
     def __post_init__(self):
@@ -44,16 +56,23 @@ class TransformTable:
         return float(self.u[0]), float(self.u[-1])
 
     def psi_of_u(self, u):
-        return np.interp(u, self.u, self.psi)
+        # np.interp holds the end values outside the nodes; add the tails
+        return (np.interp(u, self.u, self.psi)
+                + self.d_lo * np.minimum(u - self.u[0], 0.0)
+                + self.d_hi * np.maximum(u - self.u[-1], 0.0))
 
     def u_of_psi(self, psi):
-        return np.interp(psi, self.psi, self.u)
+        return (np.interp(psi, self.psi, self.u)
+                + np.minimum(psi - self.psi[0], 0.0) / self.d_lo
+                + np.maximum(psi - self.psi[-1], 0.0) / self.d_hi)
 
     def covers_u(self, u) -> np.ndarray:
-        return (u >= self.u[0]) & (u <= self.u[-1])
+        """True where the table is exact: every finite ``u``."""
+        return np.isfinite(u)
 
     def covers_psi(self, psi) -> np.ndarray:
-        return (psi >= self.psi[0]) & (psi <= self.psi[-1])
+        """True where the table is exact: every finite ``psi``."""
+        return np.isfinite(psi)
 
 
 class DiffusionLaw:
@@ -79,6 +98,15 @@ class DiffusionLaw:
         """Interior kinks of D(u), used to split numerical integrals."""
         return ()
 
+    def _tails(self) -> tuple[tuple[float, float] | None,
+                              tuple[float, float] | None]:
+        """Constant-D tails ``(lower, upper)``, each ``(kink, D)`` or None.
+
+        ``lower = (a, d)`` declares D = d for u <= a, ``upper = (b, d)``
+        declares D = d for u >= b.
+        """
+        return None, None
+
     def _transform_scalar(self, u: float) -> float:
         lo, hi = (u, 0.0) if u < 0.0 else (0.0, u)
         cuts = [c for c in self._breakpoints() if lo < c < hi]
@@ -91,14 +119,7 @@ class DiffusionLaw:
     def transform(self, u):
         u = np.asarray(u, float)
         if self.table is not None:
-            inside = self.table.covers_u(u)
-            if np.all(inside):
-                return self.table.psi_of_u(u)
-            out = np.array(self.table.psi_of_u(u))
-            flat = np.atleast_1d(out)
-            for i in np.flatnonzero(~np.atleast_1d(inside)):
-                flat[i] = self._transform_scalar(float(np.atleast_1d(u)[i]))
-            return out if out.ndim else float(flat[0])
+            return self.table.psi_of_u(u)
         if u.ndim == 0:
             return self._transform_scalar(float(u))
         return np.array([self._transform_scalar(v) for v in u.ravel()]
@@ -122,14 +143,7 @@ class DiffusionLaw:
     def inverse_transform(self, psi):
         psi = np.asarray(psi, float)
         if self.table is not None:
-            inside = self.table.covers_psi(psi)
-            if np.all(inside):
-                return self.table.u_of_psi(psi)
-            out = np.array(self.table.u_of_psi(psi))
-            flat = np.atleast_1d(out)
-            for i in np.flatnonzero(~np.atleast_1d(inside)):
-                flat[i] = self._inverse_scalar(float(np.atleast_1d(psi)[i]))
-            return out if out.ndim else float(flat[0])
+            return self.table.u_of_psi(psi)
         if psi.ndim == 0:
             return self._inverse_scalar(float(psi))
         return np.array([self._inverse_scalar(v) for v in psi.ravel()]
@@ -139,33 +153,67 @@ class DiffusionLaw:
 
     def build_table(self, u_lo: float, u_hi: float,
                     samples: int = 100_000) -> TransformTable:
-        """Sample the transform uniformly on [u_lo, u_hi].
+        """Sample the transform on the grid ``linspace(u_lo, u_hi, samples)``.
 
-        The round-trip error is probed on a grid twice as fine.
+        Only the part of that grid where D varies is kept: the nodes
+        between the tail kinks, one node beyond each kink and the kinks
+        themselves. A range that stops short of a kink is extended to it
+        at the same spacing, so the table is exact beyond its ends. One
+        cumulative quadrature pass over the probe grid
+        ``linspace(u_lo, u_hi, 2 * samples - 1)``, trimmed alike, gives the
+        node values (every other probe point) and the round-trip error
+        (all of them).
+
+        Raises ``ValueError`` for a law without constant-D tails on both
+        sides, and ``RuntimeError`` when the round-trip error exceeds
+        ``1e-6 * (u_hi - u_lo)``.
         """
         if not (u_lo < u_hi and samples >= 2):
             raise ValueError("need u_lo < u_hi and samples >= 2")
-        u = np.linspace(u_lo, u_hi, samples)
-        cuts = [c for c in self._breakpoints() if u_lo < c < u_hi]
-        if cuts:
-            u = np.unique(np.concatenate([u, np.asarray(cuts)]))
-        psi = self._sample_transform(u)
+        lower, upper = self._tails()
+        if lower is None or upper is None:
+            raise ValueError(f"{type(self).__name__} declares no constant-D "
+                             "tails on both sides; a table needs them")
+        (a, d_lo), (b, d_hi) = lower, upper
+        # the probe lattice of np.linspace, from the last even (node) index
+        # at or below a to the first at or above b
+        n = 2 * samples - 2
+        h = (u_hi - u_lo) / n
+        i_lo = 2 * int(np.floor((a - u_lo) / (2.0 * h))) - 2
+        i_hi = 2 * int(np.ceil((b - u_lo) / (2.0 * h))) + 2
+        if (i_hi - i_lo) // 2 > 10 * samples:
+            raise ValueError(f"a table from {u_lo} to {u_hi} at this spacing "
+                             f"needs {(i_hi - i_lo) // 2} nodes to reach the "
+                             f"kinks {a} and {b}; use fewer samples")
+        i = np.arange(i_lo, i_hi + 1)
+        probe = i * h + u_lo
+        probe[i == n] = u_hi
+        node = i % 2 == 0
+        probe = probe[np.flatnonzero(node & (probe <= a))[-1]:
+                      np.flatnonzero(node & (probe >= b))[0] + 1]
+        # T at the anchor c is exact: 0 inside [a, b], affine on a tail
+        c = min(max(0.0, a), b)
+        psi_c = d_lo * max(a, 0.0) + d_hi * min(b, 0.0)
+        kinks = np.array([a, b, c] + [k for k in self._breakpoints()
+                                      if a < k < b])
+        u = np.unique(np.concatenate([probe[::2], kinks]))
+        points = np.unique(np.concatenate([probe, kinks]))
+        cum = tanh_sinh_piecewise_cumulative(self.eval, points)
+        psi_points = psi_c + (cum - cum[np.searchsorted(points, c)])
+        psi = psi_points[np.searchsorted(points, u)]
         if np.any(np.diff(psi) <= 0.0):
             raise RuntimeError("sampled transform is not strictly increasing")
-        table = TransformTable(u, psi, roundtrip_error=0.0)
-        probe = np.linspace(u_lo, u_hi, 2 * samples - 1)
-        err = float(np.max(np.abs(
-            table.u_of_psi(self._sample_transform(probe)) - probe)))
-        return TransformTable(u, psi, roundtrip_error=err)
-
-    def _sample_transform(self, u: np.ndarray) -> np.ndarray:
-        """Transform at many sorted points; piecewise quadrature by default."""
-        base = self._transform_scalar(float(u[0]))
-        return base + tanh_sinh_piecewise_cumulative(self.eval, u)
+        table = TransformTable(u, psi, d_lo, d_hi, roundtrip_error=0.0)
+        err = float(np.max(np.abs(table.u_of_psi(psi_points) - points)))
+        if err > 1e-6 * (u_hi - u_lo):
+            raise RuntimeError(
+                f"Kirchhoff table round trip error {err:.3e} exceeds 1e-6 "
+                f"of the range [{u_lo}, {u_hi}]; use more samples")
+        return TransformTable(u, psi, d_lo, d_hi, roundtrip_error=err)
 
     def attach_table(self, u_lo: float, u_hi: float,
                      samples: int = 100_000) -> TransformTable:
-        """Build a table and use it to accelerate (inverse) transforms."""
+        """Build a table and use it for every (inverse) transform."""
         self.table = self.build_table(u_lo, u_hi, samples)
         return self.table
 
@@ -194,9 +242,6 @@ class ConstantLaw(DiffusionLaw):
     def inverse_transform(self, psi):
         return np.asarray(psi, float) / self.d0
 
-    def _sample_transform(self, u):
-        return self.d0 * u
-
 
 @dataclass
 class ExponentialLaw(DiffusionLaw):
@@ -215,6 +260,7 @@ class ExponentialLaw(DiffusionLaw):
         if not (self.d0 > 0.0 and self.k > 0.0 and 0.0 < self.d_min < self.d0):
             raise ValueError("require d0 > 0, k > 0, 0 < d_min < d0")
         self.u_c = 1.0 + np.log(self.d_min / self.d0) / self.k
+        self.psi_c = self.transform(np.float64(self.u_c))
 
     def _exp(self, u):
         return np.exp(self.k * (np.asarray(u, float) - 1.0))
@@ -228,6 +274,9 @@ class ExponentialLaw(DiffusionLaw):
 
     def _breakpoints(self):
         return (self.u_c,)
+
+    def _tails(self):
+        return (self.u_c, self.d_min), None
 
     def transform(self, u):
         u = np.asarray(u, float)
@@ -246,7 +295,6 @@ class ExponentialLaw(DiffusionLaw):
     def inverse_transform(self, psi):
         psi = np.asarray(psi, float)
         d0, k, uc = self.d0, self.k, self.u_c
-        psi_c = self.transform(np.float64(uc))
         if uc <= 0.0:
             lower = (psi - d0 / k * (self._exp(uc) - self._exp(0.0))
                      ) / self.d_min + uc
@@ -256,11 +304,8 @@ class ExponentialLaw(DiffusionLaw):
             arg = np.maximum(k / d0 * (psi - self.d_min * uc)
                              + self._exp(uc), 1e-300)
         upper = 1.0 + np.log(arg) / k
-        out = np.where(psi > psi_c, upper, lower)
+        out = np.where(psi > self.psi_c, upper, lower)
         return float(out) if out.ndim == 0 else out
-
-    def _sample_transform(self, u):
-        return self.transform(u)
 
 
 @dataclass
@@ -329,6 +374,12 @@ class VanGenuchtenLaw(DiffusionLaw):
     def _breakpoints(self):
         return (self._u_floor,) if np.isfinite(self._u_floor) else ()
 
+    def _tails(self):
+        # k_r = 1 for p >= 0; below the floor pressure D is held at d_min
+        lower = ((self._u_floor, self.d_min) if np.isfinite(self._u_floor)
+                 else None)
+        return lower, (0.0, self.d_sat)
+
 
 @dataclass
 class TabulatedLaw(DiffusionLaw):
@@ -354,3 +405,7 @@ class TabulatedLaw(DiffusionLaw):
 
     def _breakpoints(self):
         return tuple(self.u_samples)
+
+    def _tails(self):
+        return ((self.u_samples[0], self.d_samples[0]),
+                (self.u_samples[-1], self.d_samples[-1]))

@@ -37,11 +37,12 @@ from scipy.sparse.linalg import spsolve
 
 from .coupling import SegmentCoupling
 from .grid import BulkGrid, assemble_flux_jacobian
-from .laws import ConstantLaw, DiffusionLaw
+from .laws import ConstantLaw, DiffusionLaw, TransformDomainError
 from .network import NetworkMesh, SegmentCell
 from .poisson import capacitance_matrix, laplacian, laplacian_solver
-from .reconstruction import (ReconstructionInput, interface_derivatives,
-                             reconstruct_interface)
+from .quadrature import QuadratureError
+from .reconstruction import (ReconstructionError, ReconstructionInput,
+                             interface_derivatives, reconstruct_interface)
 
 
 class NonconvergenceError(RuntimeError):
@@ -413,7 +414,10 @@ def newton_solve(problem: CoupledProblem, u_b0: np.ndarray,
                 with np.errstate(over="ignore", invalid="ignore",
                                  divide="ignore"):
                     asm_try = assemble_coupled(problem, ub_try, ue_try)
-            except (RuntimeError, ValueError):
+            except (ReconstructionError, TransformDomainError,
+                    QuadratureError):
+                # a trial state the interface equation or a table-less
+                # transform cannot handle; any other error is a defect
                 alpha *= 0.5
                 continue
             if (float(np.max(np.abs(asm_try.res))) < norm

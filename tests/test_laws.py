@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import mdtube.laws
 from mdtube.laws import (ConstantLaw, ExponentialLaw, TabulatedLaw,
                          VanGenuchtenLaw)
 
@@ -23,6 +24,35 @@ def quad_transform(law, u):
     val, est = quad(lambda x: float(law.eval(x)), 0.0, u, points=pts,
                     limit=200, epsabs=1e-18, epsrel=1e-13)
     return val, est
+
+
+def assert_tails_match_oracle(law, oracle, us):
+    """The tabled ``law`` against the table-less ``oracle`` (tanh-sinh and
+    brentq) far beyond the table, 1e-12 relative. The inverse is compared
+    in the transform's scale, |du| D <= 1e-12 |psi|: on a d_min tail 1/D
+    magnifies the oracle's own quadrature error (a few 1e-15 of T)."""
+    for u in us:
+        psi = float(oracle.transform(np.float64(u)))
+        assert float(law.transform(np.float64(u))) == pytest.approx(
+            psi, rel=1e-12, abs=0.0)
+        u_ref = float(oracle.inverse_transform(np.float64(psi)))
+        u_tab = float(law.inverse_transform(np.float64(psi)))
+        assert abs(u_tab - u_ref) * float(law.eval(u_ref)) <= 1e-12 * abs(psi)
+        # the affine tail inverts itself to rounding
+        back = float(law.inverse_transform(law.transform(np.float64(u))))
+        assert back == pytest.approx(u, rel=1e-12, abs=0.0)
+
+
+def count_quadrature(monkeypatch):
+    calls = []
+    real = mdtube.laws.tanh_sinh
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mdtube.laws, "tanh_sinh", counting)
+    return calls
 
 
 class TestConstantLaw:
@@ -117,6 +147,60 @@ class TestVanGenuchtenLaw:
         back = loam.inverse_transform(loam.transform(u))
         assert np.max(np.abs(back - u)) < 1e-4
 
+    def test_table_tails_match_quadrature(self, loam):
+        loam.attach_table(-1.0e6, 1.0e4)
+        oracle = VanGenuchtenLaw(LOAM_PERMEABILITY, mu=1e-3)
+        assert_tails_match_oracle(loam, oracle, (-1e8, -2e6, 5e4, 1e6))
+
+    def test_table_tails_need_no_quadrature(self, loam, monkeypatch):
+        loam.attach_table(-1.0e6, 1.0e4)
+        calls = count_quadrature(monkeypatch)
+        u = np.array([-1e12, -1e8, -2e6, -1e6, -8e4, -5e4, -100.0, 0.0,
+                      5e4, 1e6, 1e12])
+        psi = loam.transform(u)
+        back = loam.inverse_transform(psi)
+        loam.inverse_transform(np.array([-1.0, 1.0]))     # far past both
+        assert calls == []
+        assert np.all(np.diff(psi) > 0.0)
+        assert np.all(np.isfinite(back))
+        assert np.all(loam.table.covers_u(u))
+        assert np.all(loam.table.covers_psi(psi))
+
+    def test_table_keeps_nodes_only_where_d_varies(self, loam):
+        table = loam.attach_table(-1.0e6, 1.0e4)
+        assert table.d_lo == loam.d_min and table.d_hi == loam.d_sat
+        # one node beyond each kink, the kinks themselves, and between
+        # them the requested grid's nodes, bitwise
+        assert table.u[0] < loam._u_floor == table.u[1]
+        assert table.u[-2] == 0.0 < table.u[-1]
+        grid = np.linspace(-1.0e6, 1.0e4, 100_000)
+        inner = table.u[(table.u != loam._u_floor) & (table.u != 0.0)]
+        assert np.all(np.isin(inner, grid))
+        assert inner.size == table.u.size - 2
+        assert table.roundtrip_error < 0.1
+
+    def test_table_extends_to_kinks(self, loam):
+        table = loam.attach_table(-5.0e4, -1.0e3, samples=20_000)
+        assert table.u[0] < loam._u_floor and table.u[-1] > 0.0
+        # at the spacing of the requested grid
+        grid = np.linspace(-5.0e4, -1.0e3, 20_000)
+        assert np.array_equal(table.u[(table.u >= -5.0e4)
+                                      & (table.u <= -1.0e3)], grid)
+        for u in (-7.0e4, -2.0e2):           # beyond the requested range
+            ref, est = quad_transform(loam, u)
+            assert abs(loam.transform(np.float64(u)) - ref) < max(
+                1e-5 * abs(ref), 10.0 * est)
+
+    def test_far_extension_at_fine_spacing_raises(self, loam):
+        # 0.001 Pa spacing across the 7e4 Pa between the kinks: 7e7 nodes
+        with pytest.raises(ValueError, match="fewer samples"):
+            loam.build_table(-1.0e3, -9.0e2, samples=100_000)
+
+    def test_coarse_table_raises(self, loam):
+        # 50 samples on 1e6 Pa leave the floor region a few nodes wide
+        with pytest.raises(RuntimeError, match="round trip"):
+            loam.build_table(-1.0e6, 1.0e4, samples=50)
+
     def test_table_falls_back_outside_range(self, loam):
         loam.attach_table(-1e5, 0.0)
         inside = float(loam.transform(np.float64(-5e4)))
@@ -141,11 +225,40 @@ class TestTabulatedLaw:
         ref, _ = quad_transform(law, -1.5)
         assert abs(law.transform(np.float64(-1.5)) - ref) < 1e-12
 
+    def test_table_tails_match_quadrature(self, monkeypatch):
+        law = TabulatedLaw(np.array([-2.0, 0.0, 1.0]),
+                           np.array([0.5, 1.5, 1.0]))
+        table = law.attach_table(-2.0, 1.0, samples=2_000)
+        assert (table.d_lo, table.d_hi) == (0.5, 1.0)
+        oracle = TabulatedLaw(law.u_samples, law.d_samples)
+        assert_tails_match_oracle(law, oracle, (-1e3, -10.0, 5.0, 1e3))
+        calls = count_quadrature(monkeypatch)
+        law.inverse_transform(law.transform(np.linspace(-1e3, 1e3, 101)))
+        assert calls == []
+
+    def test_table_anchors_on_a_tail(self):
+        # 0 lies on the lower tail: T(1) = 0.5 exactly
+        law = TabulatedLaw(np.array([1.0, 2.0]), np.array([0.5, 1.5]))
+        law.attach_table(1.0, 2.0, samples=2_000)
+        assert float(law.transform(np.float64(1.0))) == 0.5
+        assert float(law.transform(np.float64(0.0))) == 0.0
+        oracle = TabulatedLaw(law.u_samples, law.d_samples)
+        assert_tails_match_oracle(law, oracle, (-1e3, 0.5, 1e3))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             TabulatedLaw(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
         with pytest.raises(ValueError):
             TabulatedLaw(np.array([0.0, 1.0]), np.array([1.0, -1.0]))
+
+
+@pytest.mark.parametrize("law", [ConstantLaw(1.0),
+                                 ExponentialLaw(d0=0.5, k=1.0, d_min=1e-6)],
+                         ids=["constant", "exponential"])
+def test_table_needs_tails_on_both_sides(law):
+    # no constant-D tail above (exponential) or none declared (constant)
+    with pytest.raises(ValueError, match="tails"):
+        law.build_table(-10.0, 1.0, samples=100)
 
 
 @settings(max_examples=50, deadline=None)

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mdtube.laws
 import mdtube.scenarios as scenarios
 from mdtube.laws import ConstantLaw, ExponentialLaw, VanGenuchtenLaw
 from mdtube.analytic import solve_multi_tube
@@ -243,6 +244,34 @@ class TestArtifacts:
         for row in sweep:
             assert abs(row["r_t"] + row["collar_flux"]) < 1e-10 * abs(
                 row["r_t"])
+
+    def test_root_soil_solves_without_quadrature(self, monkeypatch):
+        # with its tails the Kirchhoff table is exact on all reals, so no
+        # Newton solve falls back to a scalar tanh-sinh quadrature
+        inside, calls = [], []
+        real_quadrature = mdtube.laws.tanh_sinh
+        real_solve = scenarios.newton_solve
+
+        def counting_quadrature(*args, **kwargs):
+            if inside:
+                calls.append(args[1:3])
+            return real_quadrature(*args, **kwargs)
+
+        def tracked_solve(*args, **kwargs):
+            inside.append(True)
+            try:
+                return real_solve(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(mdtube.laws, "tanh_sinh", counting_quadrature)
+        monkeypatch.setattr(scenarios, "newton_solve", tracked_solve)
+        config = ScenarioConfig(kind="root_soil", grids=((8, 8, 15),),
+                                collar_pressures=(-1e5, -5e5),
+                                delta_correction=True)
+        sweep = scenarios.run_root_soil(config).transpiration
+        assert [row["status"] for row in sweep] == ["converged"] * 2
+        assert calls == []
 
     def test_errors_decrease_under_refinement(self, tmp_path):
         config = ScenarioConfig(kind="single_tube", levels=3, rho_factor=5.0)

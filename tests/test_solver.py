@@ -7,11 +7,13 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
+import mdtube.solver as solver
 from mdtube.coupling import build_coupling
 from mdtube.grid import BulkGrid
 from mdtube.laws import ConstantLaw, ExponentialLaw
 from mdtube.network import (Segment, SegmentCell, TubeNetwork,
                             discretize_network)
+from mdtube.reconstruction import ReconstructionError
 from mdtube.solver import (CapacitanceStep, CoupledProblem,
                            NonconvergenceError, SolverControls,
                            _polish_network, assemble_coupled,
@@ -189,6 +191,32 @@ class TestNewton:
         assert stalled.status == "stagnated"
         history = stalled.residual_history
         assert 0.0 < history[-1] <= 1e-8 * history[0]
+
+    @staticmethod
+    def fail_second_assembly(monkeypatch, error):
+        calls = []
+        real = solver.assemble_coupled
+
+        def failing(*args):
+            calls.append(None)
+            if len(calls) == 2:          # the first line-search trial
+                raise error
+            return real(*args)
+
+        monkeypatch.setattr(solver, "assemble_coupled", failing)
+
+    def test_trial_state_errors_halve_the_step(self, monkeypatch):
+        self.fail_second_assembly(monkeypatch, ReconstructionError("trial"))
+        problem = point_source_problem()
+        state = newton_solve(problem, np.full(problem.n_bulk, 0.1))
+        assert state.status == "converged"
+
+    def test_programming_errors_propagate(self, monkeypatch):
+        # an operator shape error is a defect, not a bad trial state
+        self.fail_second_assembly(monkeypatch, ValueError("shapes differ"))
+        problem = point_source_problem()
+        with pytest.raises(ValueError, match="shapes differ"):
+            newton_solve(problem, np.full(problem.n_bulk, 0.1))
 
     def test_axial_chain_linear_profile(self):
         # gamma = 0 decouples the tube from the bulk; with both segment
