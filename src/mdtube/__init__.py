@@ -26,7 +26,7 @@ from .reconstruction import (ReconstructionError, ReconstructionInput,
 from .scenarios import (ConfigError, ErrorReport, ScenarioConfig,
                         parse_config, run_scenario, write_config)
 from .solver import (CoupledProblem, CoupledState, NonconvergenceError,
-                     SolverControls, newton_solve)
+                     newton_solve)
 
 __version__ = "0.1.0"
 

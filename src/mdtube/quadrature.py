@@ -60,7 +60,8 @@ def tanh_sinh(f, a: float, b: float, tol: float = 1e-12,
     a, b : float
         Integration bounds (finite).
     tol : float
-        Absolute tolerance on the difference between consecutive levels.
+        Tolerance on the difference between consecutive levels, relative
+        to the level's integral of |f| (``half * sum(w |f|)``).
     max_level : int
         Maximum number of level doublings.
 
@@ -78,10 +79,11 @@ def tanh_sinh(f, a: float, b: float, tol: float = 1e-12,
     h = 1.0
     for _ in range(max_level + 1):
         x, w = _nodes_weights(h)
-        val = half * float(np.sum(w * np.asarray(f(mid + half * x), float)))
+        fx = np.asarray(f(mid + half * x), float)
+        val = half * float(np.sum(w * fx))
         if prev is not None:
             err = abs(val - prev)
-            if err <= tol * max(1.0, abs(val)):
+            if err <= tol * abs(half) * float(np.sum(w * np.abs(fx))):
                 return val
         prev = val
         h *= 0.5

@@ -23,8 +23,8 @@ from .grid import BulkGrid, bulk_l2_error, observed_orders, source_l2_error
 from .laws import ConstantLaw, DiffusionLaw, ExponentialLaw, VanGenuchtenLaw
 from .network import NetworkMesh, SegmentCell, discretize_network, \
     parse_network, synthetic_root_network
-from .solver import CoupledProblem, CoupledState, SolverControls, \
-    collar_flux_total, newton_solve
+from .solver import CoupledProblem, CoupledState, collar_flux_total, \
+    newton_solve
 from . import vtk as vtk_io
 
 SCENARIO_KINDS = ("single_tube", "parallel_tubes", "kernel_radius_study",
@@ -511,10 +511,9 @@ def run_root_soil(config: ScenarioConfig) -> RootSoilResult:
                               network=mesh, bulk_transformed=True)
         u_b = np.full(grid.n_cells, psi_s)
         u_e = np.full(mesh.n_cells, p_s)
-        controls = SolverControls(tol_rel=1e-13, max_iter=60)
         for p_rc in config.collar_pressures:
             prob.set_joint_dirichlet({collar_joint: p_rc})
-            state = newton_solve(prob, u_b, u_e, controls)
+            state = newton_solve(prob, u_b, u_e)
             u_b, u_e = state.u_b, state.u_e     # warm start for next sweep
             r_t = float(np.sum(state.q * prob.lengths))
             result.transpiration.append({

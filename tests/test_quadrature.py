@@ -39,6 +39,14 @@ def test_steep_exponential():
     assert abs(val - exact) / exact < 1e-12
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-9])
+def test_tolerance_is_relative_to_the_integrand(scale):
+    # a Kirchhoff integral may be 1e-12 in size; its quadrature must stop
+    # at the same relative accuracy as the unscaled one
+    val = tanh_sinh(lambda x: scale * np.cos(x), 0.0, 1.0)
+    assert abs(val - scale * np.sin(1.0)) <= 1e-14 * scale
+
+
 def test_nonconvergence_raises_with_estimate():
     rng = np.random.default_rng(7)
 
