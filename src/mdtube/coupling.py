@@ -6,8 +6,10 @@ a disc and its overlap with a cell is the closed-form area of a disc and
 a rectangle. In 3D the support is a finite cylinder: in the cylinder's
 frame the axial chord through a cell is piecewise linear along every
 radial ray, so the radial integral is exact, and a fixed periodic
-trapezoid rule integrates over the angle. A cylinder parallel to a grid
-axis is a disc area times an axial overlap.
+trapezoid rule integrates over the angle. Most breakpoints of the chord
+fall outside the support and leave pieces of zero width; the chord is
+evaluated only on the others, about an eighth of them. A cylinder
+parallel to a grid axis is a disc area times an axial overlap.
 
 The reconstruction samples the bulk field through a stencil: all cells
 whose closure contains the segment-cell midpoint, averaged with equal
@@ -83,11 +85,17 @@ def _disc_rect_area(x0, x1, y0, y1, rho: float):
 
 #: angles of the periodic trapezoid rule over a cylinder's cross-section
 _N_ANGLES = 128
-#: candidate boxes integrated at once; each of the ~10 temporaries of the
-#: ray integration holds boxes x angles x 50 floats (3.3 MB at 64 boxes)
+#: candidate boxes integrated at once. Per box and angle the ray holds 26
+#: breakpoints and 50 Gauss-node terms (1.7 and 3.3 MB at 64 boxes). The
+#: chord is evaluated on the pieces of positive width alone, about an
+#: eighth of the 25 per ray: its ~10 temporaries hold two floats per such
+#: piece (about 0.4 MB each at 64 boxes)
 _BOX_CHUNK = 64
 #: two-point Gauss nodes at mid +- half / sqrt(3) of each piece
 _GAUSS_NODE = 1.0 / np.sqrt(3.0)
+#: the six pairs of the four lines (three axes and the caps) in a ray's
+#: (r, z) plane, whose crossings are the breakpoints of the chord
+_LINE_PAIRS = np.triu_indices(4, 1)
 #: a smaller share of the support is the rounding residue of a cell that
 #: the support only touches (a shared face computed twice, say)
 _NEGLIGIBLE_SHARE = 1e-12
@@ -103,7 +111,9 @@ def _ray_volumes(lo: np.ndarray, hi: np.ndarray, e: np.ndarray,
     {z in [0, length]: lo <= r d + z e <= hi}. In the (r, z) plane every
     face of the box and each cap is a line d_a r + e_a z = c, so the chord
     is piecewise linear in r with breakpoints where two such lines cross;
-    two-point Gauss per piece integrates chord(r) r dr exactly.
+    two-point Gauss per piece integrates chord(r) r dr exactly. Most of
+    the 24 crossings fall outside [0, rho] and are clipped onto its ends,
+    so the chord is evaluated only on the pieces of positive width.
     """
     m = len(lo)
     n_angles = len(d)
@@ -113,30 +123,38 @@ def _ray_volumes(lo: np.ndarray, hi: np.ndarray, e: np.ndarray,
     line_c = np.stack([np.concatenate([lo, np.zeros((m, 1))], axis=1),
                        np.concatenate([hi, np.full((m, 1), length)],
                                       axis=1)], axis=-1)     # (m, 4, 2)
-    crossings = []
-    for g in range(4):
-        for h in range(g + 1, 4):
-            det = line_d[:, g] * line_e[h] - line_d[:, h] * line_e[g]
-            num = (line_c[:, g, :, None] * line_e[h]
-                   - line_c[:, h, None, :] * line_e[g]).reshape(m, 4)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                crossings.append(num[:, None, :] / det[None, :, None])
-    r = np.concatenate([np.zeros((m, n_angles, 1)),
-                        np.full((m, n_angles, 1), rho)] + crossings, axis=-1)
-    # parallel lines never cross; a non-finite crossing adds no breakpoint
-    r = np.sort(np.clip(np.where(np.isfinite(r), r, 0.0), 0.0, rho), axis=-1)
-    half = 0.5 * np.diff(r, axis=-1)
-    mid = 0.5 * (r[..., 1:] + r[..., :-1])
-    r = np.concatenate([mid - _GAUSS_NODE * half, mid + _GAUSS_NODE * half],
-                       axis=-1)
-    half = np.concatenate([half, half], axis=-1)
+    g, h = _LINE_PAIRS
+    det = line_d[:, g] * line_e[h] - line_d[:, h] * line_e[g]   # (angles, 6)
+    num = (line_c[:, g, :, None] * line_e[h, None, None]
+           - line_c[:, h, None, :] * line_e[g, None, None])     # (m, 6, 2, 2)
+    r = np.empty((m, n_angles, 2 + num[0].size))
+    r[..., 0] = 0.0
+    r[..., 1] = rho
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(num.reshape(m, 1, -1), np.repeat(det, 4, axis=1),
+                  out=r[..., 2:])
+    # parallel lines never cross: fmax and fmin put a non-finite crossing
+    # on 0 or rho, where it adds no piece
+    np.fmin(np.fmax(r, 0.0, out=r), rho, out=r)
+    r.sort(axis=-1)
+    n_breaks = r.shape[-1]
+    r = r.reshape(-1)
+    # each ray runs from 0 to rho, so no piece of positive width spans
+    # two rays
+    left = np.flatnonzero(r[1:] > r[:-1])
+    r0, r1 = r[left], r[left + 1]
+    half = 0.5 * (r1 - r0)
+    mid = 0.5 * (r1 + r0)
+    ray = left // n_breaks
+    box, angle = np.divmod(ray, n_angles)
+    r = np.stack([mid - _GAUSS_NODE * half, mid + _GAUSS_NODE * half])
 
     lower = np.zeros(r.shape)
     upper = np.full(r.shape, length)
     for a in range(3):
-        base = r * d[None, :, None, a]
-        lo_a = lo[:, a, None, None]
-        hi_a = hi[:, a, None, None]
+        base = r * d[:, a].take(angle)
+        lo_a = lo[:, a].take(box)
+        hi_a = hi[:, a].take(box)
         if e[a] == 0.0:
             # the axis is normal to the segment: the ray is in the slab or
             # the chord is empty
@@ -149,7 +167,21 @@ def _ray_volumes(lo: np.ndarray, hi: np.ndarray, e: np.ndarray,
         np.maximum(lower, z0, out=lower)
         np.minimum(upper, z1, out=upper)
     chord = np.maximum(upper - lower, 0.0)
-    return (2.0 * np.pi / n_angles) * np.sum(chord * r * half, axis=(1, 2))
+    # each node's term goes to its place among the ray's 50 (the pieces'
+    # first nodes, then their second ones) and every other place holds 0,
+    # so the pairwise sum per box is, to the bit, the sum over all pieces
+    terms = np.zeros((m, n_angles, 2, n_breaks - 1))
+    slot = left + ray * (n_breaks - 2)
+    flat = terms.reshape(-1)
+    flat[slot] = chord[0] * r[0] * half
+    flat[slot + (n_breaks - 1)] = chord[1] * r[1] * half
+    return (2.0 * np.pi / n_angles) * np.sum(terms.reshape(m, -1), axis=1)
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross product of two 3-vectors."""
+    return np.array([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+                     a[0] * b[1] - a[1] * b[0]])
 
 
 def _cylinder_box_volumes(lo: np.ndarray, hi: np.ndarray, p0: np.ndarray,
@@ -170,9 +202,9 @@ def _cylinder_box_volumes(lo: np.ndarray, hi: np.ndarray, p0: np.ndarray,
         return area * np.maximum(overlap, 0.0)
 
     e = axis / length
-    n1 = np.cross(e, np.eye(3)[np.argmin(np.abs(e))])
+    n1 = _cross(e, np.eye(3)[np.argmin(np.abs(e))])
     n1 /= np.linalg.norm(n1)
-    n2 = np.cross(e, n1)
+    n2 = _cross(e, n1)
     theta = 2.0 * np.pi * (np.arange(_N_ANGLES) + 0.5) / _N_ANGLES
     d = np.cos(theta)[:, None] * n1 + np.sin(theta)[:, None] * n2
 
@@ -189,26 +221,33 @@ def _cylinder_box_volumes(lo: np.ndarray, hi: np.ndarray, p0: np.ndarray,
     return volumes
 
 
-def mean_distance(grid: BulkGrid, cell: int, p0, p1,
-                  samples: int = 8) -> float:
-    """Mean minimum distance between a bulk cell and a segment.
+def mean_distance(grid: BulkGrid, cells, p0, p1, samples: int = 8):
+    """Mean minimum distance between bulk cells and a segment.
 
-    Fixed-order midpoint quadrature over the cell volume; for the radial
-    grid the annular measure integral is closed-form.
+    ``cells`` is one cell index, which gives a float, or an array of
+    them, which gives an array of the same shape. Fixed-order midpoint
+    quadrature over each cell volume; for the radial grid the annular
+    measure integral is closed-form.
     """
     p0 = np.asarray(p0, float)
     p1 = np.asarray(p1, float)
+    cells = np.asarray(cells)
+    lo = grid.origin + np.stack(np.unravel_index(cells, grid.shape),
+                                axis=-1) * grid.spacing
+    hi = lo + grid.spacing
     if grid.dimension == "radial":
-        lo, hi = grid.cell_bounds(cell)
-        r1, r2 = float(lo[0]), float(hi[0])
-        return (2.0 / 3.0) * (r2 ** 3 - r1 ** 3) / (r2 ** 2 - r1 ** 2)
-    lo, hi = grid.cell_bounds(cell)
-    dim = len(lo)
-    axes = [lo[a] + (hi[a] - lo[a]) * (np.arange(samples) + 0.5) / samples
-            for a in range(dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    return float(np.mean(point_segment_distance(pts, p0, p1)))
+        r1, r2 = lo[..., 0], hi[..., 0]
+        out = (2.0 / 3.0) * (r2 ** 3 - r1 ** 3) / (r2 ** 2 - r1 ** 2)
+    else:
+        dim = lo.shape[-1]
+        # midpoints along each axis, then their tensor grid, per cell
+        t = np.arange(samples) + 0.5
+        axes = lo[..., None] + (hi - lo)[..., None] * t / samples
+        idx = np.indices((samples,) * dim).reshape(dim, -1)
+        pts = np.stack([axes[..., a, idx[a]] for a in range(dim)], axis=-1)
+        dist = point_segment_distance(pts.reshape(-1, dim), p0, p1)
+        out = np.mean(dist.reshape(pts.shape[:-1]), axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass
@@ -233,27 +272,25 @@ def _radial_weights(grid: BulkGrid, seg: SegmentCell):
     return cells, w[cells]
 
 
-def _candidate_cells(grid: BulkGrid, seg: SegmentCell) -> np.ndarray:
+def _candidate_boxes(grid: BulkGrid, seg: SegmentCell):
+    """Cells of the grid that meet the support's bounding box, with their
+    lower and upper corners (n, dim); none if the box misses the grid."""
     rho = seg.kernel_radius
-    lo = np.minimum(seg.p0, seg.p1) - rho
-    hi = np.maximum(seg.p0, seg.p1) + rho
-    ranges = []
-    for a in range(len(grid.shape)):
-        i0 = int(np.floor((lo[a] - grid.origin[a]) / grid.spacing[a]))
-        i1 = int(np.ceil((hi[a] - grid.origin[a]) / grid.spacing[a]))
-        ranges.append(np.arange(max(i0, 0), min(i1, grid.shape[a])))
-        if ranges[-1].size == 0:
-            return np.array([], int)
-    mesh = np.meshgrid(*ranges, indexing="ij")
-    return np.ravel_multi_index([m.ravel() for m in mesh], grid.shape)
+    i0 = np.floor((np.minimum(seg.p0, seg.p1) - rho - grid.origin)
+                  / grid.spacing).astype(int)
+    i1 = np.ceil((np.maximum(seg.p0, seg.p1) + rho - grid.origin)
+                 / grid.spacing).astype(int)
+    i0 = np.maximum(i0, 0)
+    i1 = np.maximum(np.minimum(i1, grid.shape), i0)
+    multi = i0 + np.indices(i1 - i0).reshape(len(i0), -1).T
+    return (np.ravel_multi_index(multi.T, grid.shape),
+            grid.origin + multi * grid.spacing,
+            grid.origin + (multi + 1) * grid.spacing)
 
 
-def _support_measures(grid: BulkGrid, seg: SegmentCell,
-                      cells: np.ndarray) -> np.ndarray:
-    """Measure of the kernel support inside each of the given cells."""
-    multi = np.stack(np.unravel_index(cells, grid.shape), axis=-1)
-    lo = grid.origin + multi * grid.spacing
-    hi = grid.origin + (multi + 1) * grid.spacing
+def _support_measures(grid: BulkGrid, seg: SegmentCell, lo: np.ndarray,
+                      hi: np.ndarray) -> np.ndarray:
+    """Measure of the kernel support inside each of the boxes [lo, hi]."""
     if grid.dimension == "2d":
         if not np.array_equal(seg.p0, seg.p1):
             raise CouplingError("2D kernel supports are discs: the segment "
@@ -274,12 +311,12 @@ def build_segment_coupling(grid: BulkGrid, seg: SegmentCell,
         cells, weights = _radial_weights(grid, seg)
         stencil = np.array([0])
     else:
-        candidates = _candidate_cells(grid, seg)
+        candidates, lo, hi = _candidate_boxes(grid, seg)
         if candidates.size == 0:
             raise CouplingError("segment cell lies outside the bulk grid")
         seg_len = float(np.linalg.norm(seg.p1 - seg.p0))
         support_measure = np.pi * rho ** 2 * (seg_len if seg_len > 0.0 else 1.0)
-        weights = _support_measures(grid, seg, candidates) / support_measure
+        weights = _support_measures(grid, seg, lo, hi) / support_measure
         keep = weights > _NEGLIGIBLE_SHARE
         cells, weights = candidates[keep], weights[keep]
         if cells.size == 0:
@@ -293,8 +330,7 @@ def build_segment_coupling(grid: BulkGrid, seg: SegmentCell,
     weights = weights / inside
 
     if delta_correction:
-        deltas = np.array([mean_distance(grid, int(c), seg.p0, seg.p1)
-                           for c in stencil])
+        deltas = mean_distance(grid, stencil, seg.p0, seg.p1)
         # f(delta) is affine in delta^2 inside the support, so the RMS
         # distance reproduces the stencil average of f exactly
         delta = float(np.sqrt(np.mean(deltas ** 2)))

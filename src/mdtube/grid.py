@@ -8,6 +8,7 @@ averaging of the cell-centered diffusion coefficient.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,21 +118,21 @@ class BulkGrid:
         on cell boundaries are treated symmetrically.
         """
         point = np.asarray(point, float)
-        per_axis = []
-        for a, x in enumerate(point):
-            h = self.spacing[a]
-            t = (x - self.origin[a]) / h
-            i = int(np.floor(t + 1e-12))
+        cells = np.zeros(1, int)
+        for a, (x, x0, h) in enumerate(zip(point.tolist(),
+                                           self.origin.tolist(),
+                                           self.spacing.tolist())):
+            t = (x - x0) / h
+            i = math.floor(t + 1e-12)
             cand = {i}
             if abs(t - round(t)) < 1e-9 * max(1.0, abs(t)) + 1e-12:
-                cand.update({int(round(t)) - 1, int(round(t))})
+                cand.update({round(t) - 1, round(t)})
             cand = sorted(c for c in cand if 0 <= c < self.shape[a])
             if not cand:
                 raise ValueError(f"point {point} outside grid along axis {a}")
-            per_axis.append(cand)
-        mesh = np.meshgrid(*per_axis, indexing="ij")
-        multi = [m.ravel() for m in mesh]
-        return np.ravel_multi_index(multi, self.shape)
+            # C-order flat index over the per-axis candidates
+            cells = (cells[:, None] * self.shape[a] + cand).ravel()
+        return cells
 
     def cell_bounds(self, cell: int) -> tuple[np.ndarray, np.ndarray]:
         multi = np.unravel_index(cell, self.shape)

@@ -39,14 +39,21 @@ class QuadratureError(RuntimeError):
         self.error_estimate = error_estimate
 
 
-def _nodes_weights(h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the tanh-sinh rule on [-1, 1] with spacing h."""
+def _nodes_weights(h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes and weights of the tanh-sinh rule on [-1, 1] with spacing h.
+
+    Also returns each node's distance 1 - |x| to the nearer end, computed
+    as exp(-|v|) / cosh(v): it keeps its relative accuracy where x itself
+    rounds to +-1.
+    """
     n = int(np.floor(_T_MAX / h))
     t = h * np.arange(-n, n + 1)
     st = np.sinh(t)
-    x = np.tanh(0.5 * np.pi * st)
-    w = h * 0.5 * np.pi * np.cosh(t) / np.cosh(0.5 * np.pi * st) ** 2
-    return x, w
+    v = 0.5 * np.pi * st
+    x = np.tanh(v)
+    w = h * 0.5 * np.pi * np.cosh(t) / np.cosh(v) ** 2
+    gap = np.exp(-np.abs(v)) / np.cosh(v)
+    return x, w, gap
 
 
 def tanh_sinh(f, a: float, b: float, tol: float = 1e-12,
@@ -58,7 +65,11 @@ def tanh_sinh(f, a: float, b: float, tol: float = 1e-12,
     f : callable
         Vectorized integrand; called with an ndarray of abscissae.
     a, b : float
-        Integration bounds (finite).
+        Integration bounds (finite). The nodes next to an end lie at
+        their distance from it, down to about 1e-304 times the interval's
+        length, so ``f`` is never evaluated at an end that is 0: an
+        integrable singularity there (``log``, ``x**-0.5``) is fine. At
+        any other end, nodes closer than its rounding land on it.
     tol : float
         Tolerance on the difference between consecutive levels, relative
         to the level's integral of |f| (``half * sum(w |f|)``).
@@ -72,14 +83,16 @@ def tanh_sinh(f, a: float, b: float, tol: float = 1e-12,
     """
     if a == b:
         return 0.0
-    mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
 
     prev = None
     h = 1.0
     for _ in range(max_level + 1):
-        x, w = _nodes_weights(h)
-        fx = np.asarray(f(mid + half * x), float)
+        x, w, gap = _nodes_weights(h)
+        # every node is placed by its distance from the nearer end: as
+        # mid + half * x the outer nodes would round onto the ends
+        fx = np.asarray(f(np.where(x < 0.0, a + half * gap, b - half * gap)),
+                        float)
         val = half * float(np.sum(w * fx))
         if prev is not None:
             err = abs(val - prev)
@@ -103,7 +116,7 @@ def tanh_sinh_piecewise_cumulative(f, nodes: np.ndarray,
     ``F[i] = integral from nodes[0] to nodes[i]``.
     """
     nodes = np.asarray(nodes, float)
-    x, w = _nodes_weights(2.0 ** (-level))
+    x, w, _ = _nodes_weights(2.0 ** (-level))
     per_interval = np.empty(nodes.size - 1, float)
     for start in range(0, per_interval.size, _CHUNK_INTERVALS):
         stop = min(start + _CHUNK_INTERVALS, per_interval.size)

@@ -69,6 +69,12 @@ class TestCellsContaining:
         cells = g.cells_containing([0.5, 0.5])
         assert len(cells) == 4
 
+    def test_point_on_edge_lists_cells_in_ascending_order(self):
+        # x and y on faces, z inside the first layer: cells (1|2, 1|2, 0)
+        g = BulkGrid("3d", [0.0, 0.0, 0.0], [1.0, 1.0, 1.0], (4, 4, 4))
+        assert g.cells_containing([0.5, 0.5, 0.1]).tolist() == [20, 24, 36,
+                                                                 40]
+
     def test_domain_corner_single_cell(self):
         g = BulkGrid("2d", [0.0, 0.0], [1.0, 1.0], (4, 4))
         assert list(g.cells_containing([0.0, 0.0])) == [0]

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import mdtube.coupling as coupling
 from mdtube.coupling import (CouplingError, build_coupling,
                              build_segment_coupling, mean_distance,
                              point_segment_distance)
@@ -37,6 +38,50 @@ def make_cell(p0, p1, radius=0.01, rho=0.05):
                        segment_id=0, joint_a=0, joint_b=1)
 
 
+def all_pieces_ray_volumes(lo, hi, e, d, length, rho):
+    """Reference for ``coupling._ray_volumes``: the chord at both Gauss
+    nodes of all 25 pieces per ray, those of zero width included, summed
+    per box over the (angles, 50) terms."""
+    m, n_angles = len(lo), len(d)
+    line_d = np.concatenate([d, np.zeros((n_angles, 1))], axis=1)
+    line_e = np.append(e, 1.0)
+    line_c = np.stack([np.concatenate([lo, np.zeros((m, 1))], axis=1),
+                       np.concatenate([hi, np.full((m, 1), length)],
+                                      axis=1)], axis=-1)
+    crossings = []
+    for g in range(4):
+        for h in range(g + 1, 4):
+            det = line_d[:, g] * line_e[h] - line_d[:, h] * line_e[g]
+            num = (line_c[:, g, :, None] * line_e[h]
+                   - line_c[:, h, None, :] * line_e[g]).reshape(m, 4)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                crossings.append(num[:, None, :] / det[None, :, None])
+    r = np.concatenate([np.zeros((m, n_angles, 1)),
+                        np.full((m, n_angles, 1), rho)] + crossings, axis=-1)
+    r = np.sort(np.clip(np.where(np.isfinite(r), r, 0.0), 0.0, rho), axis=-1)
+    half = 0.5 * np.diff(r, axis=-1)
+    mid = 0.5 * (r[..., 1:] + r[..., :-1])
+    node = 1.0 / np.sqrt(3.0)
+    r = np.concatenate([mid - node * half, mid + node * half], axis=-1)
+    half = np.concatenate([half, half], axis=-1)
+    lower = np.zeros(r.shape)
+    upper = np.full(r.shape, length)
+    for a in range(3):
+        base = r * d[None, :, None, a]
+        lo_a, hi_a = lo[:, a, None, None], hi[:, a, None, None]
+        if e[a] == 0.0:
+            upper = np.where((base >= lo_a) & (base <= hi_a), upper, -np.inf)
+            continue
+        z0 = (lo_a - base) / e[a]
+        z1 = (hi_a - base) / e[a]
+        if e[a] < 0.0:
+            z0, z1 = z1, z0
+        lower = np.maximum(lower, z0)
+        upper = np.minimum(upper, z1)
+    chord = np.maximum(upper - lower, 0.0)
+    return (2.0 * np.pi / n_angles) * np.sum(chord * r * half, axis=(1, 2))
+
+
 class TestGeometryHelpers:
     def test_point_segment_distance_clamps_ends(self):
         d = point_segment_distance(np.array([[2.0, 1.0]]),
@@ -62,6 +107,20 @@ class TestGeometryHelpers:
         g = BulkGrid("3d", [0, 0, 0], [1, 1, 1], (1, 1, 1))
         val = mean_distance(g, 0, [0.5, 0.5, 0.4], [0.5, 0.5, 0.6])
         assert val == pytest.approx(0.43663, rel=0.02)
+
+    @pytest.mark.parametrize("dimension, shape, p0, p1", [
+        ("3d", (3, 4, 5), [0.2, 0.3, 0.1], [0.7, 0.45, 0.8]),
+        ("2d", (6, 5), [0.4, 0.4], [0.4, 0.4]),
+        ("radial", (10,), [0.0], [0.0])], ids=["3d", "2d", "radial"])
+    def test_mean_distance_of_cell_array_is_per_cell(self, dimension, shape,
+                                                      p0, p1):
+        g = BulkGrid(dimension, [0.0] * len(shape), [1.0] * len(shape),
+                     shape)
+        cells = np.array([[0, 7], [g.n_cells - 1, 3]])
+        per_cell = [[mean_distance(g, int(c), p0, p1) for c in row]
+                    for row in cells]
+        assert all(type(v) is float for row in per_cell for v in row)
+        assert np.array_equal(mean_distance(g, cells, p0, p1), per_cell)
 
     def test_mean_distance_radial_closed_form(self):
         # annulus [0.2, 0.3]: (2/3)(r2^3 - r1^3)/(r2^2 - r1^2) = 0.2533...
@@ -202,6 +261,90 @@ class TestSegmentCoupling:
             sigma = np.sqrt(oracle[c] * (1.0 - oracle[c]) / n_samples)
             assert abs(w - oracle[c]) <= 4.0 * sigma + 1e-5
 
+    @pytest.mark.parametrize("p1", [[0.62, 0.55, 0.68], [0.62, 0.45, 0.68],
+                                    [0.30, 0.41, 0.10]],
+                             ids=["oblique", "normal_to_y", "all_negative"])
+    def test_ray_volumes_equal_all_pieces_bitwise(self, p1):
+        # the pieces of zero width add exact zeros and every evaluated term
+        # keeps its place in the per-box sum: the volumes of all 64 cells,
+        # most far from the support, are the same to the bit
+        p0 = np.array([0.38, 0.45, 0.30])
+        axis = np.asarray(p1) - p0
+        length = float(np.linalg.norm(axis))
+        e = axis / length
+        n1 = np.cross(e, [1.0, 0.0, 0.0])
+        n1 /= np.linalg.norm(n1)
+        n2 = np.cross(e, n1)
+        theta = 2.0 * np.pi * (np.arange(128) + 0.5) / 128
+        d = np.cos(theta)[:, None] * n1 + np.sin(theta)[:, None] * n2
+        g = BulkGrid("3d", [0, 0, 0], [1, 1, 1], (4, 4, 4))
+        lo = np.stack(np.unravel_index(np.arange(g.n_cells), g.shape),
+                      axis=-1) * g.spacing - p0
+        hi = lo + g.spacing
+        got = coupling._ray_volumes(lo, hi, e, d, length, 0.2)
+        assert np.count_nonzero(got) > 4
+        assert np.array_equal(got, all_pieces_ray_volumes(lo, hi, e, d,
+                                                          length, 0.2))
+
+    # The oblique cases below pin the weights of the ray integration at
+    # rounding level. The values were computed with 128 angles and all 25
+    # pieces per ray evaluated, as in ``all_pieces_ray_volumes``; their
+    # error against the exact volumes is ~1e-6 (see the Monte Carlo test
+    # above).
+
+    def test_oblique_cylinder_normal_to_an_axis_pinned(self):
+        # e_y = 0: every ray is in or out of each y slab as a whole
+        g = BulkGrid("3d", [0, 0, 0], [1, 1, 1], (4, 4, 4))
+        cpl = build_segment_coupling(g, make_cell(
+            [0.38, 0.45, 0.30], [0.62, 0.45, 0.68], rho=0.09))
+        pinned = {21: 0.3455882321594872, 22: 0.07163017118410156,
+                  25: 0.07295531653734581, 26: 0.009826280119065474,
+                  37: 0.09358903451797461, 38: 0.32362936882561416,
+                  41: 0.014183206258876577, 42: 0.06859839039753471}
+        assert sorted(cpl.cells.tolist()) == sorted(pinned)
+        assert not cpl.clipped
+        assert cpl.inside_fraction == pytest.approx(1.0, rel=1e-13, abs=0.0)
+        for c, w in zip(cpl.cells.tolist(), cpl.weights):
+            assert w == pytest.approx(pinned[c], rel=1e-13, abs=0.0)
+
+    def test_clipped_oblique_cylinder_pinned(self):
+        # the support leaves the domain through the x = 0 and y = 0 faces
+        g = BulkGrid("3d", [0, 0, 0], [1, 1, 1], (4, 4, 4))
+        cpl = build_segment_coupling(g, make_cell(
+            [0.05, 0.1, 0.2], [0.2, 0.03, 0.5], rho=0.12))
+        pinned = {0: 0.18273029897297977, 1: 0.7363229295492342,
+                  2: 0.044470971459425725, 17: 0.036475800018360344}
+        assert sorted(cpl.cells.tolist()) == sorted(pinned)
+        assert cpl.clipped
+        assert cpl.inside_fraction == pytest.approx(0.7928582088515667,
+                                                    rel=1e-13, abs=0.0)
+        for c, w in zip(cpl.cells.tolist(), cpl.weights):
+            assert w == pytest.approx(pinned[c], rel=1e-13, abs=0.0)
+
+    def test_oblique_delta_correction_pinned(self):
+        # the midpoint (0.45, 0.475, 0.5) is on a z face: a two-cell
+        # stencil, whose RMS mean distance is below the kernel radius
+        g = BulkGrid("3d", [0, 0, 0], [1, 1, 1], (8, 8, 8))
+        cpl = build_segment_coupling(g, make_cell(
+            [0.3, 0.45, 0.3], [0.6, 0.5, 0.7], rho=0.3),
+            delta_correction=True)
+        assert cpl.stencil.tolist() == [219, 220]
+        assert cpl.delta == pytest.approx(0.06717029163685365, rel=1e-13,
+                                          abs=0.0)
+        assert cpl.cells.size == 160
+        assert np.sum(cpl.weights * cpl.cells) == pytest.approx(
+            228.30026462039638, rel=1e-13, abs=0.0)
+
+    def test_support_outside_grid_rejected(self):
+        # the support's bounding box misses the grid beyond one face
+        g3 = BulkGrid("3d", [0, 0, 0], [1, 1, 1], (4, 4, 4))
+        with pytest.raises(CouplingError, match="outside the bulk grid"):
+            build_segment_coupling(g3, make_cell([-2.0, 0.5, 0.5],
+                                                 [-2.1, 0.5, 0.6]))
+        g2 = BulkGrid("2d", [0.0, 0.0], [1.0, 1.0], (4, 4))
+        with pytest.raises(CouplingError, match="outside the bulk grid"):
+            build_segment_coupling(g2, make_cell([3.0, 0.5], [3.0, 0.5]))
+
     def test_support_must_match_grid_dimension(self):
         g2 = BulkGrid("2d", [0.0, 0.0], [1.0, 1.0], (4, 4))
         with pytest.raises(CouplingError, match="degenerate"):
@@ -246,6 +389,15 @@ class TestSegmentCoupling:
         assert len(cpls) == mesh.n_cells
         for cpl in cpls:
             assert np.sum(cpl.weights) == pytest.approx(1.0, abs=1e-6)
+        # fingerprints, pinned as in the oblique cases above: the second
+        # segment is oblique with e_y = 0; every delta is clamped just
+        # below its kernel radius
+        assert sum(np.sum(c.weights * c.cells) for c in cpls) == (
+            pytest.approx(6201.499999999999, rel=1e-13, abs=0.0))
+        assert sum(np.sum(c.weights ** 2) for c in cpls) == (
+            pytest.approx(3.0788912010546596, rel=1e-13, abs=0.0))
+        assert sum(c.delta for c in cpls) == pytest.approx(
+            0.05099994899999999, rel=1e-13, abs=0.0)
 
 
 class TestNetworkFormat:

@@ -32,6 +32,16 @@ def test_endpoint_derivative_singularity():
     assert abs(val - 2.0 / 3.0) < 1e-13
 
 
+@pytest.mark.parametrize("f, exact", [(np.log, -1.0),
+                                      (lambda x: 1.0 / np.sqrt(x), 2.0)],
+                         ids=["log", "inverse_sqrt"])
+def test_integrable_singularity_at_an_end(f, exact):
+    # the outer nodes lie within 1e-300 of 0 but never on it, where f is
+    # infinite
+    val = tanh_sinh(f, 0.0, 1.0)
+    assert abs(val - exact) <= 1e-12 * abs(exact)
+
+
 def test_steep_exponential():
     k = 40.0
     val = tanh_sinh(lambda x: np.exp(k * x), 0.0, 1.0)
