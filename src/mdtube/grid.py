@@ -1,9 +1,11 @@
-"""Structured axis-aligned grids with cell-centered TPFA machinery.
+"""Structured axis-aligned grids and their discrete error norms.
 
 Supports three modes: ``radial`` (1D in the cylinder radius, annular cell
 measures per unit length), ``2d`` (unit depth) and ``3d``. Cells are
-uniform per axis; faces carry two-point flux approximations with harmonic
-averaging of the cell-centered diffusion coefficient.
+uniform per axis. The grid lists its interior faces (the two cells, area
+and center distance of each) and its boundary faces (cell, area, distance
+to the cell center, side id ``2*axis + (0 low | 1 high)`` and center),
+from which ``poisson.laplacian`` builds the two-point flux operator.
 """
 
 from __future__ import annotations
@@ -12,8 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-Side = tuple[int, int]  # (axis, 0=low / 1=high)
 
 
 @dataclass
@@ -138,71 +138,6 @@ class BulkGrid:
         multi = np.unravel_index(cell, self.shape)
         lo = self.origin + np.array(multi) * self.spacing
         return lo, lo + self.spacing
-
-
-def assemble_flux_jacobian(grid: BulkGrid, law, u: np.ndarray,
-                           dirichlet: dict[int, np.ndarray] | None = None):
-    """TPFA residual and Jacobian triplets for -div(D(u) grad u).
-
-    Parameters
-    ----------
-    dirichlet : dict side-id -> boundary values
-        Values at boundary face centers for Dirichlet sides (side ids are
-        ``2*axis + (0 low | 1 high)``); absent sides are zero-flux.
-
-    Returns
-    -------
-    res : ndarray (n_cells,)
-        Sum of outward fluxes per cell (no sources).
-    rows, cols, vals : ndarrays
-        COO triplets of the Jacobian of ``res``.
-    """
-    u = np.asarray(u, float)
-    d = np.asarray(law.eval(u), float)
-    dp = np.asarray(law.deriv(u), float)
-
-    res = np.zeros(grid.n_cells)
-    rows, cols, vals = [], [], []
-
-    il, ir = grid.face_left, grid.face_right
-    tf = grid.face_area / grid.face_dist
-    dl, dr = d[il], d[ir]
-    s = dl + dr
-    df = 2.0 * dl * dr / s
-    du = u[ir] - u[il]
-    flux = -df * tf * du          # flux out of left cell
-    np.add.at(res, il, flux)
-    np.add.at(res, ir, -flux)
-
-    ddf_dl = 2.0 * (dr / s) ** 2 * dp[il]
-    ddf_dr = 2.0 * (dl / s) ** 2 * dp[ir]
-    dflux_dul = -ddf_dl * tf * du + df * tf
-    dflux_dur = -ddf_dr * tf * du - df * tf
-    rows += [il, il, ir, ir]
-    cols += [il, ir, il, ir]
-    vals += [dflux_dul, dflux_dur, -dflux_dul, -dflux_dur]
-
-    if dirichlet:
-        for side, values in dirichlet.items():
-            mask = grid.bface_side == side
-            c = grid.bface_cell[mask]
-            tb = grid.bface_area[mask] / grid.bface_dist[mask]
-            ub = np.asarray(values, float)
-            db = np.asarray(law.eval(ub), float)
-            dc = d[c]
-            sb = dc + db
-            dfb = 2.0 * dc * db / sb
-            dub = ub - u[c]
-            fb = -dfb * tb * dub
-            np.add.at(res, c, fb)
-            ddfb_dc = 2.0 * (db / sb) ** 2 * dp[c]
-            dfb_duc = -ddfb_dc * tb * dub + dfb * tb
-            rows.append(c)
-            cols.append(c)
-            vals.append(dfb_duc)
-
-    return (res, np.concatenate(rows), np.concatenate(cols),
-            np.concatenate(vals))
 
 
 def bulk_l2_error(grid: BulkGrid, u_h: np.ndarray, reference: np.ndarray,

@@ -35,8 +35,7 @@ import scipy.sparse as sp
 from scipy import fft
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
-from .grid import BulkGrid, assemble_flux_jacobian
-from .laws import ConstantLaw
+from .grid import BulkGrid
 
 #: (Dirichlet at the low end, Dirichlet at the high end) -> transform pair
 #: and type diagonalising the axis matrix
@@ -56,11 +55,30 @@ _CAPACITANCE_BATCH = 32
 def laplacian(grid: BulkGrid, dirichlet: dict[int, np.ndarray]):
     """The TPFA Laplacian L (CSR) and Dirichlet vector g of ``grid``, so that
     ``L @ u - g`` is the sum of outward fluxes of ``u`` per cell for unit
-    diffusivity."""
-    minus_g, rows, cols, vals = assemble_flux_jacobian(
-        grid, ConstantLaw(1.0), np.zeros(grid.n_cells), dirichlet)
-    return (sp.csr_matrix((vals, (rows, cols)), shape=(grid.n_cells,) * 2),
-            -minus_g)
+    diffusivity. ``dirichlet`` maps side ids ``2*axis + (0 low | 1 high)``
+    to the values at that side's boundary face centers, one per face;
+    absent sides are zero-flux."""
+    _checked_sides(grid, dirichlet)
+    il, ir = grid.face_left, grid.face_right
+    t = grid.face_area / grid.face_dist
+    rows, cols, vals = [il, il, ir, ir], [il, ir, il, ir], [t, -t, -t, t]
+    g = np.zeros(grid.n_cells)
+    for side, values in dirichlet.items():
+        mask = grid.bface_side == side
+        values = np.asarray(values, float)
+        if values.shape != (np.sum(mask),):
+            raise ValueError(f"Dirichlet side {side} has {np.sum(mask)} "
+                             f"faces, not values of shape {values.shape}")
+        c = grid.bface_cell[mask]
+        tb = grid.bface_area[mask] / grid.bface_dist[mask]
+        np.add.at(g, c, tb * values)
+        rows.append(c)
+        cols.append(c)
+        vals.append(tb)
+    lap = sp.csr_matrix((np.concatenate(vals),
+                         (np.concatenate(rows), np.concatenate(cols))),
+                        shape=(grid.n_cells,) * 2)
+    return lap, g
 
 
 def laplacian_solver(grid: BulkGrid, dirichlet_sides):
@@ -72,9 +90,21 @@ def laplacian_solver(grid: BulkGrid, dirichlet_sides):
     return SpectralSolver(grid, dirichlet_sides)
 
 
-def _require_dirichlet(sides):
+def _checked_sides(grid: BulkGrid, sides) -> set:
+    """``sides`` as a set of side ids, each one of the sides of ``grid``."""
+    sides = set(sides)
+    n_sides = 2 * len(grid.shape)
+    if not sides <= set(range(n_sides)):
+        raise ValueError(f"Dirichlet side ids {sorted(sides)} outside "
+                         f"0..{n_sides - 1} of a {grid.dimension} grid")
+    return sides
+
+
+def _require_dirichlet(grid: BulkGrid, sides) -> set:
+    sides = _checked_sides(grid, sides)
     if not sides:
         raise ValueError("the Laplacian is singular without a Dirichlet side")
+    return sides
 
 
 class SpectralSolver:
@@ -82,8 +112,7 @@ class SpectralSolver:
     eigenvalues and the inverse transforms (see the module docstring)."""
 
     def __init__(self, grid: BulkGrid, dirichlet_sides):
-        sides = set(dirichlet_sides)
-        _require_dirichlet(sides)
+        sides = _require_dirichlet(grid, dirichlet_sides)
         self.shape = grid.shape
         self.axes = []
         eigenvalues = np.zeros(grid.shape)
@@ -114,8 +143,8 @@ class BandedCholesky:
     tridiagonal L, computed once."""
 
     def __init__(self, grid: BulkGrid, dirichlet_sides):
-        _require_dirichlet(set(dirichlet_sides))
-        lap, _ = laplacian(grid, {s: np.zeros(1) for s in dirichlet_sides})
+        sides = _require_dirichlet(grid, dirichlet_sides)
+        lap, _ = laplacian(grid, {s: np.zeros(1) for s in sides})
         bands = np.zeros((2, grid.n_cells))
         bands[0, 1:] = lap.diagonal(1)
         bands[1] = lap.diagonal()

@@ -304,8 +304,8 @@ def parallel_level_coupling(specs, n: int, delta_correction: bool = False):
 
 
 def _physical_state(law: DiffusionLaw, state: CoupledState) -> CoupledState:
-    """``state`` of a ``bulk_transformed`` solve with its bulk mapped from
-    psi back to the physical variable."""
+    """``state`` of a solve with its bulk mapped from psi back to the
+    physical variable."""
     return replace(state, u_b=law.inverse_transform(state.u_b))
 
 
@@ -318,8 +318,7 @@ def solve_parallel_level(law: DiffusionLaw, specs, grid: BulkGrid,
           for s in range(4)}
     prob = CoupledProblem(grid=grid, law=law, dirichlet=bc, seg_cells=segs,
                           couplings=cpl,
-                          u_e_fixed=np.array([t.u_e for t in specs]),
-                          bulk_transformed=True)
+                          u_e_fixed=np.array([t.u_e for t in specs]))
     state = newton_solve(prob, law.transform(ref.u(grid.cell_centers)))
     return _physical_state(law, state)
 
@@ -357,8 +356,7 @@ def run_single_tube(config: ScenarioConfig) -> ErrorReport:
         psi_out = law.transform(np.full(1, sol.u(r_out)))
         prob = CoupledProblem(grid=grid, law=law, dirichlet={1: psi_out},
                               seg_cells=[seg], couplings=cpl,
-                              u_e_fixed=np.array([config.u_e]),
-                              bulk_transformed=True)
+                              u_e_fixed=np.array([config.u_e]))
         state = _physical_state(law, newton_solve(prob, np.full(n, psi_out)))
         r = grid.cell_centers[:, 0]
         e_ub = bulk_l2_error(grid, state.u_b, sol.u(r), 1.0)
@@ -508,7 +506,7 @@ def run_root_soil(config: ScenarioConfig) -> RootSoilResult:
         mesh.joint_dirichlet = {collar_joint: p_s}
         prob = CoupledProblem(grid=grid, law=law, dirichlet=dirichlet,
                               seg_cells=mesh.cells, couplings=couplings,
-                              network=mesh, bulk_transformed=True)
+                              network=mesh)
         u_b = np.full(grid.n_cells, psi_s)
         u_e = np.full(mesh.n_cells, p_s)
         for p_rc in config.collar_pressures:

@@ -13,19 +13,17 @@ derivatives of the sources with respect to the sampled bulk value and the
 tube value; the exact linearization of the source comes from the implicit
 function theorem.
 
-Every scenario solves the bulk in the Kirchhoff variable psi = int_0^u D
-(``CoupledProblem.bulk_transformed``). There the bulk block of the
-Jacobian is ``L - W diag(a) S`` with the constant TPFA Laplacian L, whose
-direct solver is built once per problem (trigonometric transforms on 2D
-and 3D grids, a banded Cholesky factor on radial ones, see ``poisson``),
-and a Newton step is one capacitance-matrix solve (``CapacitanceStep``):
-two bulk solves and one dense system of at most twice the number of
-segment cells. The pressure form remains as a reference for the tests and
-solves each step with a sparse direct solve of the assembled Jacobian
-(``coupled_jacobian``). One damped Newton loop serves both. It stops on
-its own test per block (``_converged``): each residual at the rounding
-level of its flux terms, and the network residuals balanced at the
-collar. Failing that, it raises ``NonconvergenceError``.
+The bulk is solved in the Kirchhoff variable psi = int_0^u D, in which
+its flux operator is the constant TPFA Laplacian L. The bulk block of the
+Jacobian is ``L - W diag(a) S``; the direct solver of L is built once per
+problem (trigonometric transforms on 2D and 3D grids, a banded Cholesky
+factor on radial ones, see ``poisson``), and a Newton step is one
+capacitance-matrix solve (``CoupledProblem.solve_step``): two bulk solves
+and one dense system of at most twice the number of segment cells. The
+damped Newton loop stops on its own test per block (``_converged``): each
+residual at the rounding level of its flux terms, and the network
+residuals balanced at the collar. Failing that, it raises
+``NonconvergenceError``.
 """
 
 from __future__ import annotations
@@ -35,11 +33,10 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
 
 from .coupling import SegmentCoupling
-from .grid import BulkGrid, assemble_flux_jacobian
-from .laws import ConstantLaw, DiffusionLaw, TransformDomainError
+from .grid import BulkGrid
+from .laws import DiffusionLaw, TransformDomainError
 from .network import NetworkMesh, SegmentCell
 from .poisson import capacitance_matrix, laplacian, laplacian_solver
 from .quadrature import QuadratureError
@@ -65,23 +62,21 @@ _ROUNDING = 8.0
 _BALANCE = 1e-11
 
 
-#: identity coefficient of the boundary fluxes in the transformed
-#: variable (see ``CoupledProblem.bulk_transformed``)
-_UNIT_LAW = ConstantLaw(1.0)
-
-
 @dataclass
 class CoupledProblem:
-    """The coupled system; its state-independent operators are built at
-    construction: ``deposit`` (W, bulk by segment cells, kernel weight
-    times cell length), ``sample`` (S, segment by bulk cells,
-    1/|stencil|), the interface geometry and the network's axial operator.
+    """The coupled system, with the bulk in psi = int_0^u D: the bulk
+    unknowns, the Dirichlet values (one per boundary face of each
+    Dirichlet side) and the initial guess are psi values, the law enters
+    only the tube-wall coupling through the inverse transform, and the
+    tube values are physical. The tube values are either network unknowns
+    (``network``) or prescribed (``u_e_fixed``), never both.
 
-    In the psi form (``bulk_transformed``) the construction also builds
-    the Laplacian L with its Dirichlet vector and the ``CapacitanceStep``
-    (the direct solver of L and the capacitance matrix S L^-1 W), which
-    ``solve_step`` uses; the pressure form solves each step with a sparse
-    direct solve of ``coupled_jacobian``.
+    The state-independent operators are built at construction:
+    ``deposit`` (W, bulk by segment cells, kernel weight times cell
+    length), ``sample`` (S, segment by bulk cells, 1/|stencil|), the
+    interface geometry, the network's axial operator, the Laplacian L with
+    its Dirichlet vector, the direct solver of L and the capacitance
+    matrix S L^-1 W that ``solve_step`` uses.
 
     Which network joints are Dirichlet is read from
     ``network.joint_dirichlet`` at construction; their values are problem
@@ -95,18 +90,11 @@ class CoupledProblem:
     couplings: list[SegmentCoupling]
     network: NetworkMesh | None = None
     u_e_fixed: np.ndarray | None = None
-    #: solve the bulk in the transformed variable psi = int_0^u D, as
-    #: every scenario does. The bulk unknowns, Dirichlet values and initial
-    #: guess are then psi values and the bulk flux operator is a plain
-    #: (linear) Laplacian; the law only enters the tube-wall coupling
-    #: through the inverse transform, and tube unknowns stay physical.
-    #: False assembles the pressure form with harmonic-mean fluxes, kept
-    #: as the reference discretization for the tests.
-    bulk_transformed: bool = False
 
     def __post_init__(self):
-        if self.network is None and self.u_e_fixed is None:
-            raise ValueError("need either a network mesh or fixed tube values")
+        if (self.network is None) == (self.u_e_fixed is None):
+            raise ValueError("need a network mesh or fixed tube values "
+                             "(u_e_fixed), exactly one of the two")
         segs, cpls = self.seg_cells, self.couplings
         self.lengths = np.array([s.length for s in segs])
         self.interface = ReconstructionInput(
@@ -131,19 +119,41 @@ class CoupledProblem:
         self.deposit_abs = abs(self.deposit)
         if self.network is not None:
             self._build_axial()
-        if self.bulk_transformed:
-            self.laplacian, self.dirichlet_rhs = laplacian(self.grid,
-                                                           self.dirichlet)
-            self.laplacian_abs = abs(self.laplacian)
-            self.capacitance_step = CapacitanceStep(
-                self.grid, self.dirichlet, self.sample, self.deposit,
-                self.lengths, self.axial if self.n_net else None)
+        self.laplacian, self.dirichlet_rhs = laplacian(self.grid,
+                                                       self.dirichlet)
+        self.laplacian_abs = abs(self.laplacian)
+        self.solve_bulk = laplacian_solver(self.grid, self.dirichlet)
+        self.capacitance = capacitance_matrix(self.solve_bulk, self.sample,
+                                              self.deposit)
+        if self.n_net:
+            # dense only after the Laplacian, whose build is the memory peak
+            self.axial_dense = self.axial.toarray()
 
     def solve_step(self, asm: Assembly) -> np.ndarray:
-        """Newton step at the state of ``asm``."""
-        if self.bulk_transformed:
-            return self.capacitance_step(asm)
-        return spsolve(coupled_jacobian(self, asm), -asm.res)
+        """Newton step at the state of ``asm`` by the capacitance-matrix
+        method (Buzbee, Dorr, George & Golub, SIAM J. Numer. Anal. 8,
+        1971).
+
+        With z = a*(S x_b) + b*x_e the step equations read
+        ``L x_b - W z = r_b`` and ``len*z + A x_e = r_e``. So x_b =
+        y + L^-1 W z with y = L^-1 r_b, and with the capacitance matrix
+        C = S L^-1 W, built at construction, z and x_e solve the system
+        ``[[I - diag(a) C, -diag(b)], [diag(len), A]] [z, x_e] =
+        [a*(S y), r_e]``, of size n_seg without network unknowns. Then
+        ``x_b = L^-1 (r_b + W z)``.
+        """
+        n_b, n_s = self.deposit.shape
+        r_b = -asm.res[:n_b]
+        a = asm.dq_dub
+        system = np.eye(n_s) - a[:, None] * self.capacitance
+        rhs = a * (self.sample @ self.solve_bulk(r_b))
+        if self.n_net:
+            system = np.block([[system, -np.diag(asm.dq_due)],
+                               [np.diag(self.lengths), self.axial_dense]])
+            rhs = np.concatenate([rhs, -asm.res[n_b:]])
+        sol = np.linalg.solve(system, rhs)
+        x_b = self.solve_bulk(r_b + self.deposit @ sol[:n_s])
+        return np.concatenate([x_b, sol[n_s:]])
 
     def _build_axial(self):
         """Axial TPFA operator with the joints eliminated: through
@@ -232,41 +242,28 @@ class CoupledState:
 
 class Assembly(NamedTuple):
     """Residual of the coupled system at one state, with what its Jacobian
-    is made of: the bulk flux block and the two diagonal scalings of the
-    coupling blocks."""
+    is made of besides the constant operators: the two diagonal scalings of
+    the coupling blocks."""
 
     res: np.ndarray
     u_hat: np.ndarray               # reconstructed interface values
     q: np.ndarray                   # source per unit tube length
     dq_dub: np.ndarray              # a: dq / d(sampled bulk value)
     dq_due: np.ndarray              # b: dq / d(tube value)
-    flux_jacobian: sp.csr_matrix    # bulk fluxes; the constant L in psi
 
 
 def assemble_coupled(problem: CoupledProblem, u_b: np.ndarray,
                      u_e: np.ndarray) -> Assembly:
     """Residual of the coupled system and the parts of its Jacobian (see
-    ``coupled_jacobian``). In the psi form the bulk residual is
-    ``L u_b - g - W q`` from the constant Laplacian."""
+    ``coupled_jacobian``). The bulk residual is ``L u_b - g - W q``."""
     law = problem.law
-    if problem.bulk_transformed:
-        flux_jac = problem.laplacian
-        res_b = flux_jac @ u_b - problem.dirichlet_rhs
-    else:
-        res_b, rows, cols, vals = assemble_flux_jacobian(
-            problem.grid, law, u_b, problem.dirichlet)
-        flux_jac = sp.csr_matrix((vals, (rows, cols)),
-                                 shape=(len(res_b),) * 2)
-
-    u_bar = problem.sample @ u_b
-    if problem.bulk_transformed:
-        u_bar = law.inverse_transform(u_bar)
+    res_b = problem.laplacian @ u_b - problem.dirichlet_rhs
+    u_bar = law.inverse_transform(problem.sample @ u_b)
     inp = replace(problem.interface, u_b_delta=u_bar, u_e=u_e)
     u_hat, q = reconstruct_interface(inp)
     duh_dub, duh_due = interface_derivatives(inp, u_hat)
-    if problem.bulk_transformed:
-        # chain rule through u(psi): du/dpsi = 1 / D(u)
-        duh_dub = duh_dub / law.eval(u_bar)
+    # chain rule through u(psi): du/dpsi = 1 / D(u)
+    duh_dub = duh_dub / law.eval(u_bar)
     pg = inp.perimeter * inp.gamma
     dq_dub = -pg * duh_dub
     dq_due = -pg * (duh_due - 1.0)
@@ -275,15 +272,17 @@ def assemble_coupled(problem: CoupledProblem, u_b: np.ndarray,
     if problem.n_net:
         res = np.concatenate([res, q * problem.lengths
                               + problem.axial_residual(u_e)])
-    return Assembly(res, u_hat, q, dq_dub, dq_due, flux_jac)
+    return Assembly(res, u_hat, q, dq_dub, dq_due)
 
 
 def coupled_jacobian(problem: CoupledProblem, asm: Assembly) -> sp.csc_matrix:
     """Sparse Jacobian of the coupled residual at the state of ``asm``:
-    ``[[F - W diag(a) S, -W diag(b)], [diag(len a) S, diag(len b) + A]]``
-    with the bulk flux block F, the scalings a = ``dq_dub`` and
-    b = ``dq_due`` and the axial operator A."""
-    jac_bb = (asm.flux_jacobian
+    ``[[L - W diag(a) S, -W diag(b)], [diag(len a) S, diag(len b) + A]]``
+    with the Laplacian L, the scalings a = ``dq_dub`` and b = ``dq_due``
+    and the axial operator A. The solver never assembles it
+    (``solve_step`` works with its blocks); it is the reference for the
+    step in the tests."""
+    jac_bb = (problem.laplacian
               - problem.deposit @ sp.diags(asm.dq_dub) @ problem.sample)
     if not problem.n_net:
         return jac_bb.tocsc()
@@ -294,60 +293,21 @@ def coupled_jacobian(problem: CoupledProblem, asm: Assembly) -> sp.csc_matrix:
         format="csc")
 
 
-class CapacitanceStep:
-    """Newton step of the psi form by the capacitance-matrix method
-    (Buzbee, Dorr, George & Golub, SIAM J. Numer. Anal. 8, 1971).
-
-    With z = a*(S x_b) + b*x_e the step equations read
-    ``L x_b - W z = r_b`` and ``len*z + A x_e = r_e``. So x_b =
-    y + L^-1 W z with y = L^-1 r_b, and with the capacitance matrix
-    C = S L^-1 W (built once per problem) z and x_e solve the dense system
-    ``[[I - diag(a) C, -diag(b)], [diag(len), A]] [z, x_e] =
-    [a*(S y), r_e]``, of size n_seg without network unknowns (``axial``
-    None). Then ``x_b = L^-1 (r_b + W z)``.
-    """
-
-    def __init__(self, grid: BulkGrid, dirichlet: dict[int, np.ndarray],
-                 sample: sp.csr_matrix, deposit: sp.csr_matrix,
-                 lengths: np.ndarray, axial: sp.csr_matrix | None):
-        self.sample, self.deposit, self.lengths = sample, deposit, lengths
-        self.solve_bulk = laplacian_solver(grid, dirichlet)
-        self.capacitance = capacitance_matrix(self.solve_bulk, sample,
-                                              deposit)
-        self.axial = None if axial is None else axial.toarray()
-
-    def __call__(self, asm: Assembly) -> np.ndarray:
-        n_b, n_s = self.deposit.shape
-        r_b = -asm.res[:n_b]
-        a = asm.dq_dub
-        system = np.eye(n_s) - a[:, None] * self.capacitance
-        rhs = a * (self.sample @ self.solve_bulk(r_b))
-        if self.axial is not None:
-            system = np.block([[system, -np.diag(asm.dq_due)],
-                               [np.diag(self.lengths), self.axial]])
-            rhs = np.concatenate([rhs, -asm.res[n_b:]])
-        sol = np.linalg.solve(system, rhs)
-        x_b = self.solve_bulk(r_b + self.deposit @ sol[:n_s])
-        return np.concatenate([x_b, sol[n_s:]])
-
-
 def _converged(problem: CoupledProblem, asm: Assembly, u_b: np.ndarray,
                u_e: np.ndarray) -> bool:
     """The stopping test of ``newton_solve`` at the state (u_b, u_e) of
     ``asm``, one per block. Each block's max-norm residual is at most
     ``_ROUNDING`` machine epsilons of its largest flux-term magnitude:
-    ``|F| |u_b| + |g| + |W| |q|`` in the bulk (F the flux Jacobian, L in
-    psi with the Dirichlet vector g), ``|A| |u_e| + |k u_d| + |q len|`` in
-    the network. And the network residuals sum to the collar balance,
+    ``|L| |u_b| + |g| + |W| |q|`` in the bulk (g the Dirichlet vector),
+    ``|A| |u_e| + |k u_d| + |q len|`` in the network. And the network
+    residuals sum to the collar balance,
     ``|sum r_e| <= _BALANCE max(sum |q len|, sum |k (u_e - u_d)|)``; the
     second scale serves a network that exchanges nothing (gamma = 0).
     """
     n_b, rounding = problem.n_bulk, _ROUNDING * np.finfo(float).eps
-    if problem.bulk_transformed:
-        flux, g = problem.laplacian_abs, np.abs(problem.dirichlet_rhs)
-    else:
-        flux, g = abs(asm.flux_jacobian), 0.0
-    scale_b = flux @ np.abs(u_b) + g + problem.deposit_abs @ np.abs(asm.q)
+    scale_b = (problem.laplacian_abs @ np.abs(u_b)
+               + np.abs(problem.dirichlet_rhs)
+               + problem.deposit_abs @ np.abs(asm.q))
     if not np.max(np.abs(asm.res[:n_b])) <= rounding * np.max(scale_b):
         return False
     if not problem.n_net:
@@ -429,19 +389,14 @@ def _initial_guess(name: str, values, size: int) -> np.ndarray:
 
 
 def boundary_flux_total(problem: CoupledProblem, u_b: np.ndarray) -> float:
-    """Total outward Dirichlet boundary flux of the converged bulk field."""
+    """Total outward Dirichlet boundary flux of the converged psi field."""
     grid = problem.grid
-    law = _UNIT_LAW if problem.bulk_transformed else problem.law
     total = 0.0
-    d = np.asarray(law.eval(u_b), float)
     for side, values in problem.dirichlet.items():
         mask = grid.bface_side == side
         c = grid.bface_cell[mask]
         tb = grid.bface_area[mask] / grid.bface_dist[mask]
-        ub = np.asarray(values, float)
-        db = np.asarray(law.eval(ub), float)
-        dfb = 2.0 * d[c] * db / (d[c] + db)
-        total += float(np.sum(-dfb * tb * (ub - u_b[c])))
+        total += float(np.sum(-tb * (np.asarray(values, float) - u_b[c])))
     return total
 
 

@@ -1,12 +1,11 @@
-"""Structured grid geometry and TPFA assembly."""
+"""Structured grid geometry and the TPFA Laplacian built from its faces."""
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
-from mdtube.grid import (BulkGrid, assemble_flux_jacobian, bulk_l2_error,
-                         observed_orders, source_l2_error)
-from mdtube.laws import ConstantLaw, ExponentialLaw
+from mdtube.grid import (BulkGrid, bulk_l2_error, observed_orders,
+                         source_l2_error)
+from mdtube.poisson import laplacian
 
 
 def make_grid(dim="2d"):
@@ -88,52 +87,38 @@ class TestCellsContaining:
 class TestAssembly:
     def test_flux_antisymmetry_via_zero_row_sums(self):
         # without boundary terms each interior flux enters two cells with
-        # opposite signs, so the residual must sum to zero exactly
+        # opposite signs: L is symmetric, its rows sum to zero and so does
+        # the residual
         g = make_grid("2d")
-        law = ExponentialLaw(d0=0.5, k=1.0)
-        rng = np.random.default_rng(3)
-        u = rng.uniform(-1.0, 1.0, g.n_cells)
-        res, *_ = assemble_flux_jacobian(g, law, u, dirichlet=None)
+        lap, rhs = laplacian(g, {})
+        assert np.all(rhs == 0.0)
+        assert (lap != lap.T).nnz == 0
+        row_sums = np.asarray(lap.sum(axis=1)).ravel()
+        assert np.all(np.abs(row_sums) <= 4 * np.finfo(float).eps
+                      * np.asarray(abs(lap).sum(axis=1)).ravel())
+        u = np.random.default_rng(3).uniform(-1.0, 1.0, g.n_cells)
+        res = lap @ u
         assert abs(np.sum(res)) < 1e-14 * np.sum(np.abs(res))
 
     def test_constant_field_zero_residual(self):
         g = make_grid("3d")
-        law = ExponentialLaw(d0=0.5, k=1.0)
         u = np.full(g.n_cells, 0.37)
         dirichlet = {s: np.full(int(np.sum(g.bface_side == s)), 0.37)
                      for s in range(6)}
-        res, *_ = assemble_flux_jacobian(g, law, u, dirichlet)
-        assert np.max(np.abs(res)) < 1e-16
+        lap, rhs = laplacian(g, dirichlet)
+        scale = np.max(abs(lap) @ np.abs(u) + np.abs(rhs))
+        assert np.max(np.abs(lap @ u - rhs)) <= 4 * np.finfo(float).eps * scale
 
     def test_linear_solution_constant_law(self):
-        # u = x is in the TPFA kernel for constant D on a uniform grid
+        # u = x is in the TPFA kernel on a uniform grid
         g = BulkGrid("2d", [0.0, 0.0], [1.0, 1.0], (8, 8))
-        law = ConstantLaw(2.0)
         u = g.cell_centers[:, 0]
         dirichlet = {}
         for side in range(4):
             mask = g.bface_side == side
             dirichlet[side] = g.bface_center[mask][:, 0]
-        res, *_ = assemble_flux_jacobian(g, law, u, dirichlet)
-        assert np.max(np.abs(res)) < 1e-14
-
-    def test_jacobian_matches_finite_differences(self):
-        g = BulkGrid("2d", [0.0, 0.0], [1.0, 1.0], (5, 5))
-        law = ExponentialLaw(d0=0.5, k=1.0)
-        rng = np.random.default_rng(11)
-        u = rng.uniform(-0.5, 1.0, g.n_cells)
-        dirichlet = {0: np.full(5, 0.2), 3: np.full(5, -0.1)}
-        res, rows, cols, vals = assemble_flux_jacobian(g, law, u, dirichlet)
-        jac = sp.coo_matrix((vals, (rows, cols)),
-                            shape=(g.n_cells, g.n_cells)).tocsc()
-        v = rng.standard_normal(g.n_cells)
-        eps = 1e-7
-        res_p, *_ = assemble_flux_jacobian(g, law, u + eps * v, dirichlet)
-        res_m, *_ = assemble_flux_jacobian(g, law, u - eps * v, dirichlet)
-        fd = (res_p - res_m) / (2.0 * eps)
-        jv = jac @ v
-        scale = np.max(np.abs(jv))
-        assert np.max(np.abs(fd - jv)) / scale < 1e-5
+        lap, rhs = laplacian(g, dirichlet)
+        assert np.max(np.abs(lap @ u - rhs)) < 1e-14
 
 
 class TestErrorsAndOrders:

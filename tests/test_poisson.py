@@ -6,8 +6,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
 from mdtube import poisson
-from mdtube.grid import BulkGrid, assemble_flux_jacobian
-from mdtube.laws import ConstantLaw
+from mdtube.grid import BulkGrid
 from mdtube.poisson import (BandedCholesky, SpectralSolver,
                             capacitance_matrix, laplacian, laplacian_solver)
 
@@ -63,18 +62,50 @@ def test_all_zero_flux_grid_raises(dim, shape):
 @pytest.mark.parametrize("name", ["radial", "2d_all_dirichlet",
                                   "3d_root_column"])
 def test_laplacian_matches_unit_law_assembly(name):
+    # reference: the unit-diffusivity TPFA fluxes assembled one face at a
+    # time. A diagonal entry sums, in this order, the faces where its cell
+    # is the low cell, those where it is the high cell and its Dirichlet
+    # faces side by side, so that the sums round as in L
     dim, origin, extents, shape, sides = PATTERNS[name]
     grid = BulkGrid(dim, origin, extents, shape)
-    rng = np.random.default_rng(3)
-    dirichlet = random_dirichlet(grid, sides, rng)
-    u = rng.standard_normal(grid.n_cells)
-    res, rows, cols, vals = assemble_flux_jacobian(grid, ConstantLaw(1.0), u,
-                                                   dirichlet)
-    jac = sp.csr_matrix((vals, (rows, cols)), shape=(grid.n_cells,) * 2)
-    lap, g = laplacian(grid, dirichlet)
-    assert (np.max(np.abs((lap - jac).toarray()))
-            <= 1e-14 * np.max(np.abs(jac.toarray())))
-    assert np.max(np.abs(lap @ u - g - res)) <= 1e-14 * np.max(np.abs(res))
+    dirichlet = random_dirichlet(grid, sides, np.random.default_rng(3))
+    n = grid.n_cells
+    lap, g = np.zeros((n, n)), np.zeros(n)
+    transmissibility = grid.face_area / grid.face_dist
+    for i, m, t in zip(grid.face_left, grid.face_right, transmissibility):
+        lap[i, i] += t
+        lap[i, m] -= t
+        lap[m, i] -= t
+    for m, t in zip(grid.face_right, transmissibility):
+        lap[m, m] += t
+    for side, values in dirichlet.items():
+        faces = np.flatnonzero(grid.bface_side == side)
+        for f, value in zip(faces, values):
+            t = grid.bface_area[f] / grid.bface_dist[f]
+            lap[grid.bface_cell[f], grid.bface_cell[f]] += t
+            g[grid.bface_cell[f]] += t * value
+    out, out_g = laplacian(grid, dirichlet)
+    np.testing.assert_array_equal(out.toarray(), lap)
+    np.testing.assert_array_equal(out_g, g)
+
+
+@pytest.mark.parametrize("dim,shape,dirichlet", [
+    ("2d", (4, 4), {7: np.zeros(4)}),
+    ("2d", (4, 4), {0: np.full(1, 0.3)}),
+    ("2d", (4, 4), {0: 0.3}),
+    ("3d", (2, 3, 4), {6: np.zeros(12)}),
+    ("3d", (2, 3, 4), {1: np.zeros(13)}),
+    ("radial", (5,), {-1: np.zeros(1)}),
+], ids=["2d_side_7", "2d_one_value", "2d_scalar", "3d_side_6",
+        "3d_extra_value", "radial_side_-1"])
+def test_dirichlet_input_out_of_range_raises(dim, shape, dirichlet):
+    ndim = len(shape)
+    grid = BulkGrid(dim, np.full(ndim, 0.1), np.ones(ndim), shape)
+    with pytest.raises(ValueError, match="Dirichlet side"):
+        laplacian(grid, dirichlet)
+    if any(side not in range(2 * ndim) for side in dirichlet):
+        with pytest.raises(ValueError, match="Dirichlet side"):
+            laplacian_solver(grid, dirichlet)
 
 
 def test_capacitance_matrix_in_batches(monkeypatch):

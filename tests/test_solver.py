@@ -4,7 +4,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
 import mdtube.solver as solver
@@ -17,17 +16,25 @@ from mdtube.reconstruction import ReconstructionError
 from mdtube.analytic import solve_multi_tube
 from mdtube.scenarios import (ScenarioConfig, parallel_level_coupling,
                               solve_parallel_level, three_tube_specs)
-from mdtube.solver import (CapacitanceStep, CoupledProblem,
-                           NonconvergenceError, assemble_coupled,
-                           boundary_flux_total, collar_flux_total,
-                           coupled_jacobian, newton_solve)
+from mdtube.solver import (CoupledProblem, NonconvergenceError,
+                           assemble_coupled, boundary_flux_total,
+                           collar_flux_total, coupled_jacobian, newton_solve)
 
 LAW = ExponentialLaw(d0=0.5, k=1.0)
+
+
+def psi(u):
+    return np.asarray(LAW.transform(u), float)
 
 
 def box_dirichlet(grid, value):
     return {s: np.full(int(np.sum(grid.bface_side == s)), value)
             for s in range(2 * len(grid.shape))}
+
+
+def random_bulk(problem, rng):
+    """Bulk psi values of physical values drawn from [0, 0.6]."""
+    return psi(rng.uniform(0.0, 0.6, problem.n_bulk))
 
 
 def small_coupled_problem(gamma=2e-3, collar=0.8, y_junction=False):
@@ -50,7 +57,7 @@ def small_coupled_problem(gamma=2e-3, collar=0.8, y_junction=False):
     mesh.joint_dirichlet = {mesh.joint_of_node[0]: collar}
     couplings = build_coupling(grid, mesh.cells, delta_correction=True)
     problem = CoupledProblem(grid=grid, law=LAW,
-                             dirichlet=box_dirichlet(grid, 0.1),
+                             dirichlet=box_dirichlet(grid, psi(0.1)),
                              seg_cells=mesh.cells, couplings=couplings,
                              network=mesh)
     return problem, mesh
@@ -81,7 +88,7 @@ def point_source_problem():
                       segment_id=0, joint_a=0, joint_b=1)
     couplings = build_coupling(grid, [seg])
     return CoupledProblem(grid=grid, law=LAW,
-                          dirichlet=box_dirichlet(grid, 0.1),
+                          dirichlet=box_dirichlet(grid, psi(0.1)),
                           seg_cells=[seg], couplings=couplings,
                           u_e_fixed=np.array([0.6]))
 
@@ -93,10 +100,29 @@ class TestAssembly:
             CoupledProblem(grid=grid, law=LAW, dirichlet={},
                            seg_cells=[], couplings=[])
 
+    def test_rejects_network_and_fixed_values(self):
+        problem, mesh = small_coupled_problem()
+        with pytest.raises(ValueError, match="exactly one"):
+            replace(problem, u_e_fixed=np.full(problem.n_net, 0.4))
+
+    @pytest.mark.parametrize("dirichlet", [{7: np.zeros(4)},
+                                           {0: np.array([0.3])}],
+                             ids=["side_7", "one_value"])
+    def test_rejects_out_of_range_dirichlet(self, dirichlet):
+        # a 2D grid has sides 0..3 of 4 faces each; the Laplacian and its
+        # solver check each case (tests/test_poisson.py)
+        grid = BulkGrid("2d", [-1.0, -1.0], [2.0, 2.0], (4, 4))
+        seg = point_source_problem().seg_cells[0]
+        with pytest.raises(ValueError, match="Dirichlet side"):
+            CoupledProblem(grid=grid, law=LAW, dirichlet=dirichlet,
+                           seg_cells=[seg],
+                           couplings=build_coupling(grid, [seg]),
+                           u_e_fixed=np.array([0.6]))
+
     def test_jacobian_matches_finite_differences(self):
         problem, mesh = small_coupled_problem()
         rng = np.random.default_rng(7)
-        u_b = rng.uniform(0.0, 0.6, problem.n_bulk)
+        u_b = random_bulk(problem, rng)
         u_e = rng.uniform(0.2, 0.8, problem.n_net)
         assert_jacobian_matches_fd(problem, u_b, u_e, rng)
 
@@ -104,12 +130,9 @@ class TestAssembly:
         problem, mesh = small_coupled_problem(y_junction=True)
         assert max(len(c) for c in mesh.joint_cells) == 3
         rng = np.random.default_rng(9)
-        u_b = rng.uniform(0.0, 0.6, problem.n_bulk)
+        u_b = random_bulk(problem, rng)
         u_e = rng.uniform(0.2, 0.8, problem.n_net)
         assert_jacobian_matches_fd(problem, u_b, u_e, rng)
-        tp = to_transformed(problem)
-        assert_jacobian_matches_fd(tp, np.asarray(LAW.transform(u_b), float),
-                                   u_e, rng)
 
     def test_branched_axial_residuals_sum_to_collar_flux(self):
         # with gamma = 0 there is no source, every interior joint passes
@@ -117,7 +140,8 @@ class TestAssembly:
         # flux through the one Dirichlet joint
         problem, mesh = small_coupled_problem(gamma=0.0, y_junction=True)
         u_e = np.random.default_rng(5).uniform(0.2, 0.8, problem.n_net)
-        asm = assemble_coupled(problem, np.full(problem.n_bulk, 0.1), u_e)
+        asm = assemble_coupled(problem, np.full(problem.n_bulk, psi(0.1)),
+                               u_e)
         assert np.all(asm.q == 0.0)
         net = asm.res[problem.n_bulk:]
         collar = collar_flux_total(problem, u_e)
@@ -160,7 +184,7 @@ class TestAssembly:
     def test_fixed_tube_values_have_no_network_rows(self):
         problem = point_source_problem()
         assert problem.n_net == 0
-        asm = assemble_coupled(problem, np.full(problem.n_bulk, 0.1),
+        asm = assemble_coupled(problem, np.full(problem.n_bulk, psi(0.1)),
                                problem.u_e_fixed)
         assert asm.res.shape == (problem.n_bulk,)
         assert asm.q[0] > 0.0            # tube above bulk: feeds the bulk
@@ -169,17 +193,24 @@ class TestAssembly:
 class TestNewton:
     def test_converges_on_point_source(self):
         problem = point_source_problem()
-        state = newton_solve(problem, np.full(problem.n_bulk, 0.1))
+        state = newton_solve(problem, np.full(problem.n_bulk, psi(0.1)))
         assert state.residual_history[-1] <= 1e-12 * state.residual_history[0]
+        u_b = LAW.inverse_transform(state.u_b)
         # the source raises the bulk above the boundary value somewhere
-        assert np.max(state.u_b) > 0.1
-        assert np.all(state.u_b <= 0.6 + 1e-12)   # bounded by the tube value
+        assert np.max(u_b) > 0.1
+        assert np.all(u_b <= 0.6 + 1e-12)   # bounded by the tube value
+
+    def test_point_source_boundary_flux_balances_source(self):
+        problem = point_source_problem()
+        state = newton_solve(problem, np.full(problem.n_bulk, psi(0.1)))
+        out = boundary_flux_total(problem, state.u_b)
+        assert abs(out - state.q[0]) < 1e-9 * abs(state.q[0])
 
     def test_reports_nonconvergence(self, monkeypatch):
         monkeypatch.setattr(solver, "_MAX_ITER", 0)
         problem = point_source_problem()
         with pytest.raises(NonconvergenceError) as exc:
-            newton_solve(problem, np.full(problem.n_bulk, 0.1))
+            newton_solve(problem, np.full(problem.n_bulk, psi(0.1)))
         assert len(exc.value.history) >= 1
 
     @pytest.mark.parametrize("variant", ["u", "psi"])
@@ -208,7 +239,8 @@ class TestNewton:
 
     def test_initial_guesses_are_validated(self):
         problem, _ = small_coupled_problem()
-        u_b, u_e = np.full(problem.n_bulk, 0.1), np.full(problem.n_net, 0.4)
+        u_b = np.full(problem.n_bulk, psi(0.1))
+        u_e = np.full(problem.n_net, 0.4)
         with pytest.raises(ValueError, match="u_e0 is required"):
             newton_solve(problem, u_b)
         with pytest.raises(ValueError, match="u_e0 has shape"):
@@ -216,7 +248,7 @@ class TestNewton:
         with pytest.raises(ValueError, match="u_b0 has shape"):
             newton_solve(problem, u_b[1:], u_e)
         fixed = point_source_problem()
-        u_b = np.full(fixed.n_bulk, 0.1)
+        u_b = np.full(fixed.n_bulk, psi(0.1))
         with pytest.raises(ValueError, match="u_e0 given"):
             newton_solve(fixed, u_b, fixed.u_e_fixed)
         with pytest.raises(ValueError, match="u_b0 has shape"):
@@ -238,7 +270,7 @@ class TestNewton:
     def test_trial_state_errors_halve_the_step(self, monkeypatch):
         self.fail_second_assembly(monkeypatch, ReconstructionError("trial"))
         problem = point_source_problem()
-        state = newton_solve(problem, np.full(problem.n_bulk, 0.1))
+        state = newton_solve(problem, np.full(problem.n_bulk, psi(0.1)))
         assert state.status == "converged"
 
     def test_programming_errors_propagate(self, monkeypatch):
@@ -246,7 +278,7 @@ class TestNewton:
         self.fail_second_assembly(monkeypatch, ValueError("shapes differ"))
         problem = point_source_problem()
         with pytest.raises(ValueError, match="shapes differ"):
-            newton_solve(problem, np.full(problem.n_bulk, 0.1))
+            newton_solve(problem, np.full(problem.n_bulk, psi(0.1)))
 
     def test_axial_chain_linear_profile(self):
         # gamma = 0 decouples the tube from the bulk; with both segment
@@ -276,7 +308,7 @@ class TestNewton:
 
     def test_coupled_network_solve_and_balances(self):
         problem, mesh = small_coupled_problem()
-        state = newton_solve(problem, np.full(problem.n_bulk, 0.1),
+        state = newton_solve(problem, np.full(problem.n_bulk, psi(0.1)),
                              np.full(problem.n_net, 0.4))
         # tube values sit between the boundary value and the collar value
         assert np.all(state.u_e > 0.1) and np.all(state.u_e < 0.8)
@@ -292,57 +324,20 @@ class TestNewton:
         assert abs(out - src) < 1e-9 * scale
 
 
-def to_transformed(problem, law=None):
-    """Same problem with the bulk block in the transformed variable."""
-    law = law or problem.law
-    dirichlet = {s: np.asarray(law.transform(v), float)
-                 for s, v in problem.dirichlet.items()}
-    return replace(problem, law=law, dirichlet=dirichlet,
-                   bulk_transformed=True)
-
-
 class TestTransformedBulk:
-    def test_constant_law_forms_identical(self):
-        # for D = const the transform is a pure rescaling, so the two
-        # discrete systems are identical and the solutions must agree to
-        # rounding
-        law = ConstantLaw(2.0)
-        problem, mesh = small_coupled_problem()
-        problem = replace(problem, law=law)
-        a = newton_solve(problem, np.full(problem.n_bulk, 0.1),
-                         np.full(problem.n_net, 0.4))
-        tp = to_transformed(problem)
-        b = newton_solve(tp, np.asarray(
-            law.transform(np.full(problem.n_bulk, 0.1)), float),
-            np.full(problem.n_net, 0.4))
-        assert np.max(np.abs(a.u_b
-                             - law.inverse_transform(b.u_b))) < 1e-13
-        assert np.max(np.abs(a.u_e - b.u_e)) < 1e-13
-
     def test_jacobian_matches_finite_differences(self):
+        # sampled bulk values on both sides of the kink of the law's floor
+        # (u_c = -12.1), where du/dpsi = 1 / D jumps to 1 / d_min
         problem, mesh = small_coupled_problem()
-        tp = to_transformed(problem)
         rng = np.random.default_rng(11)
-        u_b = np.asarray(LAW.transform(
-            rng.uniform(0.0, 0.6, tp.n_bulk)), float)
-        u_e = rng.uniform(0.2, 0.8, tp.n_net)
-        assert_jacobian_matches_fd(tp, u_b, u_e, rng)
-
-    def test_point_source_forms_agree(self):
-        # harmonic-mean fluxes in the pressure variable and exact fluxes
-        # in the transformed variable are different discretizations of
-        # the same problem; on a smooth solution they agree closely
-        problem = point_source_problem()
-        a = newton_solve(problem, np.full(problem.n_bulk, 0.1))
-        tp = to_transformed(problem)
-        b = newton_solve(tp, np.asarray(
-            LAW.transform(np.full(problem.n_bulk, 0.1)), float))
-        u_b = np.asarray(LAW.inverse_transform(b.u_b), float)
-        assert np.max(np.abs(a.u_b - u_b)) < 1e-4
-        assert abs(a.q[0] - b.q[0]) < 1e-4 * abs(a.q[0])
-        # boundary flux balances the source in either form
-        out = boundary_flux_total(tp, b.u_b)
-        assert abs(out - b.q[0]) < 1e-9 * abs(b.q[0])
+        u = rng.uniform(0.0, 0.6, problem.n_bulk)
+        low = problem.sample[::2].indices     # every other segment cell
+        u[low] = rng.uniform(-14.0, -12.5, len(low))
+        u_b = psi(u)
+        u_bar = LAW.inverse_transform(problem.sample @ u_b)
+        assert np.any(u_bar < LAW.u_c) and np.any(u_bar > LAW.u_c)
+        u_e = rng.uniform(0.2, 0.8, problem.n_net)
+        assert_jacobian_matches_fd(problem, u_b, u_e, rng)
 
 
 def radial_single_tube_problem():
@@ -353,11 +348,10 @@ def radial_single_tube_problem():
                       radius=0.01, kernel_radius=0.05, gamma=1.0, d_e=0.0,
                       segment_id=0, joint_a=0, joint_b=1)
     return CoupledProblem(grid=grid, law=LAW,
-                          dirichlet={1: np.asarray(LAW.transform(
-                              np.full(1, 0.3)), float)},
+                          dirichlet={1: psi(np.full(1, 0.3))},
                           seg_cells=[seg],
                           couplings=build_coupling(grid, [seg]),
-                          u_e_fixed=np.array([0.1]), bulk_transformed=True)
+                          u_e_fixed=np.array([0.1]))
 
 
 class TestCapacitanceStep:
@@ -365,16 +359,14 @@ class TestCapacitanceStep:
                                       "radial"])
     def test_step_matches_sparse_solve(self, case):
         if case == "point_source":
-            problem = to_transformed(point_source_problem())
+            problem = point_source_problem()
         elif case == "radial":
             problem = radial_single_tube_problem()
         else:
-            problem = to_transformed(small_coupled_problem(
-                y_junction=case == "y_junction")[0])
-        assert isinstance(problem.capacitance_step, CapacitanceStep)
+            problem = small_coupled_problem(
+                y_junction=case == "y_junction")[0]
         rng = np.random.default_rng(13)
-        u_b = np.asarray(LAW.transform(rng.uniform(0.0, 0.6,
-                                                   problem.n_bulk)), float)
+        u_b = random_bulk(problem, rng)
         u_e = (rng.uniform(0.2, 0.8, problem.n_net) if problem.n_net
                else problem.u_e_fixed)
         asm = assemble_coupled(problem, u_b, u_e)
@@ -383,10 +375,6 @@ class TestCapacitanceStep:
         step = problem.solve_step(asm)
         assert step.shape == ref.shape
         assert np.max(np.abs(step - ref)) <= 1e-10 * np.max(np.abs(ref))
-
-    def test_pressure_form_keeps_sparse_solve(self):
-        problem, _ = small_coupled_problem()
-        assert not hasattr(problem, "capacitance_step")
 
 
 class TestJointDirichlet:
@@ -418,6 +406,6 @@ class TestFluxHelpers:
 
     def test_boundary_flux_zero_for_matching_field(self):
         problem = point_source_problem()
-        u_b = np.full(problem.n_bulk, 0.1)
+        u_b = np.full(problem.n_bulk, psi(0.1))
         assert boundary_flux_total(problem, u_b) == pytest.approx(0.0,
                                                                   abs=1e-18)
