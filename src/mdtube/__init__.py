@@ -15,7 +15,7 @@ from .coupling import (SegmentCoupling, build_coupling,
                        point_segment_distance)
 from .grid import BulkGrid, bulk_l2_error, observed_orders, source_l2_error
 from .laws import (ConstantLaw, DiffusionLaw, ExponentialLaw, TabulatedLaw,
-                   TransformDomainError, TransformTable, VanGenuchtenLaw)
+                   TransformTable, VanGenuchtenLaw)
 from .network import (NetworkFormatError, NetworkMesh, Segment, SegmentCell,
                       TubeNetwork, discretize_network, kernel_value,
                       parse_network, synthetic_root_network, write_network)

@@ -3,30 +3,32 @@
 Each law provides the coefficient ``D(u)``, the Kirchhoff transform
 ``T(u) = integral_0^u D``, and its inverse. ``T`` is strictly increasing
 because every law is floored at a positive ``d_min``, so the inverse is
-globally defined. Constant and regularized-exponential laws have closed
-forms; the Van Genuchten-Mualem and tabulated laws integrate numerically
-(tanh-sinh) unless a lookup table is attached.
+globally defined. Each law has one transform path. The constant,
+regularized-exponential and tabulated (piecewise-linear D) laws have
+closed forms. The Van Genuchten-Mualem law has none: it builds a
+``TransformTable`` at construction, by one cumulative tanh-sinh pass
+(``quadrature``).
 
-A law declares its constant-D tails (``_tails``): the kinks beyond which D
-is constant and the constant values there. Outside the kinks T is affine,
-so a ``TransformTable`` holds nodes only where D varies, padded by one node
-beyond each kink, and extrapolates affinely with the tail slopes: a tabled
-transform and its inverse are one ``np.interp`` plus the tail terms, exact
-(to the table's interpolation error) on all reals.
+D is constant below the Van Genuchten floor kink and above saturation, so
+T is affine there. The table holds nodes only where D varies, padded by
+one node beyond each kink, and extrapolates affinely with the tail
+slopes: a tabled transform and its inverse are one ``np.interp`` plus the
+tail terms, exact (to the table's interpolation error) on all reals.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .quadrature import tanh_sinh, tanh_sinh_piecewise_cumulative
+from .quadrature import tanh_sinh_piecewise_cumulative
 
-
-class TransformDomainError(ValueError):
-    """Requested psi lies outside the representable range of the law."""
+#: the Van Genuchten table's node lattice,
+#: ``linspace(_TABLE_U_LO, _TABLE_U_HI, _TABLE_SAMPLES)`` in Pa (10.1 Pa
+#: apart), trimmed or extended to the floor kink and to 0
+_TABLE_U_LO, _TABLE_U_HI, _TABLE_SAMPLES = -1.0e6, 1.0e4, 100_000
 
 
 @dataclass(frozen=True)
@@ -51,10 +53,6 @@ class TransformTable:
         if not (np.all(np.diff(self.u) > 0) and np.all(np.diff(self.psi) > 0)):
             raise ValueError("transform table must be strictly increasing")
 
-    @property
-    def u_range(self) -> tuple[float, float]:
-        return float(self.u[0]), float(self.u[-1])
-
     def psi_of_u(self, u):
         # np.interp holds the end values outside the nodes; add the tails
         return (np.interp(u, self.u, self.psi)
@@ -76,12 +74,14 @@ class TransformTable:
 
 
 class DiffusionLaw:
-    """Base class; subclasses set ``d_min`` and implement ``eval``."""
+    """Base class; subclasses set ``d_min`` and implement ``eval``. A law
+    with a closed-form transform overrides ``transform`` and
+    ``inverse_transform``; a law without one sets ``table`` at
+    construction, and these look it up."""
 
     d_min: float = 0.0
+    #: the tabled transform of a law without a closed form, else None
     table: TransformTable | None = None
-
-    # -- coefficient -------------------------------------------------------
 
     def eval(self, u):
         raise NotImplementedError
@@ -92,130 +92,11 @@ class DiffusionLaw:
         h = eps * np.maximum(1.0, np.abs(u))
         return (self.eval(u + h) - self.eval(u - h)) / (2.0 * h)
 
-    # -- Kirchhoff transform ----------------------------------------------
-
-    def _breakpoints(self) -> tuple[float, ...]:
-        """Interior kinks of D(u), used to split numerical integrals."""
-        return ()
-
-    def _tails(self) -> tuple[tuple[float, float] | None,
-                              tuple[float, float] | None]:
-        """Constant-D tails ``(lower, upper)``, each ``(kink, D)`` or None.
-
-        ``lower = (a, d)`` declares D = d for u <= a, ``upper = (b, d)``
-        declares D = d for u >= b.
-        """
-        return None, None
-
-    def _transform_scalar(self, u: float) -> float:
-        lo, hi = (u, 0.0) if u < 0.0 else (0.0, u)
-        cuts = [c for c in self._breakpoints() if lo < c < hi]
-        pieces = [lo] + sorted(cuts) + [hi]
-        total = 0.0
-        for a, b in zip(pieces[:-1], pieces[1:]):
-            total += tanh_sinh(self.eval, a, b)
-        return total if u >= 0.0 else -total
-
     def transform(self, u):
-        u = np.asarray(u, float)
-        if self.table is not None:
-            return self.table.psi_of_u(u)
-        if u.ndim == 0:
-            return self._transform_scalar(float(u))
-        return np.array([self._transform_scalar(v) for v in u.ravel()]
-                        ).reshape(u.shape)
-
-    def _inverse_scalar(self, psi: float) -> float:
-        g = lambda u: self.transform(np.float64(u)) - psi
-        lo, hi, width = -1.0, 1.0, 2.0
-        for _ in range(200):
-            if g(lo) <= 0.0 <= g(hi):
-                return brentq(g, lo, hi, xtol=1e-14, rtol=1e-15)
-            width *= 2.0
-            if g(lo) > 0.0:
-                lo -= width
-            if g(hi) < 0.0:
-                hi += width
-            if not (np.isfinite(lo) and np.isfinite(hi)):
-                break
-        raise TransformDomainError(f"cannot bracket psi={psi!r}")
+        return self.table.psi_of_u(np.asarray(u, float))
 
     def inverse_transform(self, psi):
-        psi = np.asarray(psi, float)
-        if self.table is not None:
-            return self.table.u_of_psi(psi)
-        if psi.ndim == 0:
-            return self._inverse_scalar(float(psi))
-        return np.array([self._inverse_scalar(v) for v in psi.ravel()]
-                        ).reshape(psi.shape)
-
-    # -- lookup table ------------------------------------------------------
-
-    def build_table(self, u_lo: float, u_hi: float,
-                    samples: int = 100_000) -> TransformTable:
-        """Sample the transform on the grid ``linspace(u_lo, u_hi, samples)``.
-
-        Only the part of that grid where D varies is kept: the nodes
-        between the tail kinks, one node beyond each kink and the kinks
-        themselves. A range that stops short of a kink is extended to it
-        at the same spacing, so the table is exact beyond its ends. One
-        cumulative quadrature pass over the probe grid
-        ``linspace(u_lo, u_hi, 2 * samples - 1)``, trimmed alike, gives the
-        node values (every other probe point) and the round-trip error
-        (all of them).
-
-        Raises ``ValueError`` for a law without constant-D tails on both
-        sides, and ``RuntimeError`` when the round-trip error exceeds
-        ``1e-6 * (u_hi - u_lo)``.
-        """
-        if not (u_lo < u_hi and samples >= 2):
-            raise ValueError("need u_lo < u_hi and samples >= 2")
-        lower, upper = self._tails()
-        if lower is None or upper is None:
-            raise ValueError(f"{type(self).__name__} declares no constant-D "
-                             "tails on both sides; a table needs them")
-        (a, d_lo), (b, d_hi) = lower, upper
-        # the probe lattice of np.linspace, from the last even (node) index
-        # at or below a to the first at or above b
-        n = 2 * samples - 2
-        h = (u_hi - u_lo) / n
-        i_lo = 2 * int(np.floor((a - u_lo) / (2.0 * h))) - 2
-        i_hi = 2 * int(np.ceil((b - u_lo) / (2.0 * h))) + 2
-        if (i_hi - i_lo) // 2 > 10 * samples:
-            raise ValueError(f"a table from {u_lo} to {u_hi} at this spacing "
-                             f"needs {(i_hi - i_lo) // 2} nodes to reach the "
-                             f"kinks {a} and {b}; use fewer samples")
-        i = np.arange(i_lo, i_hi + 1)
-        probe = i * h + u_lo
-        probe[i == n] = u_hi
-        node = i % 2 == 0
-        probe = probe[np.flatnonzero(node & (probe <= a))[-1]:
-                      np.flatnonzero(node & (probe >= b))[0] + 1]
-        # T at the anchor c is exact: 0 inside [a, b], affine on a tail
-        c = min(max(0.0, a), b)
-        psi_c = d_lo * max(a, 0.0) + d_hi * min(b, 0.0)
-        kinks = np.array([a, b, c] + [k for k in self._breakpoints()
-                                      if a < k < b])
-        u = np.unique(np.concatenate([probe[::2], kinks]))
-        points = np.unique(np.concatenate([probe, kinks]))
-        cum = tanh_sinh_piecewise_cumulative(self.eval, points)
-        psi_points = psi_c + (cum - cum[np.searchsorted(points, c)])
-        psi = psi_points[np.searchsorted(points, u)]
-        if np.any(np.diff(psi) <= 0.0):
-            raise RuntimeError("sampled transform is not strictly increasing")
-        table = TransformTable(u, psi, d_lo, d_hi, roundtrip_error=0.0)
-        err = float(np.max(np.abs(table.u_of_psi(psi_points) - points)))
-        if err > 1e-6 * (u_hi - u_lo):
-            raise RuntimeError(
-                f"Kirchhoff table round trip error {err:.3e} exceeds 1e-6 "
-                f"of the range [{u_lo}, {u_hi}]; use more samples")
-        return TransformTable(u, psi, d_lo, d_hi, roundtrip_error=err)
-
-    def attach_table(self, u_lo: float, u_hi: float,
-                     samples: int = 100_000) -> TransformTable:
-        """Build a table and use it for every (inverse) transform."""
-        self.table = self.build_table(u_lo, u_hi, samples)
-        return self.table
+        return self.table.u_of_psi(np.asarray(psi, float))
 
 
 @dataclass
@@ -223,7 +104,6 @@ class ConstantLaw(DiffusionLaw):
     """D(u) = d0."""
 
     d0: float
-    table: TransformTable | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.d0 <= 0.0:
@@ -254,7 +134,6 @@ class ExponentialLaw(DiffusionLaw):
     d0: float
     k: float
     d_min: float = 1e-6
-    table: TransformTable | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if not (self.d0 > 0.0 and self.k > 0.0 and 0.0 < self.d_min < self.d0):
@@ -271,12 +150,6 @@ class ExponentialLaw(DiffusionLaw):
     def deriv(self, u, eps: float = 1e-6):
         u = np.asarray(u, float)
         return np.where(u > self.u_c, self.k * self.d0 * self._exp(u), 0.0)
-
-    def _breakpoints(self):
-        return (self.u_c,)
-
-    def _tails(self):
-        return (self.u_c, self.d_min), None
 
     def transform(self, u):
         u = np.asarray(u, float)
@@ -316,7 +189,10 @@ class VanGenuchtenLaw(DiffusionLaw):
     k_r(S_e) = S_e^lam * (1 - (1 - S_e^(1/m))^m)^2 (standard Mualem form),
     S_e(p_c) = (1 + (alpha p_c)^n)^(-m), p_c = -p.
 
-    The unknown is the water pressure in Pa.
+    The unknown is the water pressure in Pa. D is d_sat = K / mu from
+    saturation (p >= 0) up and d_min = eps d_sat below the floor kink,
+    where k_r drops to eps; the transform is tabled between the two at
+    construction (``_build_table``).
     """
 
     k_perm: float           # intrinsic permeability [m^2]
@@ -327,9 +203,14 @@ class VanGenuchtenLaw(DiffusionLaw):
     n: float = 1.6
     lam: float = 0.5
     eps: float = 1e-6       # relative floor: d_min = eps * K / mu
-    table: TransformTable | None = field(default=None, repr=False)
 
     def __post_init__(self):
+        for name in ("k_perm", "mu", "alpha"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"require {name} > 0, got "
+                                 f"{getattr(self, name)!r}")
+        if not 0.0 < self.eps < 1.0:
+            raise ValueError(f"require 0 < eps < 1, got {self.eps!r}")
         if not (0.0 < self.theta_r < self.theta_s <= 1.0):
             raise ValueError("require 0 < theta_r < theta_s <= 1")
         if self.n <= 1.0:
@@ -338,6 +219,8 @@ class VanGenuchtenLaw(DiffusionLaw):
         self.d_sat = self.k_perm / self.mu
         self.d_min = self.eps * self.d_sat
         self._u_floor = self._find_floor_pressure()
+        self.table = self._build_table(_TABLE_U_LO, _TABLE_U_HI,
+                                       _TABLE_SAMPLES)
 
     def effective_saturation(self, p):
         """S_e as a function of water pressure p (p <= 0 is unsaturated)."""
@@ -368,26 +251,78 @@ class VanGenuchtenLaw(DiffusionLaw):
         while g(lo) > 0.0:
             lo *= 10.0
             if lo < -1e15:
-                return -np.inf
+                raise ValueError(f"k_r stays above eps = {self.eps!r} down "
+                                 "to -1e15 Pa; use a larger eps")
         return brentq(g, lo, lo / 10.0, xtol=1e-6)
 
-    def _breakpoints(self):
-        return (self._u_floor,) if np.isfinite(self._u_floor) else ()
+    def _build_table(self, u_lo: float, u_hi: float,
+                     samples: int) -> TransformTable:
+        """Sample the transform on the lattice ``linspace(u_lo, u_hi,
+        samples)``.
 
-    def _tails(self):
-        # k_r = 1 for p >= 0; below the floor pressure D is held at d_min
-        lower = ((self._u_floor, self.d_min) if np.isfinite(self._u_floor)
-                 else None)
-        return lower, (0.0, self.d_sat)
+        Only the part of the lattice where D varies is kept: the nodes
+        between the floor kink and 0, one node beyond each and the kinks
+        themselves. A range that stops short of a kink is extended to it
+        at the same spacing (the floor kink moves with alpha, n, lam and
+        eps), so the table is exact beyond its ends. One cumulative
+        quadrature pass over the probe lattice ``linspace(u_lo, u_hi,
+        2 * samples - 1)``, trimmed alike, gives the node values (every
+        other probe point) and the round-trip error (all of them).
+
+        Raises ``ValueError`` when the kinks lie more than
+        ``10 * samples`` nodes apart (a floor far below the lattice), and ``RuntimeError`` when the sampled
+        transform is not strictly increasing or its round-trip error
+        exceeds ``1e-6 * (u_hi - u_lo)``.
+        """
+        a, b = self._u_floor, 0.0
+        # the probe lattice of np.linspace, from the last even (node) index
+        # at or below a to the first at or above b
+        n = 2 * samples - 2
+        h = (u_hi - u_lo) / n
+        i_lo = 2 * int(np.floor((a - u_lo) / (2.0 * h))) - 2
+        i_hi = 2 * int(np.ceil((b - u_lo) / (2.0 * h))) + 2
+        if (i_hi - i_lo) // 2 > 10 * samples:
+            raise ValueError(f"the floor kink {a} and 0 lie {(i_hi - i_lo) // 2}"
+                             f" nodes apart at this spacing, more than "
+                             f"10 * samples; a larger eps raises the floor")
+        i = np.arange(i_lo, i_hi + 1)
+        probe = i * h + u_lo
+        probe[i == n] = u_hi
+        node = i % 2 == 0
+        probe = probe[np.flatnonzero(node & (probe <= a))[-1]:
+                      np.flatnonzero(node & (probe >= b))[0] + 1]
+        u = np.unique(np.concatenate([probe[::2], [a, b]]))
+        points = np.unique(np.concatenate([probe, [a, b]]))
+        cum = tanh_sinh_piecewise_cumulative(self.eval, points)
+        psi_points = cum - cum[np.searchsorted(points, b)]      # T(0) = 0
+        psi = psi_points[np.searchsorted(points, u)]
+        if np.any(np.diff(psi) <= 0.0):
+            raise RuntimeError("sampled transform is not strictly increasing")
+        table = TransformTable(u, psi, self.d_min, self.d_sat,
+                               roundtrip_error=0.0)
+        err = float(np.max(np.abs(table.u_of_psi(psi_points) - points)))
+        if err > 1e-6 * (u_hi - u_lo):
+            raise RuntimeError(
+                f"Kirchhoff table round trip error {err:.3e} exceeds 1e-6 "
+                f"of the range [{u_lo}, {u_hi}]; use more samples")
+        return TransformTable(u, psi, self.d_min, self.d_sat,
+                              roundtrip_error=err)
 
 
 @dataclass
 class TabulatedLaw(DiffusionLaw):
-    """Piecewise-linear D(u) from (u, D) samples, clamped outside."""
+    """Piecewise-linear D(u) from (u, D) samples, clamped outside.
+
+    T is piecewise quadratic, so it has a closed form. With 0 added as a
+    knot, the trapezoid rule gives T exactly at the knots (T = 0 at 0);
+    inside piece i, T = T_i + D_i s + slope_i s^2 / 2 with s = u - u_i;
+    beyond the ends T is affine. The inverse inside a piece is the root
+    ``s = 2 dpsi / (D_i + sqrt(D_i^2 + 2 slope_i dpsi))``, dpsi = psi - T_i,
+    which is free of cancellation.
+    """
 
     u_samples: np.ndarray
     d_samples: np.ndarray
-    table: TransformTable | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.u_samples = np.asarray(self.u_samples, float)
@@ -399,13 +334,33 @@ class TabulatedLaw(DiffusionLaw):
         if np.any(self.d_samples <= 0.0):
             raise ValueError("D samples must be positive")
         self.d_min = float(np.min(self.d_samples))
+        knots = np.union1d(self.u_samples, 0.0)
+        d = np.interp(knots, self.u_samples, self.d_samples)
+        du = np.diff(knots)
+        psi = np.concatenate([[0.0], np.cumsum(0.5 * du * (d[:-1] + d[1:]))])
+        psi -= psi[np.searchsorted(knots, 0.0)]
+        self._knots, self._psi_knots = knots, psi
+        # piece j starts at knot j - 1; piece 0, the lower tail, is anchored
+        # at the first knot, and the two tails have slope 0
+        self._start = np.concatenate([knots[:1], knots])
+        self._psi_start = np.concatenate([psi[:1], psi])
+        self._d_start = np.concatenate([d[:1], d])
+        self._slope = np.concatenate([[0.0], np.diff(d) / du, [0.0]])
 
     def eval(self, u):
         return np.interp(u, self.u_samples, self.d_samples)
 
-    def _breakpoints(self):
-        return tuple(self.u_samples)
+    def transform(self, u):
+        u = np.asarray(u, float)
+        j = np.searchsorted(self._knots, u, side="right")
+        s = u - self._start[j]
+        return self._psi_start[j] + s * (self._d_start[j]
+                                         + 0.5 * self._slope[j] * s)
 
-    def _tails(self):
-        return ((self.u_samples[0], self.d_samples[0]),
-                (self.u_samples[-1], self.d_samples[-1]))
+    def inverse_transform(self, psi):
+        psi = np.asarray(psi, float)
+        j = np.searchsorted(self._psi_knots, psi, side="right")
+        dpsi = psi - self._psi_start[j]
+        d = self._d_start[j]
+        return self._start[j] + 2.0 * dpsi / (
+            d + np.sqrt(d * d + 2.0 * self._slope[j] * dpsi))

@@ -1,9 +1,12 @@
 """Tanh-sinh (double exponential) quadrature.
 
-Used to compute Kirchhoff transforms of constitutive laws that have no
-closed-form antiderivative. The rule clusters nodes exponentially towards
-the interval endpoints, so integrands with steep but integrable behavior
-near the endpoints converge quickly under level doubling.
+The cumulative fixed-level rule (``tanh_sinh_piecewise_cumulative``)
+builds the Kirchhoff table of the one law without a closed-form
+antiderivative, Van Genuchten-Mualem. The adaptive level-doubling rule
+(``tanh_sinh``) serves the tests as the oracle of the cumulative one. The
+rule clusters nodes exponentially towards the interval endpoints, so
+integrands with steep but integrable behavior near the endpoints converge
+quickly under level doubling.
 """
 
 from __future__ import annotations

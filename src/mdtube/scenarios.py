@@ -477,7 +477,6 @@ def run_root_soil(config: ScenarioConfig) -> RootSoilResult:
     reported together with the collar flux it must balance.
     """
     law = config.build_law()
-    law.attach_table(-1.0e6, 1.0e4)
     if config.boundary_pressure is not None:
         p_s = config.boundary_pressure
     else:
@@ -521,7 +520,6 @@ def run_root_soil(config: ScenarioConfig) -> RootSoilResult:
                 "r_t": r_t,
                 "collar_flux": collar_flux_total(prob, state.u_e),
                 "iterations": state.iterations,
-                "status": state.status,
             })
             for j, cell in enumerate(mesh.cells):
                 result.segment_rows.append({
@@ -574,7 +572,7 @@ _ERRORS_HEADER = ["label", "level", "h",
 
 
 _TRANSPIRATION_HEADER = ["grid", "n_cells", "collar_pressure", "r_t",
-                         "collar_flux", "iterations", "status"]
+                         "collar_flux", "iterations"]
 
 
 def emit_outputs(config: ScenarioConfig, results, out_dir):

@@ -36,10 +36,9 @@ import scipy.sparse as sp
 
 from .coupling import SegmentCoupling
 from .grid import BulkGrid
-from .laws import DiffusionLaw, TransformDomainError
+from .laws import DiffusionLaw
 from .network import NetworkMesh, SegmentCell
 from .poisson import capacitance_matrix, laplacian, laplacian_solver
-from .quadrature import QuadratureError
 from .reconstruction import (ReconstructionError, ReconstructionInput,
                              interface_derivatives, reconstruct_interface)
 
@@ -231,9 +230,6 @@ class CoupledState:
     q: np.ndarray                   # source per unit tube length
     iterations: int = 0
     residual_history: list = field(default_factory=list)
-    #: "converged": every block passed its own stopping test (see
-    #: ``_converged``); a solve that does not get there raises instead
-    status: str = "converged"
 
     def source_integrals(self, seg_cells) -> np.ndarray:
         """Integrated source per segment cell (q times cell length)."""
@@ -363,10 +359,9 @@ def newton_solve(problem: CoupledProblem, u_b0: np.ndarray,
                 with np.errstate(over="ignore", invalid="ignore",
                                  divide="ignore"):
                     asm_try = assemble_coupled(problem, ub_try, ue_try)
-            except (ReconstructionError, TransformDomainError,
-                    QuadratureError):
-                # a trial state the interface equation or a table-less
-                # transform cannot handle; any other error is a defect
+            except ReconstructionError:
+                # a trial state the interface equation cannot handle; any
+                # other error is a defect
                 alpha *= 0.5
                 continue
             if (float(np.max(np.abs(asm_try.res))) < norm

@@ -1,7 +1,8 @@
 """Constitutive laws and their Kirchhoff transforms.
 
 Reference values are frozen from independent adaptive quadrature
-(scipy.integrate.quad) and closed-form evaluation.
+(scipy.integrate.quad) and closed-form evaluation. The oracle of a
+transform is ``quad`` of D, and that of an inverse is ``brentq`` on it.
 """
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 import mdtube.laws
 from mdtube.laws import (ConstantLaw, ExponentialLaw, TabulatedLaw,
@@ -17,25 +19,47 @@ from mdtube.laws import (ConstantLaw, ExponentialLaw, TabulatedLaw,
 LOAM_PERMEABILITY = 5.89912e-13
 
 
+def kinks(law):
+    """Where D(u) has a kink, for the oracle to split its interval."""
+    if isinstance(law, TabulatedLaw):
+        return tuple(law.u_samples)
+    if isinstance(law, VanGenuchtenLaw):
+        return (law._u_floor,)
+    if isinstance(law, ExponentialLaw):
+        return (law.u_c,)
+    return ()
+
+
 def quad_transform(law, u):
     """Adaptive-quadrature oracle for T(u), split at interior kinks."""
-    pts = [c for c in law._breakpoints()
-           if min(u, 0.0) < c < max(u, 0.0)] or None
+    pts = [c for c in kinks(law) if min(u, 0.0) < c < max(u, 0.0)] or None
     val, est = quad(lambda x: float(law.eval(x)), 0.0, u, points=pts,
                     limit=200, epsabs=1e-18, epsrel=1e-13)
     return val, est
 
 
-def assert_tails_match_oracle(law, oracle, us):
-    """The tabled ``law`` against the table-less ``oracle`` (tanh-sinh and
-    brentq) far beyond the table, 1e-12 relative. The inverse is compared
-    in the transform's scale, |du| D <= 1e-12 |psi|: on a d_min tail 1/D
-    magnifies the oracle's own quadrature error (a few 1e-15 of T)."""
+def quad_inverse(law, psi):
+    """Oracle for T^-1(psi): brentq on ``quad_transform``, bracketed by
+    doubling from [-1, 1]."""
+    g = lambda u: quad_transform(law, u)[0] - psi
+    lo, hi = -1.0, 1.0
+    while g(lo) > 0.0:
+        lo *= 2.0
+    while g(hi) < 0.0:
+        hi *= 2.0
+    return brentq(g, lo, hi, xtol=1e-14, rtol=1e-15)
+
+
+def assert_tails_match_oracle(law, us):
+    """``law`` against the quadrature oracle far beyond its kinks, 1e-12
+    relative. The inverse is compared in the transform's scale,
+    |du| D <= 1e-12 |psi|: on a d_min tail 1/D magnifies the oracle's own
+    quadrature error (a few 1e-15 of T)."""
     for u in us:
-        psi = float(oracle.transform(np.float64(u)))
+        psi = quad_transform(law, u)[0]
         assert float(law.transform(np.float64(u))) == pytest.approx(
             psi, rel=1e-12, abs=0.0)
-        u_ref = float(oracle.inverse_transform(np.float64(psi)))
+        u_ref = quad_inverse(law, psi)
         u_tab = float(law.inverse_transform(np.float64(psi)))
         assert abs(u_tab - u_ref) * float(law.eval(u_ref)) <= 1e-12 * abs(psi)
         # the affine tail inverts itself to rounding
@@ -45,13 +69,14 @@ def assert_tails_match_oracle(law, oracle, us):
 
 def count_quadrature(monkeypatch):
     calls = []
-    real = mdtube.laws.tanh_sinh
+    real = mdtube.laws.tanh_sinh_piecewise_cumulative
 
     def counting(*args, **kwargs):
-        calls.append(args[1:3])
+        calls.append(args[1])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(mdtube.laws, "tanh_sinh", counting)
+    monkeypatch.setattr(mdtube.laws, "tanh_sinh_piecewise_cumulative",
+                        counting)
     return calls
 
 
@@ -128,18 +153,27 @@ class TestVanGenuchtenLaw:
         assert float(loam.relative_permeability(-1e4)) == pytest.approx(
             8.779427479519884e-4, rel=1e-12)
 
-    @pytest.mark.parametrize("u", [-5e4, -2e5, -8e4, -2e4, -1e3, -100.0])
-    def test_transform_matches_quadrature(self, loam, u):
-        # integrals of 1e-8 to 1e-6 without a table, to the relative
-        # accuracy of the quadrature tolerance
-        ref, _ = quad_transform(loam, u)
-        assert float(loam.transform(np.float64(u))) == pytest.approx(
-            ref, rel=1e-12, abs=0.0)
+    @pytest.mark.parametrize("name, value", [
+        ("k_perm", -5.9e-13), ("mu", 0.0), ("alpha", -4.077e-4),
+        ("eps", 0.0), ("eps", 2.0)],
+        ids=["k_perm", "mu", "alpha", "eps_zero", "eps_above_one"])
+    def test_rejects_bad_parameters(self, name, value):
+        # each once failed late or obscurely: negative D, a division by
+        # zero, NaN in the floor search, a table of 9.9e12 nodes, or a
+        # floor bracket with no sign change
+        params = {"k_perm": LOAM_PERMEABILITY, name: value}
+        with pytest.raises(ValueError, match=name):
+            VanGenuchtenLaw(**params)
+
+    def test_floor_out_of_reach_raises(self):
+        # with n near 1, k_r decays too slowly to reach a tiny eps
+        with pytest.raises(ValueError, match="larger eps"):
+            VanGenuchtenLaw(LOAM_PERMEABILITY, n=1.01, eps=1e-30)
 
     def test_table_round_trip(self, loam):
         # the inverse magnifies interpolation error by 1/D, so the bound
         # is set by the flat d_min branch; 0.5 Pa on a 1e6 Pa range
-        table = loam.attach_table(-1.0e6, 1.0e4)
+        table = loam.table
         assert table.roundtrip_error < 0.5
         u = np.linspace(-9e5, 9e3, 401)
         back = loam.inverse_transform(loam.transform(u))
@@ -150,12 +184,10 @@ class TestVanGenuchtenLaw:
         assert np.max(np.abs(back - u)) < 1e-4
 
     def test_table_tails_match_quadrature(self, loam):
-        loam.attach_table(-1.0e6, 1.0e4)
-        oracle = VanGenuchtenLaw(LOAM_PERMEABILITY, mu=1e-3)
-        assert_tails_match_oracle(loam, oracle, (-1e8, -2e6, 5e4, 1e6))
+        assert_tails_match_oracle(loam, (-1e8, -2e6, 5e4, 1e6))
 
     def test_table_tails_need_no_quadrature(self, loam, monkeypatch):
-        loam.attach_table(-1.0e6, 1.0e4)
+        # the table is built once, with the law
         calls = count_quadrature(monkeypatch)
         u = np.array([-1e12, -1e8, -2e6, -1e6, -8e4, -5e4, -100.0, 0.0,
                       5e4, 1e6, 1e12])
@@ -169,7 +201,7 @@ class TestVanGenuchtenLaw:
         assert np.all(loam.table.covers_psi(psi))
 
     def test_table_keeps_nodes_only_where_d_varies(self, loam):
-        table = loam.attach_table(-1.0e6, 1.0e4)
+        table = loam.table
         assert table.d_lo == loam.d_min and table.d_hi == loam.d_sat
         # one node beyond each kink, the kinks themselves, and between
         # them the requested grid's nodes, bitwise
@@ -182,34 +214,27 @@ class TestVanGenuchtenLaw:
         assert table.roundtrip_error < 0.1
 
     def test_table_extends_to_kinks(self, loam):
-        table = loam.attach_table(-5.0e4, -1.0e3, samples=20_000)
+        # a lattice that stops short of both kinks (the floor kink moves
+        # with the parameters) is extended to them at its spacing
+        table = loam._build_table(-5.0e4, -1.0e3, samples=20_000)
         assert table.u[0] < loam._u_floor and table.u[-1] > 0.0
-        # at the spacing of the requested grid
         grid = np.linspace(-5.0e4, -1.0e3, 20_000)
         assert np.array_equal(table.u[(table.u >= -5.0e4)
                                       & (table.u <= -1.0e3)], grid)
         for u in (-7.0e4, -2.0e2):           # beyond the requested range
             ref, est = quad_transform(loam, u)
-            assert abs(loam.transform(np.float64(u)) - ref) < max(
+            assert abs(table.psi_of_u(np.float64(u)) - ref) < max(
                 1e-5 * abs(ref), 10.0 * est)
 
     def test_far_extension_at_fine_spacing_raises(self, loam):
         # 0.001 Pa spacing across the 7e4 Pa between the kinks: 7e7 nodes
-        with pytest.raises(ValueError, match="fewer samples"):
-            loam.build_table(-1.0e3, -9.0e2, samples=100_000)
+        with pytest.raises(ValueError, match="nodes apart"):
+            loam._build_table(-1.0e3, -9.0e2, samples=100_000)
 
     def test_coarse_table_raises(self, loam):
         # 50 samples on 1e6 Pa leave the floor region a few nodes wide
         with pytest.raises(RuntimeError, match="round trip"):
-            loam.build_table(-1.0e6, 1.0e4, samples=50)
-
-    def test_table_falls_back_outside_range(self, loam):
-        loam.attach_table(-1e5, 0.0)
-        inside = float(loam.transform(np.float64(-5e4)))
-        outside = float(loam.transform(np.float64(-2e5)))
-        loam.table = None
-        assert abs(inside - float(loam.transform(np.float64(-5e4)))) < 1e-12
-        assert abs(outside - float(loam.transform(np.float64(-2e5)))) < 1e-12
+            loam._build_table(-1.0e6, 1.0e4, samples=50)
 
 
 class TestTabulatedLaw:
@@ -228,39 +253,36 @@ class TestTabulatedLaw:
         assert abs(law.transform(np.float64(-1.5)) - ref) < 1e-12
 
     def test_table_tails_match_quadrature(self, monkeypatch):
+        # the closed form, with no table, on its tails and inside its pieces
+        calls = count_quadrature(monkeypatch)
         law = TabulatedLaw(np.array([-2.0, 0.0, 1.0]),
                            np.array([0.5, 1.5, 1.0]))
-        table = law.attach_table(-2.0, 1.0, samples=2_000)
-        assert (table.d_lo, table.d_hi) == (0.5, 1.0)
-        oracle = TabulatedLaw(law.u_samples, law.d_samples)
-        assert_tails_match_oracle(law, oracle, (-1e3, -10.0, 5.0, 1e3))
-        calls = count_quadrature(monkeypatch)
-        law.inverse_transform(law.transform(np.linspace(-1e3, 1e3, 101)))
+        assert law.table is None
+        assert_tails_match_oracle(law, (-1e3, -10.0, 5.0, 1e3))
+        assert_tails_match_oracle(law, (-1.5, -0.25, 0.5, 0.9))
         assert calls == []
 
     def test_table_anchors_on_a_tail(self):
         # 0 lies on the lower tail: T(1) = 0.5 exactly
         law = TabulatedLaw(np.array([1.0, 2.0]), np.array([0.5, 1.5]))
-        law.attach_table(1.0, 2.0, samples=2_000)
         assert float(law.transform(np.float64(1.0))) == 0.5
         assert float(law.transform(np.float64(0.0))) == 0.0
-        oracle = TabulatedLaw(law.u_samples, law.d_samples)
-        assert_tails_match_oracle(law, oracle, (-1e3, 0.5, 1e3))
+        assert_tails_match_oracle(law, (-1e3, 0.5, 1.5, 1e3))
+
+    def test_inverse_round_trip(self):
+        # pieces with rising and falling D, across 0 and both tails
+        law = TabulatedLaw(np.array([-3.0, -1.0, 0.5, 2.0]),
+                           np.array([2.0, 0.1, 4.0, 0.3]))
+        u = np.linspace(-10.0, 10.0, 401)
+        psi = law.transform(u)
+        assert np.all(np.diff(psi) > 0.0)
+        assert np.max(np.abs(law.inverse_transform(psi) - u)) < 1e-13
 
     def test_validation(self):
         with pytest.raises(ValueError):
             TabulatedLaw(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
         with pytest.raises(ValueError):
             TabulatedLaw(np.array([0.0, 1.0]), np.array([1.0, -1.0]))
-
-
-@pytest.mark.parametrize("law", [ConstantLaw(1.0),
-                                 ExponentialLaw(d0=0.5, k=1.0, d_min=1e-6)],
-                         ids=["constant", "exponential"])
-def test_table_needs_tails_on_both_sides(law):
-    # no constant-D tail above (exponential) or none declared (constant)
-    with pytest.raises(ValueError, match="tails"):
-        law.build_table(-10.0, 1.0, samples=100)
 
 
 @settings(max_examples=50, deadline=None)
