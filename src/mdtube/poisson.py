@@ -26,6 +26,30 @@ neither                    DCT-II     4 sin^2(pi k / (2 n))
 On a radial grid L is a tridiagonal matrix with variable coefficients; it
 is factored once (``BandedCholesky``). Without a Dirichlet side L is
 singular, and both solvers raise.
+
+Each solver also builds the capacitance matrix C = S L^-1 W of a coupled
+problem (``capacitance``), S sampling and W depositing on a few cells per
+segment cell. On a radial grid that is one banded solve of the columns of
+W. On 2D and 3D grids no bulk field is solved for. Write the axes as the
+lead axes (all but the last) and the last axis, let m run over the modes
+of the lead axes and k over those of the last axis, with eigenvalues
+lambda(m, k), and let F be the last axis's orthonormal transform matrix.
+A row s of S and a column t of W each touch a few layers of the last
+axis; s_hat(m, z) is the lead-axis transform of row s on layer z and
+w_hat(m, w) that of column t on layer w. Then, exactly,
+
+    C[s, t] = sum_m sum_z sum_w s_hat(m, z) G_m(z, w) w_hat(m, w),
+    G_m(z, w) = sum_k F[k, z] F[k, w] / lambda(m, k),
+
+with G_m the Green's function of the last axis at lead mode m, needed only
+at (S layer, W layer) pairs. With M lead modes, n last-axis cells, Z_S
+and Z_W the layers S and W touch and E_S and E_W their (segment cell,
+layer) entries, the build costs (E_S + E_W) M log M for the transforms,
+2 M n |Z_S| |Z_W| for G and 2 M E_S E_W for the sums, against
+n_seg M n log(M n) for a full solve per column of W. G is formed for a
+chunk of W layers at a time, so that it and its product with the S
+entries stay small; within a chunk, the W layers with equally many
+entries share one stack of matrix products.
 """
 
 from __future__ import annotations
@@ -46,10 +70,11 @@ _TRANSFORMS = {
     (False, False): (fft.dct, fft.idct, 2),
 }
 
-#: columns of W per bulk solve while the capacitance matrix is built: 32
-#: columns of a 32x32x60 grid are 16 MB, all of L^-1 W for 262 segment
-#: cells would be 129 MB
-_CAPACITANCE_BATCH = 32
+#: values (8 bytes each) in the largest temporaries of the capacitance
+#: build: the Green's functions of a chunk of last-axis layers, and their
+#: products with the entries of S. 2 MB stay in a core's L2 cache; chunks
+#: of 16 MB made the build 1.4x slower on a 32x32x60 grid
+_CHUNK_VALUES = 1 << 18
 
 
 def laplacian(grid: BulkGrid, dirichlet: dict[int, np.ndarray]):
@@ -137,6 +162,93 @@ class SpectralSolver:
             x = inverse(x, type=kind, axis=axis, norm="ortho")
         return x.reshape(rhs.shape)
 
+    def capacitance(self, sample: sp.spmatrix,
+                    deposit: sp.spmatrix) -> np.ndarray:
+        """C = S L^-1 W (rows of ``sample`` by columns of ``deposit``) from
+        the lead-axis transforms of the last-axis layers each row and
+        column touches and the last axis's Green's function (see the
+        module docstring)."""
+        n = self.shape[-1]
+        n_rows, n_cols = sample.shape[0], deposit.shape[1]
+        forward, _, kind = self.axes[-1]
+        f = forward(np.eye(n), type=kind, axis=0, norm="ortho")     # F[k, z]
+        inverse = (1.0 / self.eigenvalues).reshape(-1, n).T         # (k, m)
+        (s_row, s_layer, s_hat), (w_layer, w_col, w_hat) = self._entries(
+            sample, deposit)
+        s_layers, s_at = _distinct(s_layer, n)
+        w_layers, starts, counts = np.unique(w_layer, return_index=True,
+                                             return_counts=True)
+        by_count = np.argsort(counts, kind="stable")
+        f_s = f[:, s_layers].T
+        # C between single entries, W entries by S entries, over chunks of
+        # W layers in the order of their entry counts. G_m(z, w) for the S
+        # layers z and the chunk's layers w, and its product with the S
+        # entries, are each at most _CHUNK_VALUES values
+        step = max(1, _CHUNK_VALUES // max(s_hat.size, 1))
+        pairs = np.empty((len(w_layer), len(s_row)))
+        for first in range(0, len(w_layers), step):
+            chunk = by_count[first:first + step]
+            f_w = f[:, w_layers[chunk]].T
+            green = ((f_w[:, None, :] * f_s).reshape(-1, n) @ inverse
+                     ).reshape(len(f_w), len(f_s), -1)
+            weighted = green[:, s_at]
+            weighted *= s_hat
+            # the chunk's layers with k W entries each: one stack of
+            # products
+            ks, lows = np.unique(counts[chunk], return_index=True)
+            for k, low, high in zip(ks, lows, np.append(lows[1:], len(chunk))):
+                rows = (starts[chunk[low:high], None] + np.arange(k)).ravel()
+                pairs[rows] = (w_hat[rows].reshape(high - low, k, -1)
+                               @ weighted[low:high].transpose(0, 2, 1)
+                               ).reshape(len(rows), -1)
+        return np.bincount((w_col[:, None] * n_rows + s_row).ravel(),
+                           pairs.ravel(), n_cols * n_rows
+                           ).reshape(n_cols, n_rows).T
+
+    def _entries(self, sample: sp.spmatrix, deposit: sp.spmatrix):
+        """The entries of S, one per (row, layer) it touches, in row order,
+        and of W, one per (layer, column), in layer order: their rows and
+        layers, or layers and columns, and the lead-axis transforms of the
+        row or column on the layer, one row of lead modes each. One set of
+        transforms serves both."""
+        n, lead_shape = self.shape[-1], self.shape[:-1]
+        n_rows, n_cols = sample.shape[0], deposit.shape[1]
+        n_lead = int(np.prod(lead_shape))
+        s_row, s_cell, s_value = _stored(sample)
+        w_cell, w_col, w_value = _stored(deposit)
+        s_lead, s_layer = np.divmod(s_cell, n)
+        w_lead, w_layer = np.divmod(w_cell, n)
+        offset = n_rows * n
+        keys, entry = _distinct(np.concatenate(
+            [s_row * n + s_layer, offset + w_layer * n_cols + w_col]),
+            offset + n * n_cols)
+        x = np.bincount(entry * n_lead + np.concatenate([s_lead, w_lead]),
+                        np.concatenate([s_value, w_value]),
+                        len(keys) * n_lead).reshape((len(keys),) + lead_shape)
+        for axis, (forward, _, kind) in enumerate(self.axes[:-1]):
+            x = forward(x, type=kind, axis=axis + 1, norm="ortho",
+                        overwrite_x=True)
+        hat = x.reshape(len(keys), n_lead)
+        n_s = np.searchsorted(keys, offset)
+        return ((*np.divmod(keys[:n_s], n), hat[:n_s]),
+                (*np.divmod(keys[n_s:] - offset, n_cols), hat[n_s:]))
+
+
+def _stored(matrix: sp.spmatrix):
+    """Row, column and value of each stored entry of ``matrix``."""
+    matrix = matrix.tocsr()
+    return (np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr)),
+            matrix.indices, matrix.data)
+
+
+def _distinct(keys: np.ndarray, size: int):
+    """The distinct values of ``keys`` (integers below ``size``), ascending,
+    and the index of each key among them: ``np.unique`` with the inverse,
+    without a sort."""
+    seen = np.zeros(size, bool)
+    seen[keys] = True
+    return np.flatnonzero(seen), (np.cumsum(seen) - 1)[keys]
+
 
 class BandedCholesky:
     """L^-1 on a radial grid from the Cholesky factor of the symmetric
@@ -153,16 +265,7 @@ class BandedCholesky:
     def __call__(self, rhs: np.ndarray) -> np.ndarray:
         return cho_solve_banded((self.factor, False), np.asarray(rhs, float))
 
-
-def capacitance_matrix(solve, sample: sp.spmatrix,
-                       deposit: sp.spmatrix) -> np.ndarray:
-    """C = S L^-1 W (segment cells by segment cells) for the bulk solver
-    ``solve``, a batch of columns of W at a time, so that L^-1 W is never
-    stored whole."""
-    deposit = deposit.tocsc()
-    n_seg = deposit.shape[1]
-    cap = np.empty((sample.shape[0], n_seg))
-    for start in range(0, n_seg, _CAPACITANCE_BATCH):
-        batch = slice(start, start + _CAPACITANCE_BATCH)
-        cap[:, batch] = sample @ solve(deposit[:, batch].toarray())
-    return cap
+    def capacitance(self, sample: sp.spmatrix,
+                    deposit: sp.spmatrix) -> np.ndarray:
+        """C = S L^-1 W: the columns of W solved all at once, O(n) each."""
+        return sample @ self(deposit.toarray())

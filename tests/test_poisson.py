@@ -6,9 +6,14 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
 from mdtube import poisson
+from mdtube.coupling import build_coupling
 from mdtube.grid import BulkGrid
-from mdtube.poisson import (BandedCholesky, SpectralSolver,
-                            capacitance_matrix, laplacian, laplacian_solver)
+from mdtube.laws import ConstantLaw
+from mdtube.network import discretize_network
+from mdtube.poisson import (BandedCholesky, SpectralSolver, laplacian,
+                            laplacian_solver)
+from mdtube.scenarios import synthetic_root_network
+from mdtube.solver import CoupledProblem
 
 
 def random_dirichlet(grid, sides, rng):
@@ -108,18 +113,69 @@ def test_dirichlet_input_out_of_range_raises(dim, shape, dirichlet):
             laplacian_solver(grid, dirichlet)
 
 
-def test_capacitance_matrix_in_batches(monkeypatch):
-    dim, origin, extents, shape, sides = PATTERNS["3d_root_column"]
+def capacitance_supports(shape, rng):
+    """Cell supports of S rows and W columns: scattered cells, kernel-like
+    boxes, boxes at the low and the high end of the last axis, and a line
+    of cells through every layer of the last axis."""
+    cells = np.arange(int(np.prod(shape))).reshape(shape)
+    supports = [rng.choice(cells.size, size=k, replace=False)
+                for k in (1, 2, 5, 9)]
+    for _ in range(4):
+        low = [rng.integers(0, n) for n in shape]
+        supports.append(cells[tuple(
+            slice(a, min(a + rng.integers(1, 4), n))
+            for a, n in zip(low, shape))].ravel())
+    lead = tuple(slice(n // 3, n // 3 + 2) for n in shape[:-1])
+    supports += [cells[lead + (slice(0, 2),)].ravel(),
+                 cells[lead + (slice(shape[-1] - 2, None),)].ravel(),
+                 cells[tuple(n // 2 for n in shape[:-1]) + (slice(None),)]]
+    return supports
+
+
+def by_support(supports, n_cells, rng):
+    """Supports-by-cells matrix with random values on each support."""
+    return sp.csr_matrix((rng.uniform(-1.0, 2.0, sum(map(len, supports))),
+                          np.concatenate(supports),
+                          np.cumsum([0] + [len(c) for c in supports])),
+                         shape=(len(supports), n_cells))
+
+
+@pytest.mark.parametrize("one_layer_chunks", [False, True],
+                         ids=["default_chunks", "one_layer_chunks"])
+@pytest.mark.parametrize("name", sorted(PATTERNS))
+def test_capacitance_matches_dense_solve(name, one_layer_chunks,
+                                         monkeypatch):
+    if one_layer_chunks:
+        # every W layer in a chunk of its own, as on large grids
+        monkeypatch.setattr(poisson, "_CHUNK_VALUES", 1)
+    dim, origin, extents, shape, sides = PATTERNS[name]
     grid = BulkGrid(dim, origin, extents, shape)
-    rng = np.random.default_rng(5)
-    deposit = sp.random(grid.n_cells, 7, density=0.05, random_state=rng,
-                        format="csr")
-    sample = sp.random(7, grid.n_cells, density=0.05, random_state=rng,
-                       format="csr")
+    rng = np.random.default_rng(len(name) + 11)
+    sample = by_support(capacitance_supports(shape, rng), grid.n_cells, rng)
+    deposit = by_support(capacitance_supports(shape, rng)[::-1],
+                         grid.n_cells, rng).T.tocsr()
     solve = laplacian_solver(grid, sides)
     ref = sample @ solve(deposit.toarray())
-    # a batch size that leaves a short last batch
-    monkeypatch.setattr(poisson, "_CAPACITANCE_BATCH", 3)
-    cap = capacitance_matrix(solve, sample, deposit)
-    np.testing.assert_allclose(cap, ref, rtol=0.0,
-                               atol=1e-14 * np.max(np.abs(ref)))
+    cap = solve.capacitance(sample, deposit)
+    assert cap.shape == (sample.shape[0], deposit.shape[1])
+    assert np.max(np.abs(cap - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_capacitance_of_root_coupling():
+    # the kernel deposition and stencil sampling of a root network on the
+    # root column, as the coupled problem builds and uses them
+    dim, origin, extents, shape, sides = PATTERNS["3d_root_column"]
+    grid = BulkGrid(dim, origin, extents, shape)
+    net = synthetic_root_network(seed=2024)
+    mesh = discretize_network(net, 0.005)
+    mesh.joint_dirichlet = {mesh.joint_of_node[net.collar_node()]: 0.0}
+    problem = CoupledProblem(
+        grid=grid, law=ConstantLaw(1.0),
+        dirichlet={s: np.zeros(int(np.sum(grid.bface_side == s)))
+                   for s in sides},
+        seg_cells=mesh.cells,
+        couplings=build_coupling(grid, mesh.cells, delta_correction=True),
+        network=mesh)
+    ref = problem.sample @ problem.solve_bulk(problem.deposit.toarray())
+    assert np.max(np.abs(problem.capacitance - ref)) <= 1e-13 * np.max(
+        np.abs(ref))
