@@ -72,8 +72,8 @@ _TRANSFORMS = {
 
 #: values (8 bytes each) in the largest temporaries of the capacitance
 #: build: the Green's functions of a chunk of last-axis layers, and their
-#: products with the entries of S. 2 MB stay in a core's L2 cache; chunks
-#: of 16 MB made the build 1.4x slower on a 32x32x60 grid
+#: products with the entries of S. 2 MB fit the L2 cache of a core of the
+#: Xeon measured; chunks of 16 MB made the build 1.3x slower on 32x32x60
 _CHUNK_VALUES = 1 << 18
 
 
