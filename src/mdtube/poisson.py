@@ -190,7 +190,7 @@ class SpectralSolver:
             chunk = by_count[first:first + step]
             f_w = f[:, w_layers[chunk]].T
             green = ((f_w[:, None, :] * f_s).reshape(-1, n) @ inverse
-                     ).reshape(len(f_w), len(f_s), -1)
+                     ).reshape(len(f_w), len(f_s), inverse.shape[1])
             weighted = green[:, s_at]
             weighted *= s_hat
             # the chunk's layers with k W entries each: one stack of
@@ -200,7 +200,7 @@ class SpectralSolver:
                 rows = (starts[chunk[low:high], None] + np.arange(k)).ravel()
                 pairs[rows] = (w_hat[rows].reshape(high - low, k, -1)
                                @ weighted[low:high].transpose(0, 2, 1)
-                               ).reshape(len(rows), -1)
+                               ).reshape(len(rows), len(s_row))
         return np.bincount((w_col[:, None] * n_rows + s_row).ravel(),
                            pairs.ravel(), n_cols * n_rows
                            ).reshape(n_cols, n_rows).T
