@@ -83,20 +83,12 @@ def laplacian(grid: BulkGrid, dirichlet: dict[int, np.ndarray]):
     diffusivity. ``dirichlet`` maps side ids ``2*axis + (0 low | 1 high)``
     to the values at that side's boundary face centers, one per face;
     absent sides are zero-flux."""
-    _checked_sides(grid, dirichlet)
+    g = dirichlet_vector(grid, dirichlet)
     il, ir = grid.face_left, grid.face_right
     t = grid.face_area / grid.face_dist
     rows, cols, vals = [il, il, ir, ir], [il, ir, il, ir], [t, -t, -t, t]
-    g = np.zeros(grid.n_cells)
-    for side, values in dirichlet.items():
-        mask = grid.bface_side == side
-        values = np.asarray(values, float)
-        if values.shape != (np.sum(mask),):
-            raise ValueError(f"Dirichlet side {side} has {np.sum(mask)} "
-                             f"faces, not values of shape {values.shape}")
-        c = grid.bface_cell[mask]
-        tb = grid.bface_area[mask] / grid.bface_dist[mask]
-        np.add.at(g, c, tb * values)
+    for side in dirichlet:
+        c, tb = _boundary_faces(grid, side)
         rows.append(c)
         cols.append(c)
         vals.append(tb)
@@ -104,6 +96,28 @@ def laplacian(grid: BulkGrid, dirichlet: dict[int, np.ndarray]):
                          (np.concatenate(rows), np.concatenate(cols))),
                         shape=(grid.n_cells,) * 2)
     return lap, g
+
+
+def dirichlet_vector(grid: BulkGrid, dirichlet: dict[int, np.ndarray]):
+    """The Dirichlet vector g of ``laplacian``: the boundary transmissibility
+    times the value of each Dirichlet face, summed per cell."""
+    _checked_sides(grid, dirichlet)
+    g = np.zeros(grid.n_cells)
+    for side, values in dirichlet.items():
+        c, tb = _boundary_faces(grid, side)
+        values = np.asarray(values, float)
+        if values.shape != c.shape:
+            raise ValueError(f"Dirichlet side {side} has {len(c)} "
+                             f"faces, not values of shape {values.shape}")
+        np.add.at(g, c, tb * values)
+    return g
+
+
+def _boundary_faces(grid: BulkGrid, side: int):
+    """Cells and transmissibilities of the boundary faces of ``side``."""
+    mask = grid.bface_side == side
+    return (grid.bface_cell[mask],
+            grid.bface_area[mask] / grid.bface_dist[mask])
 
 
 def laplacian_solver(grid: BulkGrid, dirichlet_sides):

@@ -309,17 +309,37 @@ def _physical_state(law: DiffusionLaw, state: CoupledState) -> CoupledState:
     return replace(state, u_b=law.inverse_transform(state.u_b))
 
 
+def parallel_level_problem(law: DiffusionLaw, specs, grid: BulkGrid,
+                           segs: list[SegmentCell], cpl,
+                           ref: MultiTubeSolution) -> CoupledProblem:
+    """The three-tube problem on one level's grid and coupling (see
+    ``parallel_level_coupling``), on the boundary values of ``ref``."""
+    return CoupledProblem(grid=grid, law=law,
+                          dirichlet=_reference_dirichlet(law, grid, ref),
+                          seg_cells=segs, couplings=cpl,
+                          u_e_fixed=np.array([t.u_e for t in specs]))
+
+
+def _reference_dirichlet(law: DiffusionLaw, grid: BulkGrid,
+                         ref: MultiTubeSolution) -> dict[int, np.ndarray]:
+    return {s: law.transform(ref.u(grid.bface_center[grid.bface_side == s]))
+            for s in range(4)}
+
+
 def solve_parallel_level(law: DiffusionLaw, specs, grid: BulkGrid,
                          segs: list[SegmentCell], cpl,
-                         ref: MultiTubeSolution) -> CoupledState:
+                         ref: MultiTubeSolution,
+                         problem: CoupledProblem | None = None
+                         ) -> CoupledState:
     """Solve the three-tube cross-section on one level's grid and coupling
-    (see ``parallel_level_coupling``) against the reference ``ref``."""
-    bc = {s: law.transform(ref.u(grid.bface_center[grid.bface_side == s]))
-          for s in range(4)}
-    prob = CoupledProblem(grid=grid, law=law, dirichlet=bc, seg_cells=segs,
-                          couplings=cpl,
-                          u_e_fixed=np.array([t.u_e for t in specs]))
-    state = newton_solve(prob, law.transform(ref.u(grid.cell_centers)))
+    against the reference ``ref``. A ``problem`` of the same level
+    (``parallel_level_problem``) is given ``ref``'s boundary values in
+    place of a new build: the references differ only in those."""
+    if problem is None:
+        problem = parallel_level_problem(law, specs, grid, segs, cpl, ref)
+    else:
+        problem.set_dirichlet(_reference_dirichlet(law, grid, ref))
+    state = newton_solve(problem, law.transform(ref.u(grid.cell_centers)))
     return _physical_state(law, state)
 
 
@@ -394,8 +414,11 @@ def run_parallel_tubes(config: ScenarioConfig,
         grid, segs, cpl = parallel_level_coupling(specs, n,
                                                   config.delta_correction)
         row = LevelErrors(h=2.0 / n)
+        problem = parallel_level_problem(law, specs, grid, segs, cpl,
+                                         refs["u"])
         for variant, ref in refs.items():
-            state = solve_parallel_level(law, specs, grid, segs, cpl, ref)
+            state = solve_parallel_level(law, specs, grid, segs, cpl, ref,
+                                         problem)
             e_ub, e_psi, e_q = _level_errors(grid, law, state, ref)
             if variant == "u":
                 row.e_ub, row.e_psi, row.e_q = e_ub, e_psi, e_q

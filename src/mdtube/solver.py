@@ -19,11 +19,12 @@ Jacobian is ``L - W diag(a) S``; the direct solver of L is built once per
 problem (trigonometric transforms on 2D and 3D grids, a banded Cholesky
 factor on radial ones, see ``poisson``), and a Newton step is one
 capacitance-matrix solve (``CoupledProblem.solve_step``): two bulk solves
-and one dense system of at most twice the number of segment cells. The
-damped Newton loop stops on its own test per block (``_converged``): each
-residual at the rounding level of its flux terms, and the network
-residuals balanced at the collar. Failing that, it raises
-``NonconvergenceError``.
+and one dense LU of the size of the number of segment cells, in their
+exchange unknowns alone; the network block enters it through the axial
+operator, factored once per problem. The damped Newton loop stops on its
+own test per block (``_converged``): each residual at the rounding level
+of its flux terms, and the network residuals balanced at the collar.
+Failing that, it raises ``NonconvergenceError``.
 """
 
 from __future__ import annotations
@@ -33,12 +34,14 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import lu_factor, lu_solve
+from scipy.sparse.csgraph import connected_components
 
 from .coupling import SegmentCoupling
 from .grid import BulkGrid
 from .laws import DiffusionLaw
 from .network import NetworkMesh, SegmentCell
-from .poisson import laplacian, laplacian_solver
+from .poisson import dirichlet_vector, laplacian, laplacian_solver
 from .reconstruction import (ReconstructionError, ReconstructionInput,
                              interface_derivatives, reconstruct_interface)
 
@@ -78,10 +81,18 @@ class CoupledProblem:
     Green's function, with no bulk solve (``SpectralSolver.capacitance``);
     on radial grids by one banded solve of the columns of W.
 
+    With network unknowns, the axial operator A is also factored once
+    (``axial_lu``, a dense LU), and ``axial_green`` holds G = A^-1
+    diag(len), the tube values' response to the exchange of each segment
+    cell. A must be invertible: each connected part of the network must
+    reach a Dirichlet joint through positive axial conductances, or the
+    construction raises ``ValueError``.
+
     Which network joints are Dirichlet is read from
     ``network.joint_dirichlet`` at construction; their values are problem
     data, changed with ``set_joint_dirichlet`` (a collar-pressure sweep
-    reuses one problem, and so its operators, for every pressure)."""
+    reuses one problem, and so its operators, for every pressure). So are
+    the values on the Dirichlet sides of the bulk (``set_dirichlet``)."""
 
     grid: BulkGrid
     law: DiffusionLaw
@@ -129,33 +140,55 @@ class CoupledProblem:
             # dense only after the Laplacian, whose build is the memory peak
             # of the construction: 285 MiB of arrays on a 64x64x120 grid,
             # against 67 MiB for the capacitance matrix
-            self.axial_dense = self.axial.toarray()
+            self.axial_lu = lu_factor(self.axial.toarray())
+            self.axial_green = lu_solve(self.axial_lu, np.diag(self.lengths))
 
     def solve_step(self, asm: Assembly) -> np.ndarray:
         """Newton step at the state of ``asm`` by the capacitance-matrix
         method (Buzbee, Dorr, George & Golub, SIAM J. Numer. Anal. 8,
-        1971).
+        1971), in the exchange unknowns z alone.
 
         With z = a*(S x_b) + b*x_e the step equations read
         ``L x_b - W z = r_b`` and ``len*z + A x_e = r_e``. So x_b =
         y + L^-1 W z with y = L^-1 r_b, and with the capacitance matrix
-        C = S L^-1 W, built at construction, z and x_e solve the system
-        ``[[I - diag(a) C, -diag(b)], [diag(len), A]] [z, x_e] =
-        [a*(S y), r_e]``, of size n_seg without network unknowns. Then
+        C = S L^-1 W, built at construction, the block rows
+        ``(I - diag(a) C) z - b*x_e = a*(S y)`` and ``len*z + A x_e = r_e``
+        remain. Without network unknowns x_e = 0, and z solves the first
+        row alone. With them, x_e = w - G z, where w = A^-1 r_e and G =
+        A^-1 diag(len) come from the factor of A built at construction, and
+        z solves ``(I - diag(a) C + diag(b) G) z = a*(S y) + b*w`` by one
+        dense LU of size n_seg. Then x_e = A^-1 (r_e - len*z) through the
+        factor. One step of fixed-precision iterative refinement against
+        the two block rows, with both factors, makes the step as backward
+        stable as a factorization of the whole block system (Skeel, Math.
+        Comp. 35, 1980); it needs no bulk solve. Then
         ``x_b = L^-1 (r_b + W z)``.
         """
-        n_b, n_s = self.deposit.shape
+        n_b = self.n_bulk
         r_b = -asm.res[:n_b]
         a = asm.dq_dub
-        system = np.eye(n_s) - a[:, None] * self.capacitance
-        rhs = a * (self.sample @ self.solve_bulk(r_b))
+        a_sy = a * (self.sample @ self.solve_bulk(r_b))
+        system = np.eye(len(a)) - a[:, None] * self.capacitance
         if self.n_net:
-            system = np.block([[system, -np.diag(asm.dq_due)],
-                               [np.diag(self.lengths), self.axial_dense]])
-            rhs = np.concatenate([rhs, -asm.res[n_b:]])
-        sol = np.linalg.solve(system, rhs)
-        x_b = self.solve_bulk(r_b + self.deposit @ sol[:n_s])
-        return np.concatenate([x_b, sol[n_s:]])
+            b, r_e = asm.dq_due, -asm.res[n_b:]
+            system += b[:, None] * self.axial_green
+        lu = lu_factor(system, overwrite_a=True, check_finite=False)
+        if not self.n_net:
+            z = lu_solve(lu, a_sy, check_finite=False)
+            return self.solve_bulk(r_b + self.deposit @ z)
+
+        def exchange(f, g):
+            """z and x_e of the block rows with right-hand sides f, g."""
+            z = lu_solve(lu, f + b * lu_solve(self.axial_lu, g),
+                         check_finite=False)
+            return z, lu_solve(self.axial_lu, g - self.lengths * z)
+
+        z, x_e = exchange(a_sy, r_e)
+        dz, dx_e = exchange(a_sy + b * x_e - z + a * (self.capacitance @ z),
+                            r_e - self.lengths * z - self.axial @ x_e)
+        z += dz
+        x_b = self.solve_bulk(r_b + self.deposit @ z)
+        return np.concatenate([x_b, x_e + dx_e])
 
     def _build_axial(self):
         """Axial TPFA operator with the joints eliminated: through
@@ -196,6 +229,21 @@ class CoupledProblem:
             shape=(n_e, n_e))).tocsr()
         self.axial_abs = abs(self.axial)
 
+        # A is invertible when every connected part of the network, joined
+        # by positive conductances, holds a cell with a Dirichlet joint
+        linked = self.pair_k > 0.0
+        n_parts, part = connected_components(sp.csr_matrix(
+            (self.pair_k[linked], (self.pair_i[linked], self.pair_m[linked])),
+            shape=(n_e, n_e)), directed=False)
+        anchored = np.zeros(n_parts, bool)
+        anchored[part[self.dir_cell[self.dir_k > 0.0]]] = True
+        if not np.all(anchored[part]):
+            first = int(np.argmin(anchored[part]))
+            raise ValueError(
+                f"singular axial operator: segment cell {first} (segment "
+                f"{cells[first].segment_id}) reaches no Dirichlet joint "
+                "through positive axial conductances (d_e > 0)")
+
     def set_joint_dirichlet(self, values: dict[int, float]):
         """New values for the Dirichlet joints, keyed by joint; the set of
         Dirichlet joints is the one the problem was built with."""
@@ -205,6 +253,16 @@ class CoupledProblem:
                 f"problem's {sorted(set(self.dir_joint.tolist()))}")
         self.dir_value = np.array([values[j] for j in self.dir_joint.tolist()],
                                   float)
+
+    def set_dirichlet(self, values: dict[int, np.ndarray]):
+        """New values for the Dirichlet sides of the bulk, keyed by side,
+        one per boundary face; the set of sides is the one the problem was
+        built with, and so are the Laplacian and its solver."""
+        if set(values) != set(self.dirichlet):
+            raise ValueError(f"Dirichlet sides {sorted(values)} differ from "
+                             f"the problem's {sorted(self.dirichlet)}")
+        self.dirichlet_rhs = dirichlet_vector(self.grid, values)
+        self.dirichlet = values
 
     def axial_residual(self, u_e: np.ndarray) -> np.ndarray:
         """Axial residual in pairwise-difference form: ``k (u_i - u_m)``

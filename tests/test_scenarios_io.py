@@ -183,6 +183,22 @@ class TestHelpers:
         for name in ("e_q", "et_q"):
             assert np.all(np.isfinite(report.column(name)))
 
+    def test_parallel_tubes_builds_one_problem_per_level(self, monkeypatch):
+        # the two references of a level differ only in their boundary
+        # values, so their solves share one problem and its operators
+        built = []
+
+        class CountingProblem(scenarios.CoupledProblem):
+            def __post_init__(self):
+                built.append(self.grid.shape)
+                super().__post_init__()
+
+        monkeypatch.setattr(scenarios, "CoupledProblem", CountingProblem)
+        report = run_parallel_tubes(
+            ScenarioConfig(kind="parallel_tubes", levels=2), k=1.0)
+        assert built == [(4, 4), (8, 8)]
+        assert len(report.rows) == 2
+
     def test_stiff_coarse_level_solved_by_newton(self):
         # k = 5 on the 4x4 level once stalled Newton in the pressure form
         # and fell back to a continuation that returned iterations = 0 and

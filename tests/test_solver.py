@@ -1,11 +1,14 @@
 """Coupled Newton solver: assembly consistency, convergence, balances."""
 
+import math
 from dataclasses import replace
+from functools import cache
 
 import numpy as np
 import pytest
 from scipy.sparse.linalg import spsolve
 
+import mdtube.scenarios as scenarios
 import mdtube.solver as solver
 from mdtube.coupling import build_coupling
 from mdtube.grid import BulkGrid
@@ -91,6 +94,44 @@ def point_source_problem():
                           dirichlet=box_dirichlet(grid, psi(0.1)),
                           seg_cells=[seg], couplings=couplings,
                           u_e_fixed=np.array([0.6]))
+
+
+@cache
+def root_sweep_state():
+    """The root-soil problem on 8x8x15 (network seed 2024, delta
+    correction on) at its solution for a -2.5e5 Pa collar, with the collar
+    set to -5e5 Pa: the first state of a warm-started sweep's next solve.
+    Returns the problem and the state's (u_b, u_e)."""
+    solves = []
+    real = scenarios.newton_solve
+
+    def keep(problem, u_b0, u_e0):
+        solves.append((problem, real(problem, u_b0, u_e0)))
+        return solves[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scenarios, "newton_solve", keep)
+        scenarios.run_root_soil(ScenarioConfig(
+            kind="root_soil", seed=2024, grids=((8, 8, 15),),
+            collar_pressures=(-2.5e5,), delta_correction=True))
+    (problem, state), = solves
+    problem.set_joint_dirichlet({int(problem.dir_joint[0]): -5e5})
+    return problem, state.u_b, state.u_e
+
+
+def network_problem_args(nodes, segments, dirichlet_nodes):
+    """``CoupledProblem`` arguments on the coarse 3D box of
+    ``small_coupled_problem``, with the given network and its Dirichlet
+    nodes (at 0.8)."""
+    grid = BulkGrid("3d", [-0.04, -0.04, -0.15], [0.08, 0.08, 0.15],
+                    (6, 6, 8))
+    mesh = discretize_network(TubeNetwork(nodes=np.array(nodes),
+                                          segments=segments), 0.02)
+    mesh.joint_dirichlet = {mesh.joint_of_node[n]: 0.8
+                            for n in dirichlet_nodes}
+    return dict(grid=grid, law=LAW, dirichlet=box_dirichlet(grid, psi(0.1)),
+                seg_cells=mesh.cells,
+                couplings=build_coupling(grid, mesh.cells), network=mesh)
 
 
 class TestAssembly:
@@ -355,25 +396,58 @@ def radial_single_tube_problem():
 
 class TestCapacitanceStep:
     @pytest.mark.parametrize("case", ["chain", "y_junction", "point_source",
-                                      "radial"])
+                                      "radial", "root"])
     def test_step_matches_sparse_solve(self, case):
-        if case == "point_source":
-            problem = point_source_problem()
-        elif case == "radial":
-            problem = radial_single_tube_problem()
-        else:
-            problem = small_coupled_problem(
-                y_junction=case == "y_junction")[0]
         rng = np.random.default_rng(13)
-        u_b = random_bulk(problem, rng)
-        u_e = (rng.uniform(0.2, 0.8, problem.n_net) if problem.n_net
-               else problem.u_e_fixed)
+        if case == "root":
+            problem, u_b, u_e = root_sweep_state()
+        else:
+            if case == "point_source":
+                problem = point_source_problem()
+            elif case == "radial":
+                problem = radial_single_tube_problem()
+            else:
+                problem = small_coupled_problem(
+                    y_junction=case == "y_junction")[0]
+            u_b = random_bulk(problem, rng)
+            u_e = (rng.uniform(0.2, 0.8, problem.n_net) if problem.n_net
+                   else problem.u_e_fixed)
         asm = assemble_coupled(problem, u_b, u_e)
         assert np.all(asm.dq_dub != 0.0)
         ref = spsolve(coupled_jacobian(problem, asm), -asm.res)
         step = problem.solve_step(asm)
         assert step.shape == ref.shape
         assert np.max(np.abs(step - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    def test_network_rows_balance_to_rounding(self):
+        # the step's linear residual on the network rows sums, like the
+        # residual of the collar balance it feeds, to one eps of the sum of
+        # its terms' magnitudes; the axial terms in pairwise form
+        problem, u_b, u_e = root_sweep_state()
+        asm = assemble_coupled(problem, u_b, u_e)
+        n_b = problem.n_bulk
+        step = problem.solve_step(asm)
+        x_b, x_e = step[:n_b], step[n_b:]
+        terms = np.concatenate([
+            problem.lengths * asm.dq_dub * (problem.sample @ x_b),
+            problem.lengths * asm.dq_due * x_e,
+            problem.pair_k * (x_e[problem.pair_i] - x_e[problem.pair_m]),
+            problem.dir_k * x_e[problem.dir_cell],
+            asm.res[n_b:]])
+        assert abs(math.fsum(terms)) <= (np.finfo(float).eps
+                                         * math.fsum(np.abs(terms)))
+
+    def test_no_exchange_gives_plain_bulk_solve(self):
+        # gamma = 0: no exchange, so z = 0 exactly and the bulk step is the
+        # bulk solve of the bulk residual alone
+        problem, _ = small_coupled_problem(gamma=0.0, y_junction=True)
+        rng = np.random.default_rng(19)
+        asm = assemble_coupled(problem, random_bulk(problem, rng),
+                               rng.uniform(0.2, 0.8, problem.n_net))
+        assert not np.any(asm.dq_dub) and not np.any(asm.dq_due)
+        n_b = problem.n_bulk
+        np.testing.assert_array_equal(problem.solve_step(asm)[:n_b],
+                                      problem.solve_bulk(-asm.res[:n_b]))
 
 
 class TestJointDirichlet:
@@ -395,6 +469,68 @@ class TestJointDirichlet:
         problem, mesh = small_coupled_problem()
         with pytest.raises(ValueError, match="Dirichlet joints"):
             problem.set_joint_dirichlet({mesh.joint_of_node[2]: 0.3})
+
+
+class TestBulkDirichlet:
+    def test_revalued_problem_matches_fresh_problem(self):
+        problem = point_source_problem()
+        u_b = random_bulk(problem, np.random.default_rng(23))
+        before = assemble_coupled(problem, u_b, problem.u_e_fixed).res
+        values = {s: psi(np.linspace(0.1, 0.3, len(v)))
+                  for s, v in problem.dirichlet.items()}
+        problem.set_dirichlet(values)
+        fresh = replace(problem, dirichlet=values)
+        res = assemble_coupled(problem, u_b, problem.u_e_fixed).res
+        assert not np.array_equal(res, before)
+        np.testing.assert_array_equal(
+            res, assemble_coupled(fresh, u_b, fresh.u_e_fixed).res)
+        np.testing.assert_array_equal(problem.solve_step(
+            assemble_coupled(problem, u_b, problem.u_e_fixed)),
+            fresh.solve_step(assemble_coupled(fresh, u_b, fresh.u_e_fixed)))
+        assert (boundary_flux_total(problem, u_b)
+                == boundary_flux_total(fresh, u_b))
+
+    def test_side_set_is_fixed(self):
+        problem = point_source_problem()
+        values = dict(problem.dirichlet)
+        del values[0]
+        with pytest.raises(ValueError, match="Dirichlet sides"):
+            problem.set_dirichlet(values)
+
+
+class TestAxialOperator:
+    # the step factors the axial operator, so it must be invertible
+
+    def test_network_without_dirichlet_joint_raises(self):
+        nodes = [[0.0, 0.0, -0.001], [0.0, 0.0, -0.07], [0.025, 0.0, -0.11]]
+        segments = [Segment(0, 1, 2e-3, 3.0, 2e-3, 5e-4),
+                    Segment(1, 2, 1e-3, 3.0, 2e-3, 5e-5)]
+        with pytest.raises(ValueError, match=r"segment cell 0 \(segment 0\) "
+                           "reaches no Dirichlet joint"):
+            CoupledProblem(**network_problem_args(nodes, segments, []))
+
+    def test_disconnected_segment_raises(self):
+        nodes = [[0.0, 0.0, -0.001], [0.0, 0.0, -0.07],
+                 [0.025, 0.0, -0.09], [0.025, 0.0, -0.13]]
+        segments = [Segment(0, 1, 2e-3, 3.0, 2e-3, 5e-4),
+                    Segment(2, 3, 1e-3, 3.0, 2e-3, 5e-5)]
+        kwargs = network_problem_args(nodes, segments, [0])
+        first = next(j for j, c in enumerate(kwargs["seg_cells"])
+                     if c.segment_id == 1)
+        with pytest.raises(ValueError, match=rf"segment cell {first} "
+                           r"\(segment 1\) reaches no Dirichlet joint"):
+            CoupledProblem(**kwargs)
+
+    def test_zero_axial_conductance_raises(self):
+        # a cell linked to the collar only through d_e = 0
+        nodes = [[0.0, 0.0, -0.001], [0.0, 0.0, -0.07], [0.025, 0.0, -0.11]]
+        segments = [Segment(0, 1, 2e-3, 3.0, 2e-3, 5e-4),
+                    Segment(1, 2, 1e-3, 3.0, 2e-3, 0.0)]
+        kwargs = network_problem_args(nodes, segments, [0])
+        first = next(j for j, c in enumerate(kwargs["seg_cells"])
+                     if c.segment_id == 1)
+        with pytest.raises(ValueError, match=rf"segment cell {first} "):
+            CoupledProblem(**kwargs)
 
 
 class TestFluxHelpers:
