@@ -85,8 +85,7 @@ class MultiTubeSolution:
 
     @property
     def q(self) -> np.ndarray:
-        return np.array([-t.perimeter * t.gamma * (uh - t.u_e)
-                         for t, uh in zip(self.tubes, self.u_hat)])
+        return _sources(self.tubes, self.u_hat)
 
     def psi(self, points):
         """Transformed field at (n, 2) points (or a single point)."""
@@ -103,28 +102,41 @@ class MultiTubeSolution:
 
     def residuals(self, k_ip: int | None = None) -> np.ndarray:
         """Perimeter-average residuals, re-evaluated at ``k_ip`` points."""
-        k_ip = k_ip or self.k_ip
-        res = np.empty(len(self.tubes))
-        q = self.q
-        for i, tube in enumerate(self.tubes):
-            pts = _perimeter_points(tube, k_ip)
-            # the interface averages live on the line-source field, whose
-            # own-tube log contribution vanishes on the tube wall; only
-            # the neighbor terms and the constant remain
-            psi = np.full(k_ip, self.c_psi)
-            for j, other in enumerate(self.tubes):
-                if j == i:
-                    continue
-                d = np.linalg.norm(pts - np.asarray(other.center), axis=-1)
-                psi -= q[j] * kernel_profile_f(d, other.tube_radius,
-                                               other.kernel_radius)
-            if self.variant == "u":
-                avg = float(np.mean(self.law.inverse_transform(psi)))
-            else:
-                avg = float(self.law.inverse_transform(
-                    np.float64(np.mean(psi))))
-            res[i] = self.u_hat[i] - avg
-        return res
+        points = [_perimeter_points(t, k_ip or self.k_ip) for t in self.tubes]
+        return _average_residuals(self.tubes, self.law, self.variant,
+                                  self.u_hat, self.c_psi, points)
+
+
+def _sources(tubes, u_hat) -> np.ndarray:
+    """Per-unit-length sources of the tubes at interface values u_hat."""
+    return np.array([-t.perimeter * t.gamma * (uh - t.u_e)
+                     for t, uh in zip(tubes, u_hat)])
+
+
+def _average_residuals(tubes, law: DiffusionLaw, variant: str,
+                       u_hat: np.ndarray, c_psi: float,
+                       points) -> np.ndarray:
+    """u_hat minus the perimeter average of the field (of u, or of psi
+    mapped back to u, by ``variant``) over each tube's ``points``."""
+    q = _sources(tubes, u_hat)
+    res = np.empty(len(tubes))
+    for i, pts in enumerate(points):
+        # the interface averages live on the line-source field, whose
+        # own-tube log contribution vanishes on the tube wall; only the
+        # neighbor terms and the constant remain
+        psi = np.full(len(pts), c_psi)
+        for j, other in enumerate(tubes):
+            if j == i:
+                continue
+            d = np.linalg.norm(pts - np.asarray(other.center), axis=-1)
+            psi -= q[j] * kernel_profile_f(d, other.tube_radius,
+                                           other.kernel_radius)
+        if variant == "u":
+            avg = float(np.mean(law.inverse_transform(psi)))
+        else:
+            avg = float(law.inverse_transform(np.float64(np.mean(psi))))
+        res[i] = u_hat[i] - avg
+    return res
 
 
 class AnalyticSolveError(RuntimeError):
@@ -158,25 +170,7 @@ def solve_multi_tube(tubes, law: DiffusionLaw, anchor: tuple[int, float],
 
     def residual(z):
         c_psi, u_hat = unpack(z)
-        q = np.array([-t.perimeter * t.gamma * (uh - t.u_e)
-                      for t, uh in zip(tubes, u_hat)])
-        res = np.empty(n)
-        for i, tube in enumerate(tubes):
-            # line-source field on the perimeter of tube i: the self
-            # contribution is log(R_i/R_i) = 0 and is skipped
-            psi = np.full(k_ip, c_psi)
-            for j, other in enumerate(tubes):
-                if j == i:
-                    continue
-                d = np.linalg.norm(pts[i] - np.asarray(other.center), axis=-1)
-                psi -= q[j] * kernel_profile_f(d, other.tube_radius,
-                                               other.kernel_radius)
-            if variant == "u":
-                avg = float(np.mean(law.inverse_transform(psi)))
-            else:
-                avg = float(law.inverse_transform(np.float64(np.mean(psi))))
-            res[i] = u_hat[i] - avg
-        return res
+        return _average_residuals(tubes, law, variant, u_hat, c_psi, pts)
 
     # initial guess: interface values at the tube unknowns, constant from
     # the anchor transform

@@ -2,10 +2,11 @@
 
 Supports three modes: ``radial`` (1D in the cylinder radius, annular cell
 measures per unit length), ``2d`` (unit depth) and ``3d``. Cells are
-uniform per axis. The grid lists its interior faces (the two cells, area
-and center distance of each) and its boundary faces (cell, area, distance
-to the cell center, side id ``2*axis + (0 low | 1 high)`` and center),
-from which ``poisson.laplacian`` builds the two-point flux operator.
+uniform per axis and numbered in C order. A side of the grid has the id
+``2*axis + (0 low | 1 high)``; ``side_cells`` and ``side_centers`` give
+its boundary cells and face centers, in C order over the other axes, the
+order of a Dirichlet side's values. The two-point flux operator on the
+grid is ``poisson.laplacian``.
 """
 
 from __future__ import annotations
@@ -54,59 +55,20 @@ class BulkGrid:
         else:
             self.volumes = np.full(self.n_cells, float(np.prod(self.spacing)))
 
-        self._build_faces()
+    def side_cells(self, side: int) -> np.ndarray:
+        """The cells on side ``side``, in C order over the other axes."""
+        axis, high = divmod(side, 2)
+        cells = np.arange(self.n_cells).reshape(self.shape)
+        return np.moveaxis(cells, axis, 0)[-high].ravel()
 
-    def _face_area(self, axis: int, coords: np.ndarray) -> np.ndarray:
-        """Area of a face normal to ``axis`` located at the given centers.
-
-        ``coords`` holds the face center coordinates, one row per face.
-        """
-        if self.dimension == "radial":
-            return 2.0 * np.pi * coords[:, 0]
-        if self.dimension == "2d":
-            other = 1 - axis
-            return np.full(len(coords), self.spacing[other])
-        others = [a for a in range(3) if a != axis]
-        return np.full(len(coords),
-                       self.spacing[others[0]] * self.spacing[others[1]])
-
-    def _build_faces(self):
-        ndim = len(self.shape)
-        left, right, areas, dists = [], [], [], []
-        b_cell, b_area, b_dist, b_side, b_center = [], [], [], [], []
-
-        idx = np.arange(self.n_cells).reshape(self.shape)
-        for axis in range(ndim):
-            h = self.spacing[axis]
-            # interior faces
-            lo = np.moveaxis(idx, axis, 0)[:-1].ravel()
-            hi = np.moveaxis(idx, axis, 0)[1:].ravel()
-            centers = 0.5 * (self.cell_centers[lo] + self.cell_centers[hi])
-            left.append(lo)
-            right.append(hi)
-            areas.append(self._face_area(axis, centers))
-            dists.append(np.full(lo.shape, h))
-            # boundary faces
-            for side, sl in ((0, 0), (1, -1)):
-                cells = np.moveaxis(idx, axis, 0)[sl].ravel()
-                centers = self.cell_centers[cells].copy()
-                centers[:, axis] = (self.origin[axis]
-                                    + (self.extents[axis] if side else 0.0))
-                b_cell.append(cells)
-                b_area.append(self._face_area(axis, centers))
-                b_dist.append(np.full(cells.shape, 0.5 * h))
-                b_side.append(np.full(cells.shape, 2 * axis + side))
-                b_center.append(centers)
-
-        self.face_left = np.concatenate(left)
-        self.face_right = np.concatenate(right)
-        self.face_area = np.concatenate(areas)
-        self.face_dist = np.concatenate(dists)
-        self.bface_cell = np.concatenate(b_cell)
-        self.bface_area = np.concatenate(b_area)
-        self.bface_dist = np.concatenate(b_dist)
-        self.bface_side = np.concatenate(b_side)
-        self.bface_center = np.concatenate(b_center)
+    def side_centers(self, side: int) -> np.ndarray:
+        """The centers of the boundary faces of side ``side``, one row per
+        cell of ``side_cells``."""
+        axis, high = divmod(side, 2)
+        centers = self.cell_centers[self.side_cells(side)]
+        centers[:, axis] = (self.origin[axis]
+                            + (self.extents[axis] if high else 0.0))
+        return centers
 
     # -- lookup ------------------------------------------------------------
 

@@ -3,7 +3,12 @@
 In the Kirchhoff variable psi the bulk flux operator is the TPFA Laplacian
 L of the grid: constant and symmetric, with each Dirichlet side entering
 through a boundary value half a cell away. ``laplacian`` builds L and its
-Dirichlet vector g once, so the bulk residual is ``L psi - g``.
+Dirichlet vector g once, so the bulk residual is ``L psi - g``. The grid
+is uniform per axis, so L is banded: the transmissibilities of the faces
+normal to an axis (face area over center distance; ``transmissibilities``
+is the only place the flux geometry is stated) sit at offsets of plus and
+minus the axis's stride in the C-order cell numbering, and their sums,
+with those of the Dirichlet faces, on the diagonal.
 
 On 2D and 3D grids the cells are uniform per axis and every side is either
 all Dirichlet or all zero-flux, so L is a sum over the axes of one constant
@@ -77,24 +82,59 @@ _TRANSFORMS = {
 _CHUNK_VALUES = 1 << 18
 
 
+def transmissibilities(grid: BulkGrid, axis: int):
+    """Face area over the distance between the centers a face joins, for
+    the faces normal to ``axis``: of the interior faces, in order along
+    the axis (an array on a radial grid, where the face at radius r has
+    area 2 pi r per unit length; one value elsewhere, the product of the
+    other spacings), and of the low and of the high boundary face, half a
+    cell from their cell's center."""
+    h = grid.spacing[axis]
+    if grid.dimension == "radial":
+        r = grid.cell_centers[:, 0]
+        interior = 2.0 * np.pi * (0.5 * (r[:-1] + r[1:]))
+        low = 2.0 * np.pi * grid.origin[0]
+        high = 2.0 * np.pi * (grid.origin[0] + grid.extents[0])
+    else:
+        interior = low = high = np.prod(np.delete(grid.spacing, axis))
+    return interior / h, low / (0.5 * h), high / (0.5 * h)
+
+
 def laplacian(grid: BulkGrid, dirichlet: dict[int, np.ndarray]):
     """The TPFA Laplacian L (CSR) and Dirichlet vector g of ``grid``, so that
     ``L @ u - g`` is the sum of outward fluxes of ``u`` per cell for unit
     diffusivity. ``dirichlet`` maps side ids ``2*axis + (0 low | 1 high)``
-    to the values at that side's boundary face centers, one per face;
-    absent sides are zero-flux."""
+    to the values at that side's boundary face centers, one per cell of
+    ``grid.side_cells``; absent sides are zero-flux.
+
+    A diagonal entry sums its cell's faces as the low cell of every axis,
+    then as the high cell, then its Dirichlet faces in the order of
+    ``dirichlet``."""
     g = dirichlet_vector(grid, dirichlet)
-    il, ir = grid.face_left, grid.face_right
-    t = grid.face_area / grid.face_dist
-    rows, cols, vals = [il, il, ir, ir], [il, ir, il, ir], [t, -t, -t, t]
+    ndim = len(grid.shape)
+    # each axis's interior transmissibilities, shaped to broadcast over the
+    # grid with that axis moved to the front
+    interior = [np.reshape(transmissibilities(grid, a)[0],
+                           (-1,) + (1,) * (ndim - 1)) for a in range(ndim)]
+    diag = np.zeros(grid.shape)
+    bands, offsets = [], []
+    for axis, t in enumerate(interior):
+        np.moveaxis(diag, axis, 0)[:-1] += t
+        if grid.shape[axis] == 1:
+            continue        # no interior face; its stride is the next axis's
+        band = np.zeros(grid.shape)
+        np.moveaxis(band, axis, 0)[:-1] = -t
+        stride = int(np.prod(grid.shape[axis + 1:]))
+        bands += 2 * [band.ravel()[:grid.n_cells - stride]]
+        offsets += [stride, -stride]
+    for axis, t in enumerate(interior):
+        np.moveaxis(diag, axis, 0)[1:] += t
     for side in dirichlet:
-        c, tb = _boundary_faces(grid, side)
-        rows.append(c)
-        cols.append(c)
-        vals.append(tb)
-    lap = sp.csr_matrix((np.concatenate(vals),
-                         (np.concatenate(rows), np.concatenate(cols))),
-                        shape=(grid.n_cells,) * 2)
+        axis, high = divmod(side, 2)
+        np.moveaxis(diag, axis, 0)[-high] += transmissibilities(
+            grid, axis)[1 + high]
+    lap = sp.diags([diag.ravel()] + bands, [0] + offsets,
+                   shape=(grid.n_cells,) * 2, format="csr")
     return lap, g
 
 
@@ -104,20 +144,13 @@ def dirichlet_vector(grid: BulkGrid, dirichlet: dict[int, np.ndarray]):
     _checked_sides(grid, dirichlet)
     g = np.zeros(grid.n_cells)
     for side, values in dirichlet.items():
-        c, tb = _boundary_faces(grid, side)
+        cells = grid.side_cells(side)
         values = np.asarray(values, float)
-        if values.shape != c.shape:
-            raise ValueError(f"Dirichlet side {side} has {len(c)} "
+        if values.shape != cells.shape:
+            raise ValueError(f"Dirichlet side {side} has {len(cells)} "
                              f"faces, not values of shape {values.shape}")
-        np.add.at(g, c, tb * values)
+        g[cells] += transmissibilities(grid, side // 2)[1 + side % 2] * values
     return g
-
-
-def _boundary_faces(grid: BulkGrid, side: int):
-    """Cells and transmissibilities of the boundary faces of ``side``."""
-    mask = grid.bface_side == side
-    return (grid.bface_cell[mask],
-            grid.bface_area[mask] / grid.bface_dist[mask])
 
 
 def laplacian_solver(grid: BulkGrid, dirichlet_sides):

@@ -322,8 +322,7 @@ def parallel_level_problem(law: DiffusionLaw, specs, grid: BulkGrid,
 
 def _reference_dirichlet(law: DiffusionLaw, grid: BulkGrid,
                          ref: MultiTubeSolution) -> dict[int, np.ndarray]:
-    return {s: law.transform(ref.u(grid.bface_center[grid.bface_side == s]))
-            for s in range(4)}
+    return {s: law.transform(ref.u(grid.side_centers(s))) for s in range(4)}
 
 
 def solve_parallel_level(law: DiffusionLaw, specs, grid: BulkGrid,
@@ -519,8 +518,7 @@ def run_root_soil(config: ScenarioConfig) -> RootSoilResult:
                                    delta_correction=config.delta_correction)
         # all but the top face are Dirichlet; the bulk is solved in psi
         psi_s = float(law.transform(np.float64(p_s)))
-        dirichlet = {side: np.full(int(np.sum(grid.bface_side == side)),
-                                   psi_s)
+        dirichlet = {side: np.full(len(grid.side_cells(side)), psi_s)
                      for side in (0, 1, 2, 3, 4)}
         # one problem, and so one set of operators, per grid: the collar
         # is its Dirichlet joint, set to each pressure of the sweep

@@ -41,7 +41,8 @@ from .coupling import SegmentCoupling
 from .grid import BulkGrid
 from .laws import DiffusionLaw
 from .network import NetworkMesh, SegmentCell
-from .poisson import dirichlet_vector, laplacian, laplacian_solver
+from .poisson import (dirichlet_vector, laplacian, laplacian_solver,
+                      transmissibilities)
 from .reconstruction import (ReconstructionError, ReconstructionInput,
                              interface_derivatives, reconstruct_interface)
 
@@ -127,7 +128,6 @@ class CoupledProblem:
                                   [c.cells for c in cpls]).T.tocsr()
         self.sample = by_segment([np.full(len(c.stencil), 1.0 / len(c.stencil))
                                   for c in cpls], [c.stencil for c in cpls])
-        self.deposit_abs = abs(self.deposit)
         if self.network is not None:
             self._build_axial()
         self.laplacian, self.dirichlet_rhs = laplacian(self.grid,
@@ -138,7 +138,7 @@ class CoupledProblem:
                                                        self.deposit)
         if self.n_net:
             # dense only after the Laplacian, whose build is the memory peak
-            # of the construction: 285 MiB of arrays on a 64x64x120 grid,
+            # of the construction: 86 MiB of arrays on a 64x64x120 grid,
             # against 67 MiB for the capacitance matrix
             self.axial_lu = lu_factor(self.axial.toarray())
             self.axial_green = lu_solve(self.axial_lu, np.diag(self.lengths))
@@ -355,7 +355,8 @@ def _converged(problem: CoupledProblem, asm: Assembly, u_b: np.ndarray,
     """The stopping test of ``newton_solve`` at the state (u_b, u_e) of
     ``asm``, one per block. Each block's max-norm residual is at most
     ``_ROUNDING`` machine epsilons of its largest flux-term magnitude:
-    ``|L| |u_b| + |g| + |W| |q|`` in the bulk (g the Dirichlet vector),
+    ``|L| |u_b| + |g| + W |q|`` in the bulk (g the Dirichlet vector; W
+    is non-negative, kernel shares times cell lengths),
     ``|A| |u_e| + |k u_d| + |q len|`` in the network.
 
     And the network residuals balance at the collar to the rounding of
@@ -374,7 +375,7 @@ def _converged(problem: CoupledProblem, asm: Assembly, u_b: np.ndarray,
     rounding = _ROUNDING * eps
     scale_b = (problem.laplacian_abs @ np.abs(u_b)
                + np.abs(problem.dirichlet_rhs)
-               + problem.deposit_abs @ np.abs(asm.q))
+               + problem.deposit @ np.abs(asm.q))
     if not np.max(np.abs(asm.res[:n_b])) <= rounding * np.max(scale_b):
         return False
     if not problem.n_net:
@@ -465,10 +466,9 @@ def boundary_flux_total(problem: CoupledProblem, u_b: np.ndarray) -> float:
     grid = problem.grid
     total = 0.0
     for side, values in problem.dirichlet.items():
-        mask = grid.bface_side == side
-        c = grid.bface_cell[mask]
-        tb = grid.bface_area[mask] / grid.bface_dist[mask]
-        total += float(np.sum(-tb * (np.asarray(values, float) - u_b[c])))
+        tb = transmissibilities(grid, side // 2)[1 + side % 2]
+        total += float(np.sum(-tb * (np.asarray(values, float)
+                                     - u_b[grid.side_cells(side)])))
     return total
 
 

@@ -43,9 +43,8 @@ def write_structured_points(path, grid: BulkGrid,
             values = np.asarray(values, float).reshape((nx, ny, nz))
             fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
             # VTK expects x varying fastest
-            flat = values.transpose(2, 1, 0).ravel()
-            for chunk in np.array_split(flat, max(1, len(flat) // 6)):
-                fh.write(" ".join(f"{v:.10g}" for v in chunk) + "\n")
+            for v in values.transpose(2, 1, 0).ravel():
+                fh.write(f"{v:.10g}\n")
 
 
 def write_network_polydata(path, mesh: NetworkMesh,

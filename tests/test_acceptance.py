@@ -194,7 +194,7 @@ def test_criterion_7_property_suite():
     mesh = discretize_network(net, 0.02)
     mesh.joint_dirichlet = {mesh.joint_of_node[0]: 0.8}
     psi_b = exp_law.transform(np.float64(0.1))
-    dirichlet = {s: np.full(int(np.sum(grid.bface_side == s)), psi_b)
+    dirichlet = {s: np.full(len(grid.side_cells(s)), psi_b)
                  for s in range(6)}
     problem = CoupledProblem(
         grid=grid, law=exp_law, dirichlet=dirichlet, seg_cells=mesh.cells,

@@ -1,11 +1,11 @@
-"""Structured grid geometry and the TPFA Laplacian built from its faces."""
+"""Structured grid geometry, its sides, and the TPFA Laplacian on it."""
 
 import numpy as np
 import pytest
 
 from mdtube.grid import (BulkGrid, bulk_l2_error, observed_orders,
                          source_l2_error)
-from mdtube.poisson import laplacian
+from mdtube.poisson import laplacian, transmissibilities
 
 
 def make_grid(dim="2d"):
@@ -30,14 +30,27 @@ class TestGeometry:
 
     def test_radial_face_area_grows_with_radius(self):
         g = make_grid("radial")
-        # interior face at r = i/8 has circumference 2 pi r
-        assert np.allclose(g.face_area, 2.0 * np.pi * np.arange(1, 8) / 8.0)
+        # interior face at r = i/8 has circumference 2 pi r, the outer one
+        # at r = 1 and the inner one at r = 0; face area over distance
+        h = g.spacing[0]
+        interior, low, high = transmissibilities(g, 0)
+        assert np.allclose(interior * h, 2.0 * np.pi * np.arange(1, 8) / 8.0)
+        assert low == 0.0
+        assert high * 0.5 * h == pytest.approx(2.0 * np.pi)
 
     def test_boundary_side_ids(self):
         g = make_grid("2d")
-        # side id = 2*axis + (0 low, 1 high)
-        for side, count in ((0, 4), (1, 4), (2, 6), (3, 6)):
-            assert int(np.sum(g.bface_side == side)) == count
+        cells = np.arange(g.n_cells).reshape(g.shape)
+        # side id = 2*axis + (0 low, 1 high); cells in C order over the
+        # other axis, face centers on the side
+        for side, expect in ((0, cells[0]), (1, cells[-1]),
+                             (2, cells[:, 0]), (3, cells[:, -1])):
+            np.testing.assert_array_equal(g.side_cells(side), expect)
+            axis, other = side // 2, 1 - side // 2
+            centers = g.side_centers(side)
+            assert np.all(centers[:, axis] == (1.0 if side % 2 else -1.0))
+            np.testing.assert_array_equal(centers[:, other],
+                                          g.cell_centers[expect, other])
 
     def test_cell_bounds_partition(self):
         g = make_grid("3d")
@@ -103,7 +116,7 @@ class TestAssembly:
     def test_constant_field_zero_residual(self):
         g = make_grid("3d")
         u = np.full(g.n_cells, 0.37)
-        dirichlet = {s: np.full(int(np.sum(g.bface_side == s)), 0.37)
+        dirichlet = {s: np.full(len(g.side_cells(s)), 0.37)
                      for s in range(6)}
         lap, rhs = laplacian(g, dirichlet)
         scale = np.max(abs(lap) @ np.abs(u) + np.abs(rhs))
@@ -113,10 +126,7 @@ class TestAssembly:
         # u = x is in the TPFA kernel on a uniform grid
         g = BulkGrid("2d", [0.0, 0.0], [1.0, 1.0], (8, 8))
         u = g.cell_centers[:, 0]
-        dirichlet = {}
-        for side in range(4):
-            mask = g.bface_side == side
-            dirichlet[side] = g.bface_center[mask][:, 0]
+        dirichlet = {side: g.side_centers(side)[:, 0] for side in range(4)}
         lap, rhs = laplacian(g, dirichlet)
         assert np.max(np.abs(lap @ u - rhs)) < 1e-14
 

@@ -190,13 +190,15 @@ class TestHelpers:
 
         class CountingProblem(scenarios.CoupledProblem):
             def __post_init__(self):
-                built.append(self.grid.shape)
                 super().__post_init__()
+                built.append(self)
 
         monkeypatch.setattr(scenarios, "CoupledProblem", CountingProblem)
         report = run_parallel_tubes(
             ScenarioConfig(kind="parallel_tubes", levels=2), k=1.0)
-        assert built == [(4, 4), (8, 8)]
+        assert [p.grid.shape for p in built] == [(4, 4), (8, 8)]
+        # kernel shares times cell lengths: W is its own magnitude
+        assert all(p.deposit.data.min() > 0 for p in built)
         assert len(report.rows) == 2
 
     def test_stiff_coarse_level_solved_by_newton(self):

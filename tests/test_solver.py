@@ -31,7 +31,7 @@ def psi(u):
 
 
 def box_dirichlet(grid, value):
-    return {s: np.full(int(np.sum(grid.bface_side == s)), value)
+    return {s: np.full(len(grid.side_cells(s)), value)
             for s in range(2 * len(grid.shape))}
 
 
