@@ -85,7 +85,7 @@ def unit_law_assembly(grid, dirichlet):
     time. A diagonal entry sums, in this order, the faces where its cell is
     the low cell, those where it is the high cell, each over the axes in
     order, and its Dirichlet faces side by side."""
-    n, ndim = grid.n_cells, len(grid.shape)
+    n = grid.n_cells
     index = np.arange(n).reshape(grid.shape)
     lap, g = np.zeros((n, n)), np.zeros(n)
     faces = []                  # (low cell, high cell, transmissibility)
