@@ -10,8 +10,7 @@ coarser than the tube radius.
 
 from .analytic import (AnalyticSolveError, MultiTubeSolution,
                        SingleTubeSolution, TubeSpec, solve_multi_tube)
-from .coupling import (SegmentCoupling, build_coupling,
-                       build_segment_coupling, mean_distance,
+from .coupling import (SegmentCoupling, build_coupling, mean_distance,
                        point_segment_distance)
 from .grid import BulkGrid, bulk_l2_error, observed_orders, source_l2_error
 from .laws import (ConstantLaw, DiffusionLaw, ExponentialLaw, TabulatedLaw,

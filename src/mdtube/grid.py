@@ -11,7 +11,6 @@ grid is ``poisson.laplacian``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,27 +78,48 @@ class BulkGrid:
         reconstruction sampling averages over this stencil so that points
         on cell boundaries are treated symmetrically.
         """
-        point = np.asarray(point, float)
-        cells = np.zeros(1, int)
-        for a, (x, x0, h) in enumerate(zip(point.tolist(),
-                                           self.origin.tolist(),
-                                           self.spacing.tolist())):
-            t = (x - x0) / h
-            i = math.floor(t + 1e-12)
-            cand = {i}
-            if abs(t - round(t)) < 1e-9 * max(1.0, abs(t)) + 1e-12:
-                cand.update({round(t) - 1, round(t)})
-            cand = sorted(c for c in cand if 0 <= c < self.shape[a])
-            if not cand:
-                raise ValueError(f"point {point} outside grid along axis {a}")
-            # C-order flat index over the per-axis candidates
-            cells = (cells[:, None] * self.shape[a] + cand).ravel()
+        _, cells = self.stencils(point)
+        if cells.size == 0:
+            raise ValueError(f"point {point} outside the grid")
         return cells
+
+    def stencils(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The cells whose closure contains each of ``points`` (n, dim),
+        as in ``cells_containing``: ``(owner, cells)``, the cells of one
+        point after another, each point's in ascending order, with the
+        point of each. A point outside the grid owns no cell."""
+        points = np.atleast_2d(np.asarray(points, float))
+        t = (points - self.origin) / self.spacing
+        i = np.floor(t + 1e-12)
+        nearest = np.rint(t)
+        # on a face: the cells on both sides of it
+        on = np.abs(t - nearest) < 1e-9 * np.maximum(1.0, np.abs(t)) + 1e-12
+        lo = np.where(on, np.minimum(i, nearest - 1.0), i)
+        hi = np.where(on, np.maximum(i, nearest), i) + 1.0
+        owner, multi = index_boxes(np.maximum(lo, 0.0).astype(int),
+                                   np.minimum(hi, self.shape).astype(int))
+        return owner, np.ravel_multi_index(multi.T, self.shape)
 
     def cell_bounds(self, cell: int) -> tuple[np.ndarray, np.ndarray]:
         multi = np.unravel_index(cell, self.shape)
         lo = self.origin + np.array(multi) * self.spacing
         return lo, lo + self.spacing
+
+
+def index_boxes(lo: np.ndarray, hi: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Multi-indices of the index boxes [lo, hi) (n, dim), a box where
+    ``hi <= lo`` on some axis being empty: ``(owner, multi)``, the indices
+    of one box after another, each box's in C order, with the box of
+    each."""
+    extent = np.maximum(hi - lo, 0)
+    size = np.prod(extent, axis=1)
+    owner = np.repeat(np.arange(len(size)), size)
+    rank = np.arange(owner.size) - np.repeat(np.cumsum(size) - size, size)
+    multi = np.empty((owner.size, extent.shape[1]), int)
+    for a in reversed(range(extent.shape[1])):
+        rank, multi[:, a] = np.divmod(rank, extent[owner, a])
+    return owner, multi + lo[owner]
 
 
 def bulk_l2_error(grid: BulkGrid, u_h: np.ndarray, reference: np.ndarray,

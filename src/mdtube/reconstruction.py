@@ -9,6 +9,7 @@ be arrays over segment cells, solved together; scalars return floats.
 
 from __future__ import annotations
 
+import copy
 import warnings
 from dataclasses import dataclass
 
@@ -57,6 +58,8 @@ class ReconstructionInput:
     law: DiffusionLaw
 
     def __post_init__(self):
+        """Check the geometry and compute ``coupling_factor``, |P| gamma
+        f(delta), the linear coefficient of the interface term."""
         if not np.all((0.0 <= self.delta) & (self.delta < self.kernel_radius)):
             raise ValueError("require 0 <= delta < kernel radius")
         if np.any(self.tube_radius > self.kernel_radius):
@@ -65,16 +68,19 @@ class ReconstructionInput:
             warnings.warn(
                 "ln(rho/R) < 0.5: uniqueness of the interface equation is "
                 "not guaranteed", stacklevel=2)
+        self.coupling_factor = self.perimeter * self.gamma * kernel_profile_f(
+            self.delta, self.tube_radius, self.kernel_radius)
 
     @property
     def perimeter(self):
         return 2.0 * np.pi * self.tube_radius
 
-    @property
-    def coupling_factor(self):
-        """|P| gamma f(delta), the linear coefficient of the interface term."""
-        f = kernel_profile_f(self.delta, self.tube_radius, self.kernel_radius)
-        return self.perimeter * self.gamma * f
+    def at(self, u_b_delta, u_e) -> ReconstructionInput:
+        """The same tubes at other values of the sampled bulk and the tube:
+        a copy that keeps the checked geometry and ``coupling_factor``."""
+        state = copy.copy(self)
+        state.u_b_delta, state.u_e = u_b_delta, u_e
+        return state
 
 
 def reconstruct_interface(inp: ReconstructionInput, tol: float = 1e-12,

@@ -29,7 +29,7 @@ Failing that, it raises ``NonconvergenceError``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -62,6 +62,12 @@ _MAX_HALVINGS = 10
 _ROUNDING = 8.0
 
 
+def _abs_entries(matrix: sp.csr_matrix) -> sp.csr_matrix:
+    """``abs(matrix)`` that shares the index arrays of ``matrix``."""
+    return sp.csr_matrix((np.abs(matrix.data), matrix.indices,
+                          matrix.indptr), shape=matrix.shape)
+
+
 @dataclass
 class CoupledProblem:
     """The coupled system, with the bulk in psi = int_0^u D: the bulk
@@ -74,7 +80,9 @@ class CoupledProblem:
     The state-independent operators are built at construction:
     ``deposit`` (W, bulk by segment cells, kernel weight times cell
     length), ``sample`` (S, segment by bulk cells, 1/|stencil|), the
-    interface geometry, the network's axial operator, the Laplacian L with
+    interface geometry (``interface``, checked once, with its coupling
+    factor |P| gamma f(delta); an assembly reads it through
+    ``interface.at``), the network's axial operator, the Laplacian L with
     its Dirichlet vector, the direct solver of L and the capacitance
     matrix S L^-1 W that ``solve_step`` uses. The solver builds C from the
     few cells each row of S and column of W touches: on 2D and 3D grids
@@ -132,7 +140,7 @@ class CoupledProblem:
             self._build_axial()
         self.laplacian, self.dirichlet_rhs = laplacian(self.grid,
                                                        self.dirichlet)
-        self.laplacian_abs = abs(self.laplacian)
+        self.laplacian_abs = _abs_entries(self.laplacian)
         self.solve_bulk = laplacian_solver(self.grid, self.dirichlet)
         self.capacitance = self.solve_bulk.capacitance(self.sample,
                                                        self.deposit)
@@ -227,7 +235,7 @@ class CoupledProblem:
         self.axial = (sp.diags(diag) - sp.csr_matrix(
             (self.pair_k, (self.pair_i, self.pair_m)),
             shape=(n_e, n_e))).tocsr()
-        self.axial_abs = abs(self.axial)
+        self.axial_abs = _abs_entries(self.axial)
 
         # A is invertible when every connected part of the network, joined
         # by positive conductances, holds a cell with a Dirichlet joint
@@ -316,7 +324,7 @@ def assemble_coupled(problem: CoupledProblem, u_b: np.ndarray,
     law = problem.law
     res_b = problem.laplacian @ u_b - problem.dirichlet_rhs
     u_bar = law.inverse_transform(problem.sample @ u_b)
-    inp = replace(problem.interface, u_b_delta=u_bar, u_e=u_e)
+    inp = problem.interface.at(u_bar, u_e)
     u_hat, q = reconstruct_interface(inp)
     duh_dub, duh_due = interface_derivatives(inp, u_hat)
     # chain rule through u(psi): du/dpsi = 1 / D(u)

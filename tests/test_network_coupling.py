@@ -4,15 +4,16 @@ Geometric reference values are frozen from Monte Carlo estimates (sample
 counts and seeds stated next to each use).
 """
 
+import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 import mdtube.coupling as coupling
-from mdtube.coupling import (CouplingError, build_coupling,
-                             build_segment_coupling, mean_distance,
+from mdtube.coupling import (CouplingError, build_coupling, mean_distance,
                              point_segment_distance)
 from mdtube.grid import BulkGrid
 from mdtube.network import (NetworkFormatError, Segment, SegmentCell,
@@ -36,6 +37,11 @@ def make_cell(p0, p1, radius=0.01, rho=0.05):
     return SegmentCell(p0=p0, p1=p1, length=float(np.linalg.norm(p1 - p0)),
                        radius=radius, kernel_radius=rho, gamma=1.0, d_e=1.0,
                        segment_id=0, joint_a=0, joint_b=1)
+
+
+def build_one(grid, cell, delta_correction=False):
+    """The coupling of one segment cell alone."""
+    return build_coupling(grid, [cell], delta_correction)[0]
 
 
 def all_pieces_ray_volumes(lo, hi, e, d, length, rho):
@@ -146,23 +152,20 @@ class TestKernelValue:
 class TestSegmentCoupling:
     def test_weights_partition_unity_2d(self):
         g = BulkGrid("2d", [0.0, 0.0], [1.0, 1.0], (16, 16))
-        cpl = build_segment_coupling(g, make_cell([0.53, 0.47], [0.53, 0.47],
-                                                  rho=0.11))
+        cpl = build_one(g, make_cell([0.53, 0.47], [0.53, 0.47], rho=0.11))
         assert np.sum(cpl.weights) == pytest.approx(1.0, abs=1e-9)
         assert not cpl.clipped
 
     def test_disc_inside_one_cell_exact(self):
         g = BulkGrid("2d", [0.0, 0.0], [1.0, 1.0], (4, 4))
-        cpl = build_segment_coupling(g, make_cell([0.6, 0.4], [0.6, 0.4],
-                                                  rho=0.05))
+        cpl = build_one(g, make_cell([0.6, 0.4], [0.6, 0.4], rho=0.05))
         assert cpl.cells.tolist() == [9]
         assert cpl.inside_fraction == pytest.approx(1.0, rel=0, abs=1e-14)
         assert not cpl.clipped
 
     def test_disc_at_four_cell_corner_is_symmetric(self):
         g = BulkGrid("2d", [0.0, 0.0], [1.0, 1.0], (4, 4))
-        cpl = build_segment_coupling(g, make_cell([0.5, 0.5], [0.5, 0.5],
-                                                  rho=0.1))
+        cpl = build_one(g, make_cell([0.5, 0.5], [0.5, 0.5], rho=0.1))
         assert len(cpl.cells) == 4
         assert np.allclose(cpl.weights, 0.25, rtol=0, atol=1e-14)
         assert cpl.inside_fraction == pytest.approx(1.0, rel=0, abs=1e-14)
@@ -172,8 +175,7 @@ class TestSegmentCoupling:
     def test_clipped_support_renormalized(self):
         # support hangs over the domain boundary; deposition stays total
         g = BulkGrid("2d", [0.0, 0.0], [1.0, 1.0], (8, 8))
-        cpl = build_segment_coupling(g, make_cell([0.02, 0.5], [0.02, 0.5],
-                                                  rho=0.1))
+        cpl = build_one(g, make_cell([0.02, 0.5], [0.02, 0.5], rho=0.1))
         assert cpl.clipped
         assert cpl.inside_fraction < 1.0
         assert np.sum(cpl.weights) == pytest.approx(1.0, abs=1e-9)
@@ -181,8 +183,7 @@ class TestSegmentCoupling:
     def test_half_clipped_disc_inside_fraction_exact(self):
         # centred on the left boundary: exactly half the disc is inside
         g = BulkGrid("2d", [0.0, 0.0], [1.0, 1.0], (8, 8))
-        cpl = build_segment_coupling(g, make_cell([0.0, 0.5], [0.0, 0.5],
-                                                  rho=0.1))
+        cpl = build_one(g, make_cell([0.0, 0.5], [0.0, 0.5], rho=0.1))
         assert cpl.clipped
         assert cpl.inside_fraction == pytest.approx(0.5, rel=0, abs=1e-14)
         assert np.sum(cpl.weights) == pytest.approx(1.0, rel=0, abs=1e-14)
@@ -192,7 +193,7 @@ class TestSegmentCoupling:
         # against adaptive quadrature of the vertical chord
         center, rho = np.array([0.437, 0.561]), 0.19
         g = BulkGrid("2d", [0.0, 0.0], [1.0, 1.0], (8, 8))
-        cpl = build_segment_coupling(g, make_cell(center, center, rho=rho))
+        cpl = build_one(g, make_cell(center, center, rho=rho))
         weights = dict(zip(cpl.cells.tolist(), cpl.weights))
         for c in range(g.n_cells):
             lo, hi = g.cell_bounds(c)
@@ -220,7 +221,7 @@ class TestSegmentCoupling:
         for cell in cells:
             for n in (4, 8):
                 g = BulkGrid("3d", [0, 0, 0], [1, 1, 1], (n, n, n))
-                cpl = build_segment_coupling(g, cell)
+                cpl = build_one(g, cell)
                 assert cpl.inside_fraction == pytest.approx(1.0, rel=0,
                                                             abs=1e-12)
 
@@ -229,8 +230,8 @@ class TestSegmentCoupling:
         # four cell columns holds a quarter disc times its axial overlap
         # with z in [0.1, 0.6] (0.15, 0.25 and 0.1 for the three layers)
         g = BulkGrid("3d", [0, 0, 0], [1, 1, 1], (4, 4, 4))
-        cpl = build_segment_coupling(g, make_cell([0.5, 0.5, 0.1],
-                                                  [0.5, 0.5, 0.6], rho=0.1))
+        cpl = build_one(g, make_cell([0.5, 0.5, 0.1], [0.5, 0.5, 0.6],
+                                     rho=0.1))
         expect = {}
         for i in (1, 2):
             for j in (1, 2):
@@ -249,7 +250,7 @@ class TestSegmentCoupling:
         # cell, at most 1.2e-4. Tolerance: 4 standard errors plus 1e-5 for
         # the angular rule (2.8e-6 against 4096 angles here).
         g = BulkGrid("3d", [0, 0, 0], [1, 1, 1], (4, 4, 4))
-        cpl = build_segment_coupling(g, make_cell(
+        cpl = build_one(g, make_cell(
             [0.38, 0.41, 0.30], [0.62, 0.55, 0.68], rho=0.09))
         oracle = {20: 2.75e-05, 21: 0.357878, 22: 0.0466107, 25: 0.0603424,
                   26: 0.0348099, 37: 0.0747551, 38: 0.1476, 41: 0.0330297,
@@ -295,7 +296,7 @@ class TestSegmentCoupling:
     def test_oblique_cylinder_normal_to_an_axis_pinned(self):
         # e_y = 0: every ray is in or out of each y slab as a whole
         g = BulkGrid("3d", [0, 0, 0], [1, 1, 1], (4, 4, 4))
-        cpl = build_segment_coupling(g, make_cell(
+        cpl = build_one(g, make_cell(
             [0.38, 0.45, 0.30], [0.62, 0.45, 0.68], rho=0.09))
         pinned = {21: 0.3455882321594872, 22: 0.07163017118410156,
                   25: 0.07295531653734581, 26: 0.009826280119065474,
@@ -310,7 +311,7 @@ class TestSegmentCoupling:
     def test_clipped_oblique_cylinder_pinned(self):
         # the support leaves the domain through the x = 0 and y = 0 faces
         g = BulkGrid("3d", [0, 0, 0], [1, 1, 1], (4, 4, 4))
-        cpl = build_segment_coupling(g, make_cell(
+        cpl = build_one(g, make_cell(
             [0.05, 0.1, 0.2], [0.2, 0.03, 0.5], rho=0.12))
         pinned = {0: 0.18273029897297977, 1: 0.7363229295492342,
                   2: 0.044470971459425725, 17: 0.036475800018360344}
@@ -325,7 +326,7 @@ class TestSegmentCoupling:
         # the midpoint (0.45, 0.475, 0.5) is on a z face: a two-cell
         # stencil, whose RMS mean distance is below the kernel radius
         g = BulkGrid("3d", [0, 0, 0], [1, 1, 1], (8, 8, 8))
-        cpl = build_segment_coupling(g, make_cell(
+        cpl = build_one(g, make_cell(
             [0.3, 0.45, 0.3], [0.6, 0.5, 0.7], rho=0.3),
             delta_correction=True)
         assert cpl.stencil.tolist() == [219, 220]
@@ -339,19 +340,18 @@ class TestSegmentCoupling:
         # the support's bounding box misses the grid beyond one face
         g3 = BulkGrid("3d", [0, 0, 0], [1, 1, 1], (4, 4, 4))
         with pytest.raises(CouplingError, match="outside the bulk grid"):
-            build_segment_coupling(g3, make_cell([-2.0, 0.5, 0.5],
-                                                 [-2.1, 0.5, 0.6]))
+            build_one(g3, make_cell([-2.0, 0.5, 0.5], [-2.1, 0.5, 0.6]))
         g2 = BulkGrid("2d", [0.0, 0.0], [1.0, 1.0], (4, 4))
         with pytest.raises(CouplingError, match="outside the bulk grid"):
-            build_segment_coupling(g2, make_cell([3.0, 0.5], [3.0, 0.5]))
+            build_one(g2, make_cell([3.0, 0.5], [3.0, 0.5]))
 
     def test_support_must_match_grid_dimension(self):
         g2 = BulkGrid("2d", [0.0, 0.0], [1.0, 1.0], (4, 4))
         with pytest.raises(CouplingError, match="degenerate"):
-            build_segment_coupling(g2, make_cell([0.3, 0.5], [0.6, 0.5]))
+            build_one(g2, make_cell([0.3, 0.5], [0.6, 0.5]))
         g3 = BulkGrid("3d", [0, 0, 0], [1, 1, 1], (4, 4, 4))
         with pytest.raises(CouplingError, match="length"):
-            build_segment_coupling(g3, make_cell([0.5] * 3, [0.5] * 3))
+            build_one(g3, make_cell([0.5] * 3, [0.5] * 3))
 
     def test_clipped_large_kernel_builds_without_warnings(self):
         # kernel factor 12 on 16x16: every support is cut by the boundary
@@ -366,7 +366,7 @@ class TestSegmentCoupling:
     def test_radial_weights_closed_form(self):
         g = BulkGrid("radial", [0.0], [1.0], (10,))
         cell = make_cell([0.0, 0.0, 0.0], [0.0, 0.0, 1.0], rho=0.25)
-        cpl = build_segment_coupling(g, cell)
+        cpl = build_one(g, cell)
         # annular overlap fractions of the 0.25-radius disc: full cells
         # up to 0.2, a partial ring [0.2, 0.25], nothing beyond
         expect = np.array([0.1 ** 2, 0.2 ** 2 - 0.1 ** 2,
@@ -375,9 +375,8 @@ class TestSegmentCoupling:
 
     def test_delta_correction_bounded_by_kernel(self):
         g = BulkGrid("2d", [0.0, 0.0], [1.0, 1.0], (4, 4))
-        cpl = build_segment_coupling(g, make_cell([0.5, 0.5], [0.5, 0.5],
-                                                  rho=0.3),
-                                     delta_correction=True)
+        cpl = build_one(g, make_cell([0.5, 0.5], [0.5, 0.5], rho=0.3),
+                        delta_correction=True)
         assert 0.0 < cpl.delta < 0.3
 
     def test_build_coupling_maps_all_cells(self):
@@ -398,6 +397,118 @@ class TestSegmentCoupling:
             pytest.approx(3.0788912010546596, rel=1e-13, abs=0.0))
         assert sum(c.delta for c in cpls) == pytest.approx(
             0.05099994899999999, rel=1e-13, abs=0.0)
+
+
+def assert_same_couplings(got, expect):
+    assert len(got) == len(expect)
+    for g, e in zip(got, expect):
+        assert np.array_equal(g.cells, e.cells)
+        assert g.cells.dtype == e.cells.dtype
+        assert np.array_equal(g.weights, e.weights)
+        assert g.inside_fraction == e.inside_fraction
+        assert g.clipped == e.clipped
+        assert np.array_equal(g.stencil, e.stencil)
+        assert g.delta == e.delta
+
+
+class TestOnePassBuild:
+    """``build_coupling`` builds all segment cells of a grid at once; each
+    cell's coupling is the one it gets alone, to the bit."""
+
+    MIXED_3D = (
+        make_cell([0.5, 0.5, 0.1], [0.5, 0.5, 0.6], rho=0.1),      # along z
+        make_cell([0.38, 0.41, 0.30], [0.62, 0.55, 0.68], rho=0.09),
+        make_cell([0.38, 0.45, 0.30], [0.62, 0.45, 0.68], rho=0.09),  # e_y 0
+        make_cell([0.05, 0.1, 0.2], [0.2, 0.03, 0.5], rho=0.12),   # clipped
+        # midpoint on a z face: a two-cell stencil
+        make_cell([0.3, 0.45, 0.3], [0.6, 0.5, 0.7], rho=0.3),
+        make_cell([0.9, 0.2, 0.55], [0.7, 0.2, 0.55], rho=0.05),   # along -x
+    )
+    MIXED_2D = tuple(make_cell(c, c, rho=r) for c, r in (
+        ([0.53, 0.47], 0.11), ([0.5, 0.5], 0.1), ([0.0, 0.5], 0.1),
+        ([0.437, 0.561], 0.19), ([0.6, 0.4], 0.05)))
+
+    @pytest.mark.parametrize("delta_correction", [False, True])
+    @pytest.mark.parametrize("dimension, shape, cells", [
+        ("3d", (8, 8, 8), MIXED_3D), ("3d", (5, 7, 6), MIXED_3D),
+        ("2d", (8, 8), MIXED_2D),
+        ("radial", (10,), tuple(make_cell([0.0] * 3, [0.0, 0.0, 1.0], rho=r)
+                                for r in (0.25, 0.1, 0.5)))],
+        ids=["3d", "3d_uneven", "2d", "radial"])
+    def test_batch_equals_cells_alone(self, dimension, shape, cells,
+                                      delta_correction):
+        g = BulkGrid(dimension, [0.0] * len(shape), [1.0] * len(shape),
+                     shape)
+        alone = [build_one(g, c, delta_correction) for c in cells]
+        assert_same_couplings(build_coupling(g, cells, delta_correction),
+                              alone)
+        # and in another order
+        assert_same_couplings(
+            build_coupling(g, cells[::-1], delta_correction), alone[::-1])
+
+    def test_root_network_fingerprints(self):
+        # seed 2024 on 16x16x30 with the delta correction, as the root
+        # workloads build it: 262 segment cells, 1277 weights and 362
+        # stencil cells, so every chunk of the mean distances is full but
+        # the last. Pinned from the per-segment-cell build this replaced.
+        mesh = discretize_network(synthetic_root_network(seed=2024), 0.005)
+        g = BulkGrid("3d", [-0.04, -0.04, -0.15], [0.08, 0.08, 0.15],
+                     (16, 16, 30))
+        cpls = build_coupling(g, mesh.cells, delta_correction=True)
+        assert sum(c.cells.size for c in cpls) == 1277
+        assert sum(c.stencil.size for c in cpls) == 362
+        assert sum(np.sum(c.weights * c.cells) for c in cpls) == (
+            pytest.approx(925536.990121511, rel=1e-13, abs=0.0))
+        assert sum(np.sum(c.weights ** 2) for c in cpls) == (
+            pytest.approx(139.50780486223735, rel=1e-13, abs=0.0))
+        assert sum(c.delta for c in cpls) == pytest.approx(
+            0.38021416962066773, rel=1e-13, abs=0.0)
+
+    def test_memory_peak_of_a_root_network_build(self):
+        # the ray integration and the mean distances go in chunks: the
+        # traced peak on 32x32x60 is about 5.4 MiB, where one chunk of all
+        # stencil cells would take about 30
+        mesh = discretize_network(synthetic_root_network(seed=2024), 0.005)
+        g = BulkGrid("3d", [-0.04, -0.04, -0.15], [0.08, 0.08, 0.15],
+                     (32, 32, 60))
+        tracemalloc.start()
+        try:
+            build_coupling(g, mesh.cells, delta_correction=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2 ** 20
+
+    def test_error_names_the_cell_outside_the_grid(self):
+        mesh = discretize_network(simple_network(), 0.01)
+        g = BulkGrid("3d", [-0.04, -0.04, -0.15], [0.08, 0.08, 0.15],
+                     (8, 8, 15))
+        cells = list(mesh.cells)
+        cells[5] = replace(cells[5], p0=cells[5].p0 + [1.0, 0.0, 0.0],
+                           p1=cells[5].p1 + [1.0, 0.0, 0.0])
+        name = rf"segment cell 5 \(segment {cells[5].segment_id}\)"
+        with pytest.raises(CouplingError,
+                           match=f"^{name} lies outside the bulk grid$"):
+            build_coupling(g, cells)
+
+    def test_error_names_the_cell_whose_support_misses_the_grid(self):
+        # the second disc's bounding box overlaps the corner cell, the disc
+        # does not: it is 0.0566 from the corner, its radius 0.05
+        g = BulkGrid("2d", [0.0, 0.0], [1.0, 1.0], (4, 4))
+        cells = [replace(make_cell(c, c, rho=0.05), segment_id=i + 10)
+                 for i, c in enumerate(([0.5, 0.5], [-0.04, 1.04],
+                                        [0.2, 0.3]))]
+        with pytest.raises(CouplingError, match=r"^kernel support of segment "
+                           r"cell 1 \(segment 11\) does not intersect"):
+            build_coupling(g, cells)
+
+    def test_error_names_the_cell_whose_midpoint_is_outside(self):
+        # the disc reaches into the grid, its center does not
+        g = BulkGrid("2d", [0.0, 0.0], [1.0, 1.0], (4, 4))
+        cells = [make_cell(c, c, rho=0.1) for c in ([0.5, 0.5], [-0.02, 0.5])]
+        with pytest.raises(CouplingError, match=r"^midpoint of segment cell 1 "
+                           r"\(segment 0\) lies outside the bulk grid"):
+            build_coupling(g, cells)
 
 
 class TestNetworkFormat:

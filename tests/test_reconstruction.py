@@ -1,5 +1,7 @@
 """Interface reconstruction from the regularized bulk field."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -102,12 +104,9 @@ class TestDerivatives:
         d_ub, d_ue = interface_derivatives(inp, u_hat)
         eps = 1e-7
         for attr, analytic in (("u_b_delta", d_ub), ("u_e", d_ue)):
-            kw_p = {**inp.__dict__}
-            kw_m = {**inp.__dict__}
-            kw_p[attr] += eps
-            kw_m[attr] -= eps
-            up, _ = reconstruct_interface(ReconstructionInput(**kw_p))
-            um, _ = reconstruct_interface(ReconstructionInput(**kw_m))
+            value = getattr(inp, attr)
+            up, _ = reconstruct_interface(replace(inp, **{attr: value + eps}))
+            um, _ = reconstruct_interface(replace(inp, **{attr: value - eps}))
             fd = (up - um) / (2.0 * eps)
             assert analytic == pytest.approx(fd, rel=1e-6)
 

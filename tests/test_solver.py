@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import spsolve
 
+import mdtube.reconstruction as reconstruction
 import mdtube.scenarios as scenarios
 import mdtube.solver as solver
 from mdtube.coupling import build_coupling
@@ -221,6 +222,25 @@ class TestAssembly:
                                    atol=4 * np.finfo(float).eps * scale)
         np.testing.assert_allclose(problem.axial_residual(u_e), res, rtol=0.0,
                                    atol=4 * np.finfo(float).eps * scale)
+
+    def test_interface_data_is_built_with_the_problem(self, monkeypatch):
+        # |P| gamma f(delta) and the checks of the tube geometry are fixed
+        # per problem: a solve evaluates no kernel profile
+        problem, _ = small_coupled_problem()
+        calls = []
+        monkeypatch.setattr(reconstruction, "kernel_profile_f",
+                            lambda *args: calls.append(args))
+        state = newton_solve(problem, np.full(problem.n_bulk, psi(0.1)),
+                             np.full(problem.n_net, 0.4))
+        assert state.iterations > 0 and calls == []
+
+    def test_absolute_operators_share_index_arrays(self):
+        problem, _ = small_coupled_problem()
+        for matrix, absolute in ((problem.laplacian, problem.laplacian_abs),
+                                 (problem.axial, problem.axial_abs)):
+            assert np.shares_memory(absolute.indices, matrix.indices)
+            assert np.shares_memory(absolute.indptr, matrix.indptr)
+            assert np.array_equal(absolute.data, np.abs(matrix.data))
 
     def test_fixed_tube_values_have_no_network_rows(self):
         problem = point_source_problem()
