@@ -169,7 +169,10 @@ class CoupledProblem:
         factor. One step of fixed-precision iterative refinement against
         the two block rows, with both factors, makes the step as backward
         stable as a factorization of the whole block system (Skeel, Math.
-        Comp. 35, 1980); it needs no bulk solve. Then
+        Comp. 35, 1980); it needs no bulk solve. Its axial residual is in
+        pairwise form (``axial_residual``), so the network rows of the
+        step balance to the rounding of the differences, as the Newton
+        residual does. Then
         ``x_b = L^-1 (r_b + W z)``.
         """
         n_b = self.n_bulk
@@ -193,7 +196,8 @@ class CoupledProblem:
 
         z, x_e = exchange(a_sy, r_e)
         dz, dx_e = exchange(a_sy + b * x_e - z + a * (self.capacitance @ z),
-                            r_e - self.lengths * z - self.axial @ x_e)
+                            r_e - self.lengths * z
+                            - self.axial_residual(x_e, 0.0))
         z += dz
         x_b = self.solve_bulk(r_b + self.deposit @ z)
         return np.concatenate([x_b, x_e + dx_e])
@@ -272,15 +276,21 @@ class CoupledProblem:
         self.dirichlet_rhs = dirichlet_vector(self.grid, values)
         self.dirichlet = values
 
-    def axial_residual(self, u_e: np.ndarray) -> np.ndarray:
+    def axial_residual(self, u_e: np.ndarray,
+                       dir_value: np.ndarray | float | None = None
+                       ) -> np.ndarray:
         """Axial residual in pairwise-difference form: ``k (u_i - u_m)``
         keeps the conservation defect at the rounding scale of the tiny
-        differences, not of the O(u) eliminated joint values."""
+        differences, not of the O(u) eliminated joint values. The Dirichlet
+        joints hold ``dir_value``, the problem's by default; with 0 it is
+        ``A u_e``."""
+        if dir_value is None:
+            dir_value = self.dir_value
         n_e = len(u_e)
         return (np.bincount(self.pair_i, self.pair_k
                             * (u_e[self.pair_i] - u_e[self.pair_m]), n_e)
                 + np.bincount(self.dir_cell, self.dir_k
-                              * (u_e[self.dir_cell] - self.dir_value), n_e))
+                              * (u_e[self.dir_cell] - dir_value), n_e))
 
     @property
     def n_bulk(self) -> int:

@@ -44,48 +44,72 @@ def build_one(grid, cell, delta_correction=False):
     return build_coupling(grid, [cell], delta_correction)[0]
 
 
-def all_pieces_ray_volumes(lo, hi, e, d, length, rho):
-    """Reference for ``coupling._ray_volumes``: the chord at both Gauss
-    nodes of all 25 pieces per ray, those of zero width included, summed
-    per box over the (angles, 50) terms."""
-    m, n_angles = len(lo), len(d)
-    line_d = np.concatenate([d, np.zeros((n_angles, 1))], axis=1)
+def ray_volumes(lo, hi, axis, rho, n_angles, chunk=128):
+    """Oracle of ``coupling._cylinder_volumes`` that shares none of its
+    algebra: volumes of the boxes [lo, hi] (m, 3) inside the cylinder of
+    radius rho from the origin along ``axis`` by a periodic trapezoid rule
+    of ``n_angles`` over the angle. In the (r, z) plane of each ray every
+    box face and each cap is a line, so the axial chord is piecewise linear
+    in r with breakpoints where two lines cross, and two-point Gauss on
+    each piece integrates chord(r) r dr exactly. Pieces of zero width add
+    nothing and are skipped."""
+    axis = np.asarray(axis, float)
+    length = float(np.linalg.norm(axis))
+    e = axis / length
+    n1 = np.cross(e, np.eye(3)[np.argmin(np.abs(e))])
+    n1 /= np.linalg.norm(n1)
+    n2 = np.cross(e, n1)
+    theta = 2.0 * np.pi * (np.arange(n_angles) + 0.5) / n_angles
+    m = len(lo)
+    total = np.zeros(m)
+    # lines d_g r + e_g z = c: the two faces of each axis, then the caps
     line_e = np.append(e, 1.0)
     line_c = np.stack([np.concatenate([lo, np.zeros((m, 1))], axis=1),
-                       np.concatenate([hi, np.full((m, 1), length)],
-                                      axis=1)], axis=-1)
-    crossings = []
-    for g in range(4):
-        for h in range(g + 1, 4):
-            det = line_d[:, g] * line_e[h] - line_d[:, h] * line_e[g]
-            num = (line_c[:, g, :, None] * line_e[h]
-                   - line_c[:, h, None, :] * line_e[g]).reshape(m, 4)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                crossings.append(num[:, None, :] / det[None, :, None])
-    r = np.concatenate([np.zeros((m, n_angles, 1)),
-                        np.full((m, n_angles, 1), rho)] + crossings, axis=-1)
-    r = np.sort(np.clip(np.where(np.isfinite(r), r, 0.0), 0.0, rho), axis=-1)
-    half = 0.5 * np.diff(r, axis=-1)
-    mid = 0.5 * (r[..., 1:] + r[..., :-1])
-    node = 1.0 / np.sqrt(3.0)
-    r = np.concatenate([mid - node * half, mid + node * half], axis=-1)
-    half = np.concatenate([half, half], axis=-1)
-    lower = np.zeros(r.shape)
-    upper = np.full(r.shape, length)
-    for a in range(3):
-        base = r * d[None, :, None, a]
-        lo_a, hi_a = lo[:, a, None, None], hi[:, a, None, None]
-        if e[a] == 0.0:
-            upper = np.where((base >= lo_a) & (base <= hi_a), upper, -np.inf)
-            continue
-        z0 = (lo_a - base) / e[a]
-        z1 = (hi_a - base) / e[a]
-        if e[a] < 0.0:
-            z0, z1 = z1, z0
-        lower = np.maximum(lower, z0)
-        upper = np.minimum(upper, z1)
-    chord = np.maximum(upper - lower, 0.0)
-    return (2.0 * np.pi / n_angles) * np.sum(chord * r * half, axis=(1, 2))
+                       np.concatenate([hi, np.full((m, 1), length)], axis=1)],
+                      axis=-1)                                # (m, 4, 2)
+    g, h = np.triu_indices(4, 1)
+    num = (line_c[:, g, :, None] * line_e[h, None, None]
+           - line_c[:, h, None, :] * line_e[g, None, None]).reshape(m, 1, -1)
+    for s in range(0, n_angles, chunk):
+        t = theta[s:s + chunk]
+        d = np.cos(t)[:, None] * n1 + np.sin(t)[:, None] * n2
+        line_d = np.concatenate([d, np.zeros((len(t), 1))], axis=1)
+        det = np.repeat(line_d[:, g] * line_e[h] - line_d[:, h] * line_e[g],
+                        4, axis=1)
+        # the rays whose rectangle r <= rho, 0 <= z <= length meets the
+        # box's slab of every axis
+        ends = (np.array([0.0, rho])[:, None, None] * d
+                + np.array([0.0, length])[:, None, None, None] * e)
+        box, angle = np.nonzero(np.all(
+            (ends.min(axis=(0, 1)) <= hi[:, None])
+            & (ends.max(axis=(0, 1)) >= lo[:, None]), axis=-1))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = np.concatenate([np.zeros((box.size, 1)),
+                                np.full((box.size, 1), rho),
+                                num[box, 0] / det[angle]], axis=-1)
+        # parallel lines never cross: their non-finite crossing goes to 0
+        # or rho, where it adds no piece
+        r = np.sort(np.fmin(np.fmax(r, 0.0), rho), axis=-1)
+        ray, left = np.nonzero(r[:, 1:] > r[:, :-1])
+        r0, r1 = r[ray, left], r[ray, left + 1]
+        half, mid = 0.5 * (r1 - r0), 0.5 * (r1 + r0)
+        box, angle = box[ray], angle[ray]
+        r = np.stack([mid - half / np.sqrt(3.0), mid + half / np.sqrt(3.0)])
+        lower, upper = np.zeros(r.shape), np.full(r.shape, length)
+        for a in range(3):
+            base = r * d[angle, a]
+            lo_a, hi_a = lo[box, a], hi[box, a]
+            if e[a] == 0.0:
+                upper = np.where((base >= lo_a) & (base <= hi_a), upper,
+                                 -np.inf)
+                continue
+            z0, z1 = (lo_a - base) / e[a], (hi_a - base) / e[a]
+            if e[a] < 0.0:
+                z0, z1 = z1, z0
+            lower, upper = np.maximum(lower, z0), np.minimum(upper, z1)
+        terms = np.sum(np.maximum(upper - lower, 0.0) * r, axis=0) * half
+        total += np.bincount(box, terms, m)
+    return (2.0 * np.pi / n_angles) * total
 
 
 class TestGeometryHelpers:
@@ -247,8 +271,8 @@ class TestSegmentCoupling:
     def test_oblique_cylinder_matches_monte_carlo(self):
         # oracle: 1.6e7 points uniform in the cylinder (seed 12345) binned
         # into the 4x4x4 cells; standard error sqrt(w (1 - w) / N) per
-        # cell, at most 1.2e-4. Tolerance: 4 standard errors plus 1e-5 for
-        # the angular rule (2.8e-6 against 4096 angles here).
+        # cell, at most 1.2e-4. Tolerance: 4 standard errors plus 1e-5, a
+        # margin for an angular rule; the weights are exact to rounding.
         g = BulkGrid("3d", [0, 0, 0], [1, 1, 1], (4, 4, 4))
         cpl = build_one(g, make_cell(
             [0.38, 0.41, 0.30], [0.62, 0.55, 0.68], rho=0.09))
@@ -262,46 +286,55 @@ class TestSegmentCoupling:
             sigma = np.sqrt(oracle[c] * (1.0 - oracle[c]) / n_samples)
             assert abs(w - oracle[c]) <= 4.0 * sigma + 1e-5
 
-    @pytest.mark.parametrize("p1", [[0.62, 0.55, 0.68], [0.62, 0.45, 0.68],
-                                    [0.30, 0.41, 0.10]],
-                             ids=["oblique", "normal_to_y", "all_negative"])
-    def test_ray_volumes_equal_all_pieces_bitwise(self, p1):
-        # the pieces of zero width add exact zeros and every evaluated term
-        # keeps its place in the per-box sum: the volumes of all 64 cells,
-        # most far from the support, are the same to the bit
-        p0 = np.array([0.38, 0.45, 0.30])
-        axis = np.asarray(p1) - p0
-        length = float(np.linalg.norm(axis))
-        e = axis / length
-        n1 = np.cross(e, [1.0, 0.0, 0.0])
-        n1 /= np.linalg.norm(n1)
-        n2 = np.cross(e, n1)
-        theta = 2.0 * np.pi * (np.arange(128) + 0.5) / 128
-        d = np.cos(theta)[:, None] * n1 + np.sin(theta)[:, None] * n2
+    @pytest.mark.parametrize("p0, p1, rho", [
+        ([0.38, 0.45, 0.30], [0.62, 0.55, 0.68], 0.09),
+        ([0.38, 0.45, 0.30], [0.62, 0.45, 0.68], 0.09),
+        ([0.38, 0.45, 0.30], [0.30, 0.41, 0.10], 0.09),
+        ([0.05, 0.1, 0.2], [0.2, 0.03, 0.5], 0.12),
+        ([0.3, 0.35, 0.3], [0.52, 0.49, 0.51], 0.09),
+        ([0.5, 0.5, 0.5], [0.3, 0.62, 0.71], 0.09),
+        ([0.4, 0.45, 0.2], [0.4 + 4e-13, 0.46, 0.7], 0.09)],
+        ids=["oblique", "normal_to_y", "all_negative", "clipped",
+             "cap_near_a_node", "starts_on_a_node", "tiny_e_x"])
+    def test_cylinder_volumes_match_ray_integration(self, p0, p1, rho):
+        # every cell of the grid, box by box, against the periodic
+        # trapezoid rule over 2^15 angles, which converges slowly: it is
+        # 4e-10 of the cylinder off for e_y = 0, below 1e-12 at 2^20
+        # angles. The cases: the support leaves the domain ("clipped"); the
+        # top cap cuts the eight cells at a grid node; the start is a grid
+        # node, where a clipped face corner lands on the axis; e_x = 8e-13,
+        # below ``_PARALLEL``, where the x faces would carry a rounding of
+        # 3e-5 of the cylinder
         g = BulkGrid("3d", [0, 0, 0], [1, 1, 1], (4, 4, 4))
+        p0 = np.array(p0)
+        axis = np.array(p1) - p0
         lo = np.stack(np.unravel_index(np.arange(g.n_cells), g.shape),
                       axis=-1) * g.spacing - p0
         hi = lo + g.spacing
-        got = coupling._ray_volumes(lo, hi, e, d, length, 0.2)
-        assert np.count_nonzero(got) > 4
-        assert np.array_equal(got, all_pieces_ray_volumes(lo, hi, e, d,
-                                                          length, 0.2))
+        m = g.n_cells
+        got = coupling._cylinder_volumes(lo, hi, np.tile(axis, (m, 1)),
+                                         np.full(m, rho))
+        volume = np.pi * rho ** 2 * np.linalg.norm(axis)
+        expect = ray_volumes(lo, hi, axis, rho, 2 ** 15)
+        assert np.count_nonzero(expect) >= 5
+        assert np.max(np.abs(got - expect)) <= 1e-9 * volume
+        cpl = build_one(g, make_cell(p0, p1, rho=rho))
+        assert np.all(cpl.weights > 0.0)
+        assert cpl.clipped == (p0[0] == 0.05)
 
-    # The oblique cases below pin the weights of the ray integration at
-    # rounding level. The values were computed with 128 angles and all 25
-    # pieces per ray evaluated, as in ``all_pieces_ray_volumes``; their
-    # error against the exact volumes is ~1e-6 (see the Monte Carlo test
-    # above).
+    # The oblique cases below pin the closed-form weights at rounding
+    # level. Each pinned value agrees within 1e-12 with the same build from
+    # ``ray_volumes`` at 2^20 angles.
 
     def test_oblique_cylinder_normal_to_an_axis_pinned(self):
         # e_y = 0: every ray is in or out of each y slab as a whole
         g = BulkGrid("3d", [0, 0, 0], [1, 1, 1], (4, 4, 4))
         cpl = build_one(g, make_cell(
             [0.38, 0.45, 0.30], [0.62, 0.45, 0.68], rho=0.09))
-        pinned = {21: 0.3455882321594872, 22: 0.07163017118410156,
-                  25: 0.07295531653734581, 26: 0.009826280119065474,
-                  37: 0.09358903451797461, 38: 0.32362936882561416,
-                  41: 0.014183206258876577, 42: 0.06859839039753471}
+        pinned = {21: 0.3456182262359536, 22: 0.07164788634045001,
+                  25: 0.07292274447934677, 26: 0.009811142944249555,
+                  37: 0.09360926068657643, 38: 0.3236568518898274,
+                  41: 0.01416555807180728, 42: 0.068568329351789}
         assert sorted(cpl.cells.tolist()) == sorted(pinned)
         assert not cpl.clipped
         assert cpl.inside_fraction == pytest.approx(1.0, rel=1e-13, abs=0.0)
@@ -313,11 +346,13 @@ class TestSegmentCoupling:
         g = BulkGrid("3d", [0, 0, 0], [1, 1, 1], (4, 4, 4))
         cpl = build_one(g, make_cell(
             [0.05, 0.1, 0.2], [0.2, 0.03, 0.5], rho=0.12))
-        pinned = {0: 0.18273029897297977, 1: 0.7363229295492342,
-                  2: 0.044470971459425725, 17: 0.036475800018360344}
+        # cell 18 holds 8.9e-9 of the support
+        pinned = {0: 0.1827303885964687, 1: 0.7363365460713877,
+                  2: 0.0444673390121895, 17: 0.03646571738678302,
+                  18: 8.933171092161874e-09}
         assert sorted(cpl.cells.tolist()) == sorted(pinned)
         assert cpl.clipped
-        assert cpl.inside_fraction == pytest.approx(0.7928582088515667,
+        assert cpl.inside_fraction == pytest.approx(0.7928547577929391,
                                                     rel=1e-13, abs=0.0)
         for c, w in zip(cpl.cells.tolist(), cpl.weights):
             assert w == pytest.approx(pinned[c], rel=1e-13, abs=0.0)
@@ -332,9 +367,9 @@ class TestSegmentCoupling:
         assert cpl.stencil.tolist() == [219, 220]
         assert cpl.delta == pytest.approx(0.06717029163685365, rel=1e-13,
                                           abs=0.0)
-        assert cpl.cells.size == 160
+        assert cpl.cells.size == 161
         assert np.sum(cpl.weights * cpl.cells) == pytest.approx(
-            228.30026462039638, rel=1e-13, abs=0.0)
+            228.29907042917932, rel=1e-13, abs=0.0)
 
     def test_support_outside_grid_rejected(self):
         # the support's bounding box misses the grid beyond one face
@@ -392,9 +427,9 @@ class TestSegmentCoupling:
         # segment is oblique with e_y = 0; every delta is clamped just
         # below its kernel radius
         assert sum(np.sum(c.weights * c.cells) for c in cpls) == (
-            pytest.approx(6201.499999999999, rel=1e-13, abs=0.0))
+            pytest.approx(6201.5, rel=1e-13, abs=0.0))
         assert sum(np.sum(c.weights ** 2) for c in cpls) == (
-            pytest.approx(3.0788912010546596, rel=1e-13, abs=0.0))
+            pytest.approx(3.0789265731515405, rel=1e-13, abs=0.0))
         assert sum(c.delta for c in cpls) == pytest.approx(
             0.05099994899999999, rel=1e-13, abs=0.0)
 
@@ -448,25 +483,25 @@ class TestOnePassBuild:
 
     def test_root_network_fingerprints(self):
         # seed 2024 on 16x16x30 with the delta correction, as the root
-        # workloads build it: 262 segment cells, 1277 weights and 362
+        # workloads build it: 262 segment cells, 1278 weights and 362
         # stencil cells, so every chunk of the mean distances is full but
-        # the last. Pinned from the per-segment-cell build this replaced.
+        # the last.
         mesh = discretize_network(synthetic_root_network(seed=2024), 0.005)
         g = BulkGrid("3d", [-0.04, -0.04, -0.15], [0.08, 0.08, 0.15],
                      (16, 16, 30))
         cpls = build_coupling(g, mesh.cells, delta_correction=True)
-        assert sum(c.cells.size for c in cpls) == 1277
+        assert sum(c.cells.size for c in cpls) == 1278
         assert sum(c.stencil.size for c in cpls) == 362
         assert sum(np.sum(c.weights * c.cells) for c in cpls) == (
-            pytest.approx(925536.990121511, rel=1e-13, abs=0.0))
+            pytest.approx(925536.9068414826, rel=1e-13, abs=0.0))
         assert sum(np.sum(c.weights ** 2) for c in cpls) == (
-            pytest.approx(139.50780486223735, rel=1e-13, abs=0.0))
+            pytest.approx(139.50801221590564, rel=1e-13, abs=0.0))
         assert sum(c.delta for c in cpls) == pytest.approx(
             0.38021416962066773, rel=1e-13, abs=0.0)
 
     def test_memory_peak_of_a_root_network_build(self):
-        # the ray integration and the mean distances go in chunks: the
-        # traced peak on 32x32x60 is about 5.4 MiB, where one chunk of all
+        # the oblique boxes and the mean distances go in chunks: the
+        # traced peak on 32x32x60 is about 2.7 MiB, where one chunk of all
         # stencil cells would take about 30
         mesh = discretize_network(synthetic_root_network(seed=2024), 0.005)
         g = BulkGrid("3d", [-0.04, -0.04, -0.15], [0.08, 0.08, 0.15],

@@ -442,7 +442,10 @@ class TestCapacitanceStep:
     def test_network_rows_balance_to_rounding(self):
         # the step's linear residual on the network rows sums, like the
         # residual of the collar balance it feeds, to one eps of the sum of
-        # its terms' magnitudes; the axial terms in pairwise form
+        # its terms' magnitudes; the axial terms in pairwise form. The
+        # refinement's axial residual is pairwise too: in the form A x_e it
+        # is rounded at the scale of the O(u) values, and the sum read up
+        # to 3.5 eps over network seeds 1-11 and 2024 (0.33 now)
         problem, u_b, u_e = root_sweep_state()
         asm = assemble_coupled(problem, u_b, u_e)
         n_b = problem.n_bulk
@@ -456,6 +459,18 @@ class TestCapacitanceStep:
             asm.res[n_b:]])
         assert abs(math.fsum(terms)) <= (np.finfo(float).eps
                                          * math.fsum(np.abs(terms)))
+
+    def test_refinement_squares_the_error_of_an_inexact_factor(self):
+        # with the factor of A off by 1e-6 relative, the unrefined step
+        # is off by 1e-6 and one step of refinement against both block
+        # rows leaves (1e-6)^2: the bound is ten times that
+        problem, u_b, u_e = root_sweep_state()
+        asm = assemble_coupled(problem, u_b, u_e)
+        ref = spsolve(coupled_jacobian(problem, asm), -asm.res)
+        problem.axial_lu = solver.lu_factor((1.0 + 1e-6)
+                                            * problem.axial.toarray())
+        step = problem.solve_step(asm)
+        assert np.max(np.abs(step - ref)) <= 1e-11 * np.max(np.abs(ref))
 
     def test_no_exchange_gives_plain_bulk_solve(self):
         # gamma = 0: no exchange, so z = 0 exactly and the bulk step is the
