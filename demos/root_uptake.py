@@ -6,9 +6,9 @@ at the pressure matching 40 percent water saturation; the collar pressure
 is swept towards stronger suction and the transpiration rate (total
 segment uptake) is reported together with the collar flux it must balance.
 
-By default only the coarse 16x16x30 grid is run (about two to three
-minutes); pass --fine to add the 32x32x60 grid. Pass --vtk to write
-ParaView files for the soil field and the root network.
+By default only the coarse 16x16x30 grid is run (about a second); pass
+--fine to add the 32x32x60 grid. Pass --vtk to write ParaView files for
+the soil field and the root network.
 """
 
 import argparse

@@ -18,7 +18,6 @@ from .laws import (ConstantLaw, DiffusionLaw, ExponentialLaw, TabulatedLaw,
 from .network import (NetworkFormatError, NetworkMesh, Segment, SegmentCell,
                       TubeNetwork, discretize_network, kernel_value,
                       parse_network, synthetic_root_network, write_network)
-from .quadrature import QuadratureError, tanh_sinh
 from .reconstruction import (ReconstructionError, ReconstructionInput,
                              interface_derivatives, kernel_profile_f,
                              reconstruct_interface)

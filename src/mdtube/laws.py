@@ -7,13 +7,14 @@ globally defined. Each law has one transform path. The constant,
 regularized-exponential and tabulated (piecewise-linear D) laws have
 closed forms. The Van Genuchten-Mualem law has none: it builds a
 ``TransformTable`` at construction, by one cumulative tanh-sinh pass
-(``quadrature``).
+(``quadrature``) over evenly spaced nodes.
 
 D is constant below the Van Genuchten floor kink and above saturation, so
-T is affine there. The table holds nodes only where D varies, padded by
-one node beyond each kink, and extrapolates affinely with the tail
-slopes: a tabled transform and its inverse are one ``np.interp`` plus the
-tail terms, exact (to the table's interpolation error) on all reals.
+T is affine there. The table's nodes run from the floor kink to 0, both
+kinks among them, padded by one node beyond each, and it extrapolates
+affinely with the tail slopes: a tabled transform and its inverse are one
+``np.interp`` plus the tail terms, exact (to the table's interpolation
+error) on all reals.
 """
 
 from __future__ import annotations
@@ -25,10 +26,9 @@ from scipy.optimize import brentq
 
 from .quadrature import tanh_sinh_piecewise_cumulative
 
-#: the Van Genuchten table's node lattice,
-#: ``linspace(_TABLE_U_LO, _TABLE_U_HI, _TABLE_SAMPLES)`` in Pa (10.1 Pa
-#: apart), trimmed or extended to the floor kink and to 0
-_TABLE_U_LO, _TABLE_U_HI, _TABLE_SAMPLES = -1.0e6, 1.0e4, 100_000
+#: the largest spacing of the Van Genuchten table's nodes, in Pa: 7,171
+#: nodes for the loam of the root scenario, whose floor kink is -72,389 Pa
+_TABLE_SPACING = 10.1
 
 
 @dataclass(frozen=True)
@@ -219,8 +219,7 @@ class VanGenuchtenLaw(DiffusionLaw):
         self.d_sat = self.k_perm / self.mu
         self.d_min = self.eps * self.d_sat
         self._u_floor = self._find_floor_pressure()
-        self.table = self._build_table(_TABLE_U_LO, _TABLE_U_HI,
-                                       _TABLE_SAMPLES)
+        self.table = self._build_table()
 
     def effective_saturation(self, p):
         """S_e as a function of water pressure p (p <= 0 is unsaturated)."""
@@ -255,56 +254,40 @@ class VanGenuchtenLaw(DiffusionLaw):
                                  "to -1e15 Pa; use a larger eps")
         return brentq(g, lo, lo / 10.0, xtol=1e-6)
 
-    def _build_table(self, u_lo: float, u_hi: float,
-                     samples: int) -> TransformTable:
-        """Sample the transform on the lattice ``linspace(u_lo, u_hi,
-        samples)``.
+    def _build_table(self) -> TransformTable:
+        """Sample the transform between the floor kink and 0, where D varies.
 
-        Only the part of the lattice where D varies is kept: the nodes
-        between the floor kink and 0, one node beyond each and the kinks
-        themselves. A range that stops short of a kink is extended to it
-        at the same spacing (the floor kink moves with alpha, n, lam and
-        eps), so the table is exact beyond its ends. One cumulative
-        quadrature pass over the probe lattice ``linspace(u_lo, u_hi,
-        2 * samples - 1)``, trimmed alike, gives the node values (every
-        other probe point) and the round-trip error (all of them).
+        The nodes are evenly spaced, at most ``_TABLE_SPACING`` apart, with
+        both kinks among them and one node beyond each, so the affine tails
+        are exact beyond the table's ends (the floor kink moves with alpha,
+        n, lam and eps). One cumulative quadrature pass over the nodes and
+        their midpoints gives the node values (at the nodes) and the
+        round-trip error (at all of them).
 
-        Raises ``ValueError`` when the kinks lie more than
-        ``10 * samples`` nodes apart (a floor far below the lattice), and ``RuntimeError`` when the sampled
-        transform is not strictly increasing or its round-trip error
-        exceeds ``1e-6 * (u_hi - u_lo)``.
+        Raises ``ValueError`` when the table would hold more than 1e6 nodes
+        (a floor far below 0), and ``RuntimeError`` when the round-trip
+        error exceeds a tenth of the spacing.
         """
-        a, b = self._u_floor, 0.0
-        # the probe lattice of np.linspace, from the last even (node) index
-        # at or below a to the first at or above b
-        n = 2 * samples - 2
-        h = (u_hi - u_lo) / n
-        i_lo = 2 * int(np.floor((a - u_lo) / (2.0 * h))) - 2
-        i_hi = 2 * int(np.ceil((b - u_lo) / (2.0 * h))) + 2
-        if (i_hi - i_lo) // 2 > 10 * samples:
-            raise ValueError(f"the floor kink {a} and 0 lie {(i_hi - i_lo) // 2}"
-                             f" nodes apart at this spacing, more than "
-                             f"10 * samples; a larger eps raises the floor")
-        i = np.arange(i_lo, i_hi + 1)
-        probe = i * h + u_lo
-        probe[i == n] = u_hi
-        node = i % 2 == 0
-        probe = probe[np.flatnonzero(node & (probe <= a))[-1]:
-                      np.flatnonzero(node & (probe >= b))[0] + 1]
-        u = np.unique(np.concatenate([probe[::2], [a, b]]))
-        points = np.unique(np.concatenate([probe, [a, b]]))
+        a = self._u_floor
+        intervals = int(np.ceil(-a / _TABLE_SPACING))
+        if intervals + 3 > 1_000_000:
+            raise ValueError(f"a table from the floor kink {a} to 0 needs "
+                             f"{intervals + 3} nodes at {_TABLE_SPACING} Pa "
+                             "spacing, more than 1e6; a larger eps raises "
+                             "the floor")
+        # nodes at even indices, midpoints at odd ones: a - h, a - h/2, a,
+        # ..., 0, h/2, h, with the kinks a and 0 exact
+        h = -a / intervals
+        points = a + 0.5 * h * np.arange(-2, 2 * intervals + 3)
+        points[2], points[-3] = a, 0.0
         cum = tanh_sinh_piecewise_cumulative(self.eval, points)
-        psi_points = cum - cum[np.searchsorted(points, b)]      # T(0) = 0
-        psi = psi_points[np.searchsorted(points, u)]
-        if np.any(np.diff(psi) <= 0.0):
-            raise RuntimeError("sampled transform is not strictly increasing")
-        table = TransformTable(u, psi, self.d_min, self.d_sat,
-                               roundtrip_error=0.0)
-        err = float(np.max(np.abs(table.u_of_psi(psi_points) - points)))
-        if err > 1e-6 * (u_hi - u_lo):
+        psi_points = cum - cum[-3]                              # T(0) = 0
+        u, psi = points[::2], psi_points[::2]
+        err = float(np.max(np.abs(np.interp(psi_points, psi, u) - points)))
+        if err > 0.1 * _TABLE_SPACING:
             raise RuntimeError(
-                f"Kirchhoff table round trip error {err:.3e} exceeds 1e-6 "
-                f"of the range [{u_lo}, {u_hi}]; use more samples")
+                f"Kirchhoff table round trip error {err:.3e} exceeds a tenth "
+                f"of the {_TABLE_SPACING} Pa spacing; use a finer spacing")
         return TransformTable(u, psi, self.d_min, self.d_sat,
                               roundtrip_error=err)
 

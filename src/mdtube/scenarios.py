@@ -508,22 +508,22 @@ def run_root_soil(config: ScenarioConfig) -> RootSoilResult:
         net = parse_network(config.network_file)
     else:
         net = synthetic_root_network(seed=config.seed)
-    collar = net.collar_node()
+    # the mesh depends on the network alone, so every grid shares it; the
+    # collar is its Dirichlet joint, set to each pressure of the sweep
+    mesh = discretize_network(net, config.segment_length)
+    collar_joint = mesh.joint_of_node[net.collar_node()]
+    mesh.joint_dirichlet = {collar_joint: p_s}
+    # all but the top face are Dirichlet; the bulk is solved in psi
+    psi_s = float(law.transform(np.float64(p_s)))
 
     result = RootSoilResult(boundary_pressure=p_s)
     for shape in config.grids:
         grid = BulkGrid("3d", ROOT_DOMAIN_ORIGIN, ROOT_DOMAIN_EXTENTS, shape)
-        mesh = discretize_network(net, config.segment_length)
         couplings = build_coupling(grid, mesh.cells,
                                    delta_correction=config.delta_correction)
-        # all but the top face are Dirichlet; the bulk is solved in psi
-        psi_s = float(law.transform(np.float64(p_s)))
         dirichlet = {side: np.full(len(grid.side_cells(side)), psi_s)
                      for side in (0, 1, 2, 3, 4)}
-        # one problem, and so one set of operators, per grid: the collar
-        # is its Dirichlet joint, set to each pressure of the sweep
-        collar_joint = mesh.joint_of_node[collar]
-        mesh.joint_dirichlet = {collar_joint: p_s}
+        # one problem, and so one set of operators, per grid
         prob = CoupledProblem(grid=grid, law=law, dirichlet=dirichlet,
                               seg_cells=mesh.cells, couplings=couplings,
                               network=mesh)

@@ -116,6 +116,13 @@ class CoupledProblem:
             raise ValueError("need a network mesh or fixed tube values "
                              "(u_e_fixed), exactly one of the two")
         segs, cpls = self.seg_cells, self.couplings
+        if len(cpls) != len(segs):
+            raise ValueError(f"{len(cpls)} couplings for {len(segs)} segment "
+                             "cells; need one per segment cell")
+        if self.network is not None and (list(map(id, self.network.cells))
+                                         != list(map(id, segs))):
+            raise ValueError(f"seg_cells ({len(segs)}) must be the network's "
+                             f"cells ({self.network.n_cells}), in order")
         self.lengths = np.array([s.length for s in segs])
         self.interface = ReconstructionInput(
             u_b_delta=0.0, u_e=0.0,

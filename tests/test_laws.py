@@ -203,38 +203,40 @@ class TestVanGenuchtenLaw:
     def test_table_keeps_nodes_only_where_d_varies(self, loam):
         table = loam.table
         assert table.d_lo == loam.d_min and table.d_hi == loam.d_sat
-        # one node beyond each kink, the kinks themselves, and between
-        # them the requested grid's nodes, bitwise
+        # evenly spaced from the floor kink to 0, both kinks exact nodes,
+        # and one node beyond each
         assert table.u[0] < loam._u_floor == table.u[1]
         assert table.u[-2] == 0.0 < table.u[-1]
-        grid = np.linspace(-1.0e6, 1.0e4, 100_000)
-        inner = table.u[(table.u != loam._u_floor) & (table.u != 0.0)]
-        assert np.all(np.isin(inner, grid))
-        assert inner.size == table.u.size - 2
+        du = np.diff(table.u)
+        assert np.max(du) <= mdtube.laws._TABLE_SPACING
+        np.testing.assert_allclose(du, du[1], rtol=1e-9)
+        assert table.u.size <= 7171
         assert table.roundtrip_error < 0.1
 
-    def test_table_extends_to_kinks(self, loam):
-        # a lattice that stops short of both kinks (the floor kink moves
-        # with the parameters) is extended to them at its spacing
-        table = loam._build_table(-5.0e4, -1.0e3, samples=20_000)
-        assert table.u[0] < loam._u_floor and table.u[-1] > 0.0
-        grid = np.linspace(-5.0e4, -1.0e3, 20_000)
-        assert np.array_equal(table.u[(table.u >= -5.0e4)
-                                      & (table.u <= -1.0e3)], grid)
-        for u in (-7.0e4, -2.0e2):           # beyond the requested range
-            ref, est = quad_transform(loam, u)
-            assert abs(table.psi_of_u(np.float64(u)) - ref) < max(
-                1e-5 * abs(ref), 10.0 * est)
+    def test_table_extends_to_kinks(self):
+        # the floor kink moves with the parameters, and the table with it
+        law = VanGenuchtenLaw(LOAM_PERMEABILITY, eps=1e-4, n=2.0)
+        table = law.table
+        assert -3.0e4 < law._u_floor == table.u[1]
+        assert table.u[-2] == 0.0
+        assert np.max(np.diff(table.u)) <= mdtube.laws._TABLE_SPACING
+        # the node values are cumulative quadrature, as exact as the oracle
+        for u in table.u[[0, 1, table.u.size // 3, -3, -1]]:
+            ref, est = quad_transform(law, u)
+            assert abs(table.psi_of_u(u) - ref) <= max(1e-12 * abs(ref), est)
+        assert_tails_match_oracle(law, (-1e8, -2e6, 5e4, 1e6))
 
-    def test_far_extension_at_fine_spacing_raises(self, loam):
-        # 0.001 Pa spacing across the 7e4 Pa between the kinks: 7e7 nodes
-        with pytest.raises(ValueError, match="nodes apart"):
-            loam._build_table(-1.0e3, -9.0e2, samples=100_000)
+    def test_far_extension_at_fine_spacing_raises(self, monkeypatch):
+        # 0.05 Pa spacing across the 7.2e4 Pa between the kinks: 1.4e6 nodes
+        monkeypatch.setattr(mdtube.laws, "_TABLE_SPACING", 0.05)
+        with pytest.raises(ValueError, match="more than 1e6"):
+            VanGenuchtenLaw(LOAM_PERMEABILITY, mu=1e-3)
 
-    def test_coarse_table_raises(self, loam):
-        # 50 samples on 1e6 Pa leave the floor region a few nodes wide
+    def test_coarse_table_raises(self, monkeypatch):
+        # 1 kPa spacing leaves the floor region a few nodes wide
+        monkeypatch.setattr(mdtube.laws, "_TABLE_SPACING", 1.0e3)
         with pytest.raises(RuntimeError, match="round trip"):
-            loam._build_table(-1.0e6, 1.0e4, samples=50)
+            VanGenuchtenLaw(LOAM_PERMEABILITY, mu=1e-3)
 
 
 class TestTabulatedLaw:

@@ -1,80 +1,80 @@
-"""Tests for the tanh-sinh quadrature helpers."""
+"""Tests for the cumulative tanh-sinh rule.
+
+The oracles are closed-form antiderivatives and scipy's adaptive
+``quad``, which shares no code with the rule.
+"""
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 import mdtube.quadrature as quadrature
-from mdtube.quadrature import (QuadratureError, tanh_sinh,
-                               tanh_sinh_piecewise_cumulative)
+from mdtube.quadrature import tanh_sinh_piecewise_cumulative
 
 
 def test_polynomial_exact():
-    # cubic over [0, 2]: x^4/4 + x^2/2 evaluates to 6
-    val = tanh_sinh(lambda x: x ** 3 + x, 0.0, 2.0)
-    assert abs(val - 6.0) < 1e-13
+    # cubic from 0: x^4/4 + x^2/2, 6 at x = 2
+    nodes = np.linspace(0.0, 2.0, 9)
+    cum = tanh_sinh_piecewise_cumulative(lambda x: x ** 3 + x, nodes)
+    np.testing.assert_allclose(cum, nodes ** 4 / 4.0 + nodes ** 2 / 2.0,
+                               rtol=0.0, atol=1e-13)
 
 
 def test_degenerate_interval_is_zero():
-    assert tanh_sinh(np.exp, 1.3, 1.3) == 0.0
+    # a repeated node adds exactly nothing
+    cum = tanh_sinh_piecewise_cumulative(np.exp, np.array([0.0, 1.3, 1.3, 2.0]))
+    assert cum[0] == 0.0 and cum[2] == cum[1]
 
 
 def test_reversed_bounds_flip_sign():
-    fwd = tanh_sinh(np.cos, 0.0, 1.0)
-    rev = tanh_sinh(np.cos, 1.0, 0.0)
-    assert abs(fwd + rev) < 1e-13
-    assert abs(fwd - np.sin(1.0)) < 1e-13
+    nodes = np.linspace(0.0, 1.0, 5)
+    fwd = tanh_sinh_piecewise_cumulative(np.cos, nodes)
+    rev = tanh_sinh_piecewise_cumulative(np.cos, nodes[::-1])
+    assert abs(fwd[-1] + rev[-1]) < 1e-13
+    assert abs(fwd[-1] - np.sin(1.0)) < 1e-13
 
 
 def test_endpoint_derivative_singularity():
-    # sqrt has an infinite derivative at the left endpoint, which slows
-    # polynomial rules; the double exponential substitution is unaffected
-    val = tanh_sinh(np.sqrt, 0.0, 1.0)
-    assert abs(val - 2.0 / 3.0) < 1e-13
-
-
-@pytest.mark.parametrize("f, exact", [(np.log, -1.0),
-                                      (lambda x: 1.0 / np.sqrt(x), 2.0)],
-                         ids=["log", "inverse_sqrt"])
-def test_integrable_singularity_at_an_end(f, exact):
-    # the outer nodes lie within 1e-300 of 0 but never on it, where f is
-    # infinite
-    val = tanh_sinh(f, 0.0, 1.0)
-    assert abs(val - exact) <= 1e-12 * abs(exact)
+    # sqrt has an infinite derivative at 0, as Van Genuchten's D has at
+    # saturation; the double exponential substitution is unaffected, so
+    # the interval that ends on it, at either end, is as exact as the others
+    for f, antiderivative, lo in [
+            (np.sqrt, lambda x: 2.0 / 3.0 * x ** 1.5, 0.0),
+            (lambda x: np.sqrt(-x), lambda x: -2.0 / 3.0 * (-x) ** 1.5, -1.0)]:
+        nodes = np.linspace(lo, lo + 1.0, 11)
+        cum = tanh_sinh_piecewise_cumulative(f, nodes)
+        np.testing.assert_allclose(
+            cum, antiderivative(nodes) - antiderivative(lo), rtol=0.0,
+            atol=1e-14)
 
 
 def test_steep_exponential():
     k = 40.0
-    val = tanh_sinh(lambda x: np.exp(k * x), 0.0, 1.0)
-    exact = (np.exp(k) - 1.0) / k
-    assert abs(val - exact) / exact < 1e-12
+    nodes = np.linspace(0.0, 1.0, 6)
+    cum = tanh_sinh_piecewise_cumulative(lambda x: np.exp(k * x), nodes)
+    exact = (np.exp(k * nodes) - 1.0) / k
+    np.testing.assert_allclose(cum, exact, rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-9])
 def test_tolerance_is_relative_to_the_integrand(scale):
-    # a Kirchhoff integral may be 1e-12 in size; its quadrature must stop
-    # at the same relative accuracy as the unscaled one
-    val = tanh_sinh(lambda x: scale * np.cos(x), 0.0, 1.0)
-    assert abs(val - scale * np.sin(1.0)) <= 1e-14 * scale
-
-
-def test_nonconvergence_raises_with_estimate():
-    rng = np.random.default_rng(7)
-
-    def noisy(x):
-        return rng.standard_normal(np.shape(x))
-
-    with pytest.raises(QuadratureError) as err:
-        tanh_sinh(noisy, 0.0, 1.0, tol=1e-14, max_level=4)
-    assert np.isfinite(err.value.error_estimate)
+    # a Kirchhoff integral may be 1e-12 in size; the rule must reach the
+    # same relative accuracy as on the unscaled integrand
+    nodes = np.linspace(0.0, 1.0, 4)
+    cum = tanh_sinh_piecewise_cumulative(lambda x: scale * np.cos(x), nodes)
+    np.testing.assert_allclose(cum, scale * np.sin(nodes), rtol=0.0,
+                               atol=1e-14 * scale)
 
 
 def test_cumulative_matches_adaptive():
+    # against scipy's adaptive quad
     f = lambda x: np.exp(-x) * np.sin(3.0 * x) + 2.0
     nodes = np.linspace(-1.0, 4.0, 37)
     cum = tanh_sinh_piecewise_cumulative(f, nodes)
     assert cum[0] == 0.0
     for i in (5, 18, 36):
-        ref = tanh_sinh(f, nodes[0], nodes[i])
+        ref, est = quad(f, nodes[0], nodes[i], epsabs=1e-14, epsrel=1e-13)
+        assert est < 1e-12
         assert abs(cum[i] - ref) < 1e-11
 
 

@@ -135,6 +135,14 @@ def network_problem_args(nodes, segments, dirichlet_nodes):
                 couplings=build_coupling(grid, mesh.cells), network=mesh)
 
 
+def two_branch_args():
+    """``network_problem_args`` of a two-branch network held at its top."""
+    return network_problem_args(
+        [[0.0, 0.0, -0.001], [0.0, 0.0, -0.07], [0.025, 0.0, -0.11]],
+        [Segment(0, 1, 2e-3, 3.0, 2e-3, 5e-4),
+         Segment(1, 2, 1e-3, 3.0, 2e-3, 5e-5)], [0])
+
+
 class TestAssembly:
     def test_requires_network_or_fixed_values(self):
         grid = BulkGrid("2d", [0.0, 0.0], [1.0, 1.0], (4, 4))
@@ -146,6 +154,27 @@ class TestAssembly:
         problem, mesh = small_coupled_problem()
         with pytest.raises(ValueError, match="exactly one"):
             replace(problem, u_e_fixed=np.full(problem.n_net, 0.4))
+
+    def test_rejects_a_coupling_count_that_differs(self):
+        # once a numpy broadcasting error deep inside the build
+        kwargs = two_branch_args()
+        n = len(kwargs["seg_cells"])
+        kwargs["couplings"] = kwargs["couplings"][:-1]
+        with pytest.raises(ValueError, match=f"{n - 1} couplings for {n} "
+                           "segment cells"):
+            CoupledProblem(**kwargs)
+
+    def test_rejects_cells_that_are_not_the_networks(self):
+        # the network's cells in reverse order were once accepted silently
+        kwargs = two_branch_args()
+        kwargs["seg_cells"] = kwargs["seg_cells"][::-1]
+        kwargs["couplings"] = kwargs["couplings"][::-1]
+        with pytest.raises(ValueError, match="network's cells"):
+            CoupledProblem(**kwargs)
+        kwargs["seg_cells"] = kwargs["seg_cells"][1:]
+        kwargs["couplings"] = kwargs["couplings"][1:]
+        with pytest.raises(ValueError, match="network's cells"):
+            CoupledProblem(**kwargs)
 
     @pytest.mark.parametrize("dirichlet", [{7: np.zeros(4)},
                                            {0: np.array([0.3])}],
