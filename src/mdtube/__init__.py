@@ -16,8 +16,8 @@ from .grid import BulkGrid, bulk_l2_error, observed_orders, source_l2_error
 from .laws import (ConstantLaw, DiffusionLaw, ExponentialLaw, TabulatedLaw,
                    TransformTable, VanGenuchtenLaw)
 from .network import (NetworkFormatError, NetworkMesh, Segment, SegmentCell,
-                      TubeNetwork, discretize_network, kernel_value,
-                      parse_network, synthetic_root_network, write_network)
+                      TubeNetwork, discretize_network, parse_network,
+                      synthetic_root_network)
 from .reconstruction import (ReconstructionError, ReconstructionInput,
                              interface_derivatives, kernel_profile_f,
                              reconstruct_interface)

@@ -11,7 +11,7 @@ distributed-source scheme converges to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,7 +81,6 @@ class MultiTubeSolution:
     c_psi: float
     variant: str            # "u" | "psi"
     k_ip: int
-    residual_norm: float = field(default=np.nan)
 
     @property
     def q(self) -> np.ndarray:
@@ -143,10 +142,16 @@ class AnalyticSolveError(RuntimeError):
     pass
 
 
+#: the dense Newton of ``solve_multi_tube`` stops below this max-norm
+#: residual, and fails after ``_MAX_ITER`` steps
+_TOL = 1e-12
+_MAX_ITER = 100
+#: the forward-difference step of its Jacobian, relative to max(1, |z|)
+_FD_STEP = 1e-7
+
+
 def solve_multi_tube(tubes, law: DiffusionLaw, anchor: tuple[int, float],
-                     variant: str = "u", k_ip: int = 64,
-                     tol: float = 1e-12, max_iter: int = 100,
-                     fd_step: float = 1e-7) -> MultiTubeSolution:
+                     variant: str = "u", k_ip: int = 64) -> MultiTubeSolution:
     """Find interface values and the harmonic constant by dense Newton.
 
     One interface unknown is pinned by ``anchor = (tube index, value)``;
@@ -180,14 +185,14 @@ def solve_multi_tube(tubes, law: DiffusionLaw, anchor: tuple[int, float],
 
     history = []
     r = residual(z)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         norm = float(np.max(np.abs(r)))
         history.append(norm)
-        if norm < tol:
+        if norm < _TOL:
             break
         jac = np.empty((n, n))
         for col in range(n):
-            step = fd_step * max(1.0, abs(z[col]))
+            step = _FD_STEP * max(1.0, abs(z[col]))
             zp = z.copy()
             zp[col] += step
             jac[:, col] = (residual(zp) - r) / step
@@ -211,5 +216,4 @@ def solve_multi_tube(tubes, law: DiffusionLaw, anchor: tuple[int, float],
 
     c_psi, u_hat = unpack(z)
     return MultiTubeSolution(tubes=tubes, law=law, u_hat=u_hat, c_psi=c_psi,
-                             variant=variant, k_ip=k_ip,
-                             residual_norm=float(np.max(np.abs(r))))
+                             variant=variant, k_ip=k_ip)

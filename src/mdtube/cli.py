@@ -17,11 +17,11 @@ from .scenarios import ConfigError, parse_config, run_scenario
 def _cmd_run(args) -> int:
     try:
         config = parse_config(args.config)
+        if args.levels is not None:
+            config = replace(config, levels=args.levels)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.levels is not None:
-        config = replace(config, levels=args.levels)
     out_dir = args.out or config.out_dir
     try:
         run_scenario(config, out_dir)

@@ -244,20 +244,22 @@ def _cylinder_volumes(rel_lo: np.ndarray, rel_hi: np.ndarray,
                   axis=1)
 
 
+#: midpoint samples per axis of a cell in ``mean_distance``
+_DISTANCE_SAMPLES = 8
 #: stencil cells whose mean distances are computed at once: 512 sample
 #: points each, so each temporary holds 8192 points (192 KiB in 3D)
 _DISTANCE_CHUNK = 16
 
 
-def mean_distance(grid: BulkGrid, cells, p0, p1, samples: int = 8):
+def mean_distance(grid: BulkGrid, cells, p0, p1):
     """Mean minimum distance between bulk cells and segments.
 
     ``cells`` is one cell index, which gives a float, or an array of
     them, which gives an array of the same shape. ``p0``/``p1`` are one
     segment, or one per cell (``cells.shape + (dim,)``). Fixed-order
-    midpoint quadrature over each cell volume, ``_DISTANCE_CHUNK`` cells
-    at a time; for the radial grid the annular measure integral is
-    closed-form.
+    midpoint quadrature over each cell volume, ``_DISTANCE_SAMPLES``
+    points per axis and ``_DISTANCE_CHUNK`` cells at a time; for the
+    radial grid the annular measure integral is closed-form.
     """
     cells = np.asarray(cells)
     lo = grid.origin + np.stack(np.unravel_index(cells, grid.shape),
@@ -273,13 +275,14 @@ def mean_distance(grid: BulkGrid, cells, p0, p1, samples: int = 8):
                               cells.shape + (dim,)).reshape(-1, 1, dim)
               for p in (p0, p1))
     # midpoints along each axis, then their tensor grid, per cell
-    t = np.arange(samples) + 0.5
-    idx = np.indices((samples,) * dim).reshape(dim, -1)
+    t = np.arange(_DISTANCE_SAMPLES) + 0.5
+    idx = np.indices((_DISTANCE_SAMPLES,) * dim).reshape(dim, -1)
     width = hi - lo
     out = np.empty(len(lo))
     for s in range(0, len(lo), _DISTANCE_CHUNK):
         part = slice(s, s + _DISTANCE_CHUNK)
-        axes = lo[part, :, None] + width[part, :, None] * t / samples
+        axes = (lo[part, :, None]
+                + width[part, :, None] * t / _DISTANCE_SAMPLES)
         # C order, so that each cell's mean is the same pairwise sum in a
         # chunk of any size
         pts = np.empty(axes.shape[:1] + idx.shape[1:] + (dim,))

@@ -71,23 +71,13 @@ class BulkGrid:
 
     # -- lookup ------------------------------------------------------------
 
-    def cells_containing(self, point: np.ndarray) -> np.ndarray:
-        """Indices of all cells whose closure contains ``point``.
-
-        A point on a face or corner belongs to every adjacent cell; the
-        reconstruction sampling averages over this stencil so that points
-        on cell boundaries are treated symmetrically.
-        """
-        _, cells = self.stencils(point)
-        if cells.size == 0:
-            raise ValueError(f"point {point} outside the grid")
-        return cells
-
     def stencils(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The cells whose closure contains each of ``points`` (n, dim),
-        as in ``cells_containing``: ``(owner, cells)``, the cells of one
-        point after another, each point's in ascending order, with the
-        point of each. A point outside the grid owns no cell."""
+        """The cells whose closure contains each of ``points`` (n, dim):
+        ``(owner, cells)``, the cells of one point after another, each
+        point's in ascending order, with the point of each. A point on a
+        face or corner belongs to every adjacent cell, so that the
+        reconstruction's sampling treats points on cell boundaries
+        symmetrically. A point outside the grid owns no cell."""
         points = np.atleast_2d(np.asarray(points, float))
         t = (points - self.origin) / self.spacing
         i = np.floor(t + 1e-12)
@@ -99,11 +89,6 @@ class BulkGrid:
         owner, multi = index_boxes(np.maximum(lo, 0.0).astype(int),
                                    np.minimum(hi, self.shape).astype(int))
         return owner, np.ravel_multi_index(multi.T, self.shape)
-
-    def cell_bounds(self, cell: int) -> tuple[np.ndarray, np.ndarray]:
-        multi = np.unravel_index(cell, self.shape)
-        lo = self.origin + np.array(multi) * self.spacing
-        return lo, lo + self.spacing
 
 
 def index_boxes(lo: np.ndarray, hi: np.ndarray

@@ -86,12 +86,6 @@ class DiffusionLaw:
     def eval(self, u):
         raise NotImplementedError
 
-    def deriv(self, u, eps: float = 1e-6):
-        """dD/du, central finite differences unless overridden."""
-        u = np.asarray(u, float)
-        h = eps * np.maximum(1.0, np.abs(u))
-        return (self.eval(u + h) - self.eval(u - h)) / (2.0 * h)
-
     def transform(self, u):
         return self.table.psi_of_u(np.asarray(u, float))
 
@@ -112,9 +106,6 @@ class ConstantLaw(DiffusionLaw):
 
     def eval(self, u):
         return np.full_like(np.asarray(u, float), self.d0)
-
-    def deriv(self, u, eps: float = 1e-6):
-        return np.zeros_like(np.asarray(u, float))
 
     def transform(self, u):
         return self.d0 * np.asarray(u, float)
@@ -146,10 +137,6 @@ class ExponentialLaw(DiffusionLaw):
 
     def eval(self, u):
         return np.maximum(self.d0 * self._exp(u), self.d_min)
-
-    def deriv(self, u, eps: float = 1e-6):
-        u = np.asarray(u, float)
-        return np.where(u > self.u_c, self.k * self.d0 * self._exp(u), 0.0)
 
     def transform(self, u):
         u = np.asarray(u, float)

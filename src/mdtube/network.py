@@ -6,9 +6,10 @@ The native plain-text format has one record per line::
     seg <id> <node_a> <node_b> <R> <rho_factor> <gamma> <D_e>
 
 with ``#`` comments. The kernel radius of a segment is
-``rho = rho_factor * R``. Boundary conditions live on terminal nodes:
-Dirichlet values are set programmatically (e.g. the root collar); all
-other terminal nodes are zero-flux.
+``rho = rho_factor * R``. Boundary conditions live on the joints of the
+discretized network: the caller sets Dirichlet values on
+``NetworkMesh.joint_dirichlet`` (e.g. the root collar, through
+``joint_of_node``); all other terminal joints are zero-flux.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ class Segment:
 class TubeNetwork:
     nodes: np.ndarray                    # (n, 3) positions [m]
     segments: list[Segment]
-    dirichlet_nodes: dict[int, float] = field(default_factory=dict)
 
     def __post_init__(self):
         self.nodes = np.asarray(self.nodes, float).reshape(-1, 3)
@@ -55,9 +55,6 @@ class TubeNetwork:
     def collar_node(self) -> int:
         """Node with the maximum z coordinate (the root collar)."""
         return int(np.argmax(self.nodes[:, 2]))
-
-    def total_length(self) -> float:
-        return sum(self.segment_length(s) for s in self.segments)
 
 
 class NetworkFormatError(ValueError):
@@ -94,27 +91,6 @@ def parse_network(path) -> TubeNetwork:
                        segments=[segments[i] for i in sorted(segments)])
 
 
-def write_network(path, net: TubeNetwork):
-    with open(path, "w") as fh:
-        fh.write("# mdtube native network format\n")
-        for i, p in enumerate(net.nodes):
-            fh.write(f"node {i} {p[0]:.10g} {p[1]:.10g} {p[2]:.10g}\n")
-        for i, s in enumerate(net.segments):
-            fh.write(f"seg {i} {s.node_a} {s.node_b} {s.radius:.10g} "
-                     f"{s.rho_factor:.10g} {s.gamma:.10g} {s.d_e:.10g}\n")
-
-
-def kernel_value(r, rho: float):
-    """Uniform distribution kernel: 1/(pi rho^2) inside the support."""
-    if rho <= 0.0:
-        raise ValueError("kernel radius must be positive")
-    r = np.asarray(r, float)
-    if np.any(r < 0.0):
-        raise ValueError("radial distance must be non-negative")
-    out = np.where(r <= rho, 1.0 / (np.pi * rho ** 2), 0.0)
-    return float(out) if out.ndim == 0 else out
-
-
 @dataclass
 class SegmentCell:
     """One 1D finite-volume cell of the discretized network."""
@@ -140,16 +116,15 @@ class NetworkMesh:
     """Discretized network: cells plus joint connectivity for axial TPFA.
 
     Joints are the original network nodes plus subdivision points; each
-    cell end attaches to a joint. Dirichlet joints carry a fixed value;
-    joints with a single attached cell end and no Dirichlet value are
-    zero-flux.
+    cell end attaches to a joint. Dirichlet joints carry a fixed value,
+    set by the caller; joints with a single attached cell end and no
+    Dirichlet value are zero-flux.
     """
 
     cells: list[SegmentCell]
     n_joints: int
-    joint_cells: list[list[int]]        # per joint: attached cell indices
-    joint_dirichlet: dict[int, float]
     joint_of_node: dict[int, int]
+    joint_dirichlet: dict[int, float] = field(default_factory=dict)
 
     @property
     def n_cells(self) -> int:
@@ -157,9 +132,12 @@ class NetworkMesh:
 
 
 def discretize_network(net: TubeNetwork, target_length: float) -> NetworkMesh:
-    """Split segments into cells of roughly ``target_length``."""
+    """Split segments into cells of roughly ``target_length``, a finite
+    positive length."""
+    if not (np.isfinite(target_length) and target_length > 0.0):
+        raise ValueError(f"target cell length {target_length!r} must be "
+                         "finite and positive")
     cells: list[SegmentCell] = []
-    joint_cells: list[list[int]] = [[] for _ in net.nodes]
     joint_of_node = {i: i for i in range(len(net.nodes))}
     n_joints = len(net.nodes)
 
@@ -168,31 +146,22 @@ def discretize_network(net: TubeNetwork, target_length: float) -> NetworkMesh:
         length = net.segment_length(seg)
         n_sub = max(1, int(np.ceil(length / target_length)))
         ts = np.linspace(0.0, 1.0, n_sub + 1)
-        joints = [joint_of_node[seg.node_a]]
-        for _ in range(n_sub - 1):
-            joints.append(n_joints)
-            joint_cells.append([])
-            n_joints += 1
-        joints.append(joint_of_node[seg.node_b])
+        joints = ([joint_of_node[seg.node_a]]
+                  + list(range(n_joints, n_joints + n_sub - 1))
+                  + [joint_of_node[seg.node_b]])
+        n_joints += n_sub - 1
         for i in range(n_sub):
             p0 = a + ts[i] * (b - a)
             p1 = a + ts[i + 1] * (b - a)
-            cell = SegmentCell(p0=p0, p1=p1,
-                               length=length / n_sub,
-                               radius=seg.radius,
-                               kernel_radius=seg.kernel_radius,
-                               gamma=seg.gamma, d_e=seg.d_e,
-                               segment_id=sid,
-                               joint_a=joints[i], joint_b=joints[i + 1])
-            joint_cells[joints[i]].append(len(cells))
-            joint_cells[joints[i + 1]].append(len(cells))
-            cells.append(cell)
+            cells.append(SegmentCell(p0=p0, p1=p1,
+                                     length=length / n_sub,
+                                     radius=seg.radius,
+                                     kernel_radius=seg.kernel_radius,
+                                     gamma=seg.gamma, d_e=seg.d_e,
+                                     segment_id=sid,
+                                     joint_a=joints[i], joint_b=joints[i + 1]))
 
-    joint_dirichlet = {joint_of_node[n]: v
-                       for n, v in net.dirichlet_nodes.items()}
     return NetworkMesh(cells=cells, n_joints=n_joints,
-                       joint_cells=joint_cells,
-                       joint_dirichlet=joint_dirichlet,
                        joint_of_node=joint_of_node)
 
 

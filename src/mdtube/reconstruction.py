@@ -18,6 +18,11 @@ import numpy as np
 from .laws import DiffusionLaw
 
 
+#: a cell's interface equation is solved once its Newton step or its
+#: bracket is at most this many times ``max(1, |u_e|, |u_b_delta|)``
+_TOL = 1e-12
+
+
 class ReconstructionError(RuntimeError):
     """Non-finite inputs, or the interface equation unsolved in time."""
 
@@ -83,8 +88,7 @@ class ReconstructionInput:
         return state
 
 
-def reconstruct_interface(inp: ReconstructionInput, tol: float = 1e-12,
-                          max_iter: int = 100):
+def reconstruct_interface(inp: ReconstructionInput, max_iter: int = 100):
     """Solve the interface equation; returns ``(u_hat, q)``.
 
     ``u_hat`` satisfies ``g(u_hat) = T(u_b_delta) - T(u_hat) - |P| gamma
@@ -92,7 +96,7 @@ def reconstruct_interface(inp: ReconstructionInput, tol: float = 1e-12,
     source per unit tube length. As ``g' = -(D(u_hat) + |P| gamma f) < 0``,
     the root lies between ``u_e`` and ``u_b_delta``: Newton runs in that
     bracket, padded, and bisects when an iterate leaves it or stalls. A cell
-    is done once its step or its bracket is at most ``tol * max(1, |u_e|,
+    is done once its step or its bracket is at most ``_TOL * max(1, |u_e|,
     |u_b_delta|)``; :class:`ReconstructionError` is raised for non-finite
     inputs or after ``max_iter`` iterations.
     """
@@ -121,7 +125,7 @@ def reconstruct_interface(inp: ReconstructionInput, tol: float = 1e-12,
         lo = np.where(g > 0.0, u, lo)
         hi = np.where(g > 0.0, hi, u)
         newton = g / (law.eval(u) + pf)
-        converged = np.abs(newton) <= tol * scale
+        converged = np.abs(newton) <= _TOL * scale
         # bisect where Newton leaves the bracket or gains less than a
         # bisection would, as in a cycle on a law with non-monotone D
         take = converged | ((lo <= u + newton) & (u + newton <= hi)
@@ -130,7 +134,7 @@ def reconstruct_interface(inp: ReconstructionInput, tol: float = 1e-12,
         u = np.where(active, u + step, u)
         # a bracket narrower than the tolerance ends a cell whose Newton
         # step is held above it by rounding in g
-        active &= ~(converged | (hi - lo <= tol * scale))
+        active &= ~(converged | (hi - lo <= _TOL * scale))
         if not np.any(active):
             break
     else:
@@ -152,32 +156,3 @@ def interface_derivatives(inp: ReconstructionInput, u_hat):
     d_delta = inp.law.eval(inp.u_b_delta)
     return _scalar_or_array(d_delta / denom), _scalar_or_array(pf / denom)
 
-
-def mvt_error_bound(law: DiffusionLaw, u_lo: float, u_hi: float,
-                    spread: float, c_tilde: float,
-                    samples: int = 1001) -> float:
-    """Diagnostic bound on the perimeter-averaging approximation error.
-
-    ``0.5 * sup |D'| * spread^2 / c_tilde`` with the sup taken over
-    ``[u_lo, u_hi]``; quadratic in the perimeter spread and zero for
-    constant laws.
-    """
-    if spread < 0.0:
-        raise ValueError("spread must be non-negative")
-    if c_tilde <= 0.0:
-        raise ValueError("c_tilde must be positive")
-    u = np.linspace(u_lo, u_hi, samples)
-    sup_dprime = float(np.max(np.abs(law.deriv(u))))
-    return 0.5 * sup_dprime * spread ** 2 / c_tilde
-
-
-def neighbor_error_bound(tube_radius: float, centerline_distance: float) -> float:
-    """Far-tube contribution bound ``R^2 / (4 pi (d - R)^2)``.
-
-    ``d`` is the distance from the evaluation point to the neighbor tube
-    centerline; tubes must not overlap.
-    """
-    if centerline_distance <= tube_radius:
-        raise ValueError("neighbor centerline distance must exceed the radius")
-    return tube_radius ** 2 / (
-        4.0 * np.pi * (centerline_distance - tube_radius) ** 2)

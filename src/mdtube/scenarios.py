@@ -44,6 +44,9 @@ _KIND_LAW_TYPES = {
 #: cross-sectional tube centers of the three-tube verification setup
 TUBE_CENTERS = ((-0.5, -0.5), (0.5, -0.5), (0.0, 0.5))
 TUBE_U_E = (0.3, 0.2, 0.1)
+#: the largest tube radius of the baseline three-tube setup, whose anchor a
+#: radius sweep rescales (``radius_sweep_anchor``)
+BASE_R_MAX = 0.2
 
 
 class ConfigError(ValueError):
@@ -80,7 +83,6 @@ class ScenarioConfig:
     network_file: str = ""
     collar_pressures: tuple = (0.0, -0.5e5, -1.0e5, -2.5e5, -5.0e5)
     boundary_saturation: float = 0.4
-    boundary_pressure: float | None = None
     grids: tuple = ((16, 16, 30), (32, 32, 60))
     segment_length: float = 0.005
 
@@ -89,6 +91,9 @@ class ScenarioConfig:
             raise ConfigError(f"unknown scenario kind {self.kind!r}")
         if self.levels < 1:
             raise ConfigError("levels must be >= 1")
+        if not (np.isfinite(self.segment_length) and self.segment_length > 0):
+            raise ConfigError(f"[root] segment_length = {self.segment_length}"
+                              " must be finite and positive")
         used = _KIND_LAW_TYPES[self.kind]
         if self.law_type is None:
             self.law_type = used[0]
@@ -170,12 +175,10 @@ _SCHEMA = {
     ("tubes", "anchor"): ("anchor", float),
     ("tubes", "k_values"): ("k_values", _float_tuple),
     ("tubes", "r_max_values"): ("r_max_values", _float_tuple),
-    ("tubes", "kernel_factors"): (
-        "kernel_factors", lambda t: tuple(int(float(x)) for x in t.split(","))),
+    ("tubes", "kernel_factors"): ("kernel_factors", _float_tuple),
     ("root", "network_file"): ("network_file", str),
     ("root", "collar_pressures"): ("collar_pressures", _float_tuple),
     ("root", "boundary_saturation"): ("boundary_saturation", float),
-    ("root", "boundary_pressure"): ("boundary_pressure", float),
     ("root", "grids"): ("grids", _parse_grids),
     ("root", "segment_length"): ("segment_length", float),
 }
@@ -261,8 +264,8 @@ class ErrorReport:
 
 # -- verification scenario helpers -----------------------------------------
 
-def three_tube_specs(r_max: float, rho_factor: float, gamma: float = 1.0,
-                     u_es=TUBE_U_E) -> list[TubeSpec]:
+def three_tube_specs(r_max: float, rho_factor: float,
+                     gamma: float = 1.0) -> list[TubeSpec]:
     # at TUBE_CENTERS tube 1 meets the boundary of [-1, 1]^2 at r_max = 0.5,
     # before it meets tube 2 at r_max = 4/7
     if not 0.0 < r_max < 0.5:
@@ -271,18 +274,17 @@ def three_tube_specs(r_max: float, rho_factor: float, gamma: float = 1.0,
     radii = (r_max, 0.75 * r_max, 0.5 * r_max)
     return [TubeSpec(center=c, tube_radius=r, kernel_radius=rho_factor * r,
                      gamma=gamma, u_e=ue)
-            for c, r, ue in zip(TUBE_CENTERS, radii, u_es)]
+            for c, r, ue in zip(TUBE_CENTERS, radii, TUBE_U_E)]
 
 
-def radius_sweep_anchor(r_max: float, base_r_max: float = 0.2,
-                        base_anchor: float = 0.8,
-                        u_e1: float = TUBE_U_E[0]) -> float:
+def radius_sweep_anchor(r_max: float, base_anchor: float = 0.8) -> float:
     """Anchor value keeping the largest tube's source fixed across radii.
 
     The source is proportional to R (u_hat - u_e), so scaling the anchor
-    offset by base_r_max / r_max leaves it invariant.
+    offset by BASE_R_MAX / r_max leaves it invariant.
     """
-    return u_e1 + (base_anchor - u_e1) * base_r_max / r_max
+    u_e1 = TUBE_U_E[0]
+    return u_e1 + (base_anchor - u_e1) * BASE_R_MAX / r_max
 
 
 def _degenerate_segments(specs) -> list[SegmentCell]:
@@ -325,19 +327,14 @@ def _reference_dirichlet(law: DiffusionLaw, grid: BulkGrid,
     return {s: law.transform(ref.u(grid.side_centers(s))) for s in range(4)}
 
 
-def solve_parallel_level(law: DiffusionLaw, specs, grid: BulkGrid,
-                         segs: list[SegmentCell], cpl,
-                         ref: MultiTubeSolution,
-                         problem: CoupledProblem | None = None
-                         ) -> CoupledState:
-    """Solve the three-tube cross-section on one level's grid and coupling
-    against the reference ``ref``. A ``problem`` of the same level
-    (``parallel_level_problem``) is given ``ref``'s boundary values in
-    place of a new build: the references differ only in those."""
-    if problem is None:
-        problem = parallel_level_problem(law, specs, grid, segs, cpl, ref)
-    else:
-        problem.set_dirichlet(_reference_dirichlet(law, grid, ref))
+def solve_parallel_level(problem: CoupledProblem,
+                         ref: MultiTubeSolution) -> CoupledState:
+    """Solve the three-tube cross-section of ``problem``, one level's
+    (``parallel_level_problem``), against the reference ``ref``. The
+    problem is given ``ref``'s boundary values in place of a new build:
+    the references differ only in those."""
+    law, grid = problem.law, problem.grid
+    problem.set_dirichlet(_reference_dirichlet(law, grid, ref))
     state = newton_solve(problem, law.transform(ref.u(grid.cell_centers)))
     return _physical_state(law, state)
 
@@ -403,7 +400,7 @@ def run_parallel_tubes(config: ScenarioConfig,
     law = (ConstantLaw(config.d0) if k == 0.0
            else ExponentialLaw(config.d0, k, config.d_min))
     specs = three_tube_specs(r_max, config.rho_factor, config.gamma)
-    anchor = (config.anchor if r_max == 0.2
+    anchor = (config.anchor if r_max == BASE_R_MAX
               else radius_sweep_anchor(r_max, base_anchor=config.anchor))
     refs = {v: solve_multi_tube(specs, law, anchor=(0, anchor), variant=v)
             for v in ("u", "psi")}
@@ -416,8 +413,7 @@ def run_parallel_tubes(config: ScenarioConfig,
         problem = parallel_level_problem(law, specs, grid, segs, cpl,
                                          refs["u"])
         for variant, ref in refs.items():
-            state = solve_parallel_level(law, specs, grid, segs, cpl, ref,
-                                         problem)
+            state = solve_parallel_level(problem, ref)
             e_ub, e_psi, e_q = _level_errors(grid, law, state, ref)
             if variant == "u":
                 row.e_ub, row.e_psi, row.e_q = e_ub, e_psi, e_q
@@ -427,16 +423,14 @@ def run_parallel_tubes(config: ScenarioConfig,
     return report
 
 
-def model_error_plateau(config: ScenarioConfig, r_max: float,
-                        k: float | None = None) -> float:
+def model_error_plateau(config: ScenarioConfig, r_max: float) -> float:
     """Source discrepancy between the two analytical averaging variants.
 
     This is the level-independent floor that the source error against the
     plain reference approaches under refinement; it isolates the averaging
     approximation from discretization effects.
     """
-    k = config.k if k is None else k
-    law = ExponentialLaw(config.d0, k, config.d_min)
+    law = ExponentialLaw(config.d0, config.k, config.d_min)
     specs = three_tube_specs(r_max, config.rho_factor, config.gamma)
     anchor = radius_sweep_anchor(r_max, base_anchor=config.anchor)
     s_u = solve_multi_tube(specs, law, anchor=(0, anchor), variant="u")
@@ -457,8 +451,9 @@ def run_kernel_radius_study(config: ScenarioConfig) -> list[tuple[float, float]]
         specs = three_tube_specs(config.r_max, float(factor), config.gamma)
         ref = solve_multi_tube(specs, law, anchor=(0, config.anchor),
                                variant="u")
-        state = solve_parallel_level(law, specs,
-                                     *parallel_level_coupling(specs, 16), ref)
+        grid, segs, cpl = parallel_level_coupling(specs, 16)
+        state = solve_parallel_level(
+            parallel_level_problem(law, specs, grid, segs, cpl, ref), ref)
         rows.append((float(factor), source_l2_error(state.q, ref.q)))
     return rows
 
@@ -493,16 +488,13 @@ class RootSoilResult:
 def run_root_soil(config: ScenarioConfig) -> RootSoilResult:
     """Root water uptake in a soil column over a collar pressure sweep.
 
-    Boundary soil pressure comes from the prescribed water saturation (or
-    directly from the config); the lateral and bottom faces are Dirichlet,
-    the top face is zero-flux. Transpiration is the summed segment source,
-    reported together with the collar flux it must balance.
+    Boundary soil pressure comes from the prescribed water saturation; the
+    lateral and bottom faces are Dirichlet, the top face is zero-flux.
+    Transpiration is the summed segment source, reported together with the
+    collar flux it must balance.
     """
     law = config.build_law()
-    if config.boundary_pressure is not None:
-        p_s = config.boundary_pressure
-    else:
-        p_s = law.saturation_to_pressure(config.boundary_saturation)
+    p_s = law.saturation_to_pressure(config.boundary_saturation)
 
     if config.network_file:
         net = parse_network(config.network_file)

@@ -317,10 +317,6 @@ class CoupledState:
     iterations: int = 0
     residual_history: list = field(default_factory=list)
 
-    def source_integrals(self, seg_cells) -> np.ndarray:
-        """Integrated source per segment cell (q times cell length)."""
-        return self.q * np.array([s.length for s in seg_cells])
-
 
 class Assembly(NamedTuple):
     """Residual of the coupled system at one state, with what its Jacobian

@@ -52,12 +52,6 @@ class TestGeometry:
             np.testing.assert_array_equal(centers[:, other],
                                           g.cell_centers[expect, other])
 
-    def test_cell_bounds_partition(self):
-        g = make_grid("3d")
-        lo0, hi0 = g.cell_bounds(0)
-        assert np.allclose(lo0, g.origin)
-        assert np.allclose(hi0 - lo0, g.spacing)
-
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             BulkGrid("2d", [0.0, 0.0], [1.0, 1.0], (4,))
@@ -66,35 +60,36 @@ class TestGeometry:
 
 
 class TestCellsContaining:
+    """``stencils``: the cells whose closure contains a point."""
+
     def test_interior_point_single_cell(self):
         g = make_grid("2d")
-        cells = g.cells_containing([-0.9, -0.9])
+        cells = g.stencils([-0.9, -0.9])[1]
         assert len(cells) == 1
 
     def test_point_on_face_two_cells(self):
         g = BulkGrid("2d", [0.0, 0.0], [1.0, 1.0], (4, 4))
-        cells = g.cells_containing([0.25, 0.1])
+        cells = g.stencils([0.25, 0.1])[1]
         assert len(cells) == 2
 
     def test_point_on_corner_four_cells(self):
         g = BulkGrid("2d", [0.0, 0.0], [1.0, 1.0], (4, 4))
-        cells = g.cells_containing([0.5, 0.5])
+        cells = g.stencils([0.5, 0.5])[1]
         assert len(cells) == 4
 
     def test_point_on_edge_lists_cells_in_ascending_order(self):
         # x and y on faces, z inside the first layer: cells (1|2, 1|2, 0)
         g = BulkGrid("3d", [0.0, 0.0, 0.0], [1.0, 1.0, 1.0], (4, 4, 4))
-        assert g.cells_containing([0.5, 0.5, 0.1]).tolist() == [20, 24, 36,
-                                                                 40]
+        assert g.stencils([0.5, 0.5, 0.1])[1].tolist() == [20, 24, 36, 40]
 
     def test_domain_corner_single_cell(self):
         g = BulkGrid("2d", [0.0, 0.0], [1.0, 1.0], (4, 4))
-        assert list(g.cells_containing([0.0, 0.0])) == [0]
+        assert list(g.stencils([0.0, 0.0])[1]) == [0]
 
-    def test_outside_raises(self):
+    def test_outside_point_has_no_cells(self):
         g = make_grid("2d")
-        with pytest.raises(ValueError):
-            g.cells_containing([5.0, 0.0])
+        owner, cells = g.stencils([5.0, 0.0])
+        assert owner.size == 0 and cells.size == 0
 
 
 class TestAssembly:

@@ -17,9 +17,8 @@ from mdtube.coupling import (CouplingError, build_coupling, mean_distance,
                              point_segment_distance)
 from mdtube.grid import BulkGrid
 from mdtube.network import (NetworkFormatError, Segment, SegmentCell,
-                            TubeNetwork, discretize_network, kernel_value,
-                            parse_network, synthetic_root_network,
-                            write_network)
+                            TubeNetwork, discretize_network, parse_network,
+                            synthetic_root_network)
 from mdtube.scenarios import parallel_level_coupling, three_tube_specs
 
 
@@ -159,20 +158,6 @@ class TestGeometryHelpers:
             19.0 / 75.0, rel=1e-12)
 
 
-class TestKernelValue:
-    def test_normalization(self):
-        rho = 0.05
-        r = np.linspace(0.0, rho, 2001)
-        trapezoid = getattr(np, "trapezoid", None) or np.trapz
-        integral = trapezoid(kernel_value(r, rho) * 2 * np.pi * r, r)
-        assert integral == pytest.approx(1.0, rel=1e-6)
-
-    def test_compact_support(self):
-        assert kernel_value(0.06, 0.05) == 0.0
-        with pytest.raises(ValueError):
-            kernel_value(-0.1, 0.05)
-
-
 class TestSegmentCoupling:
     def test_weights_partition_unity_2d(self):
         g = BulkGrid("2d", [0.0, 0.0], [1.0, 1.0], (16, 16))
@@ -220,7 +205,8 @@ class TestSegmentCoupling:
         cpl = build_one(g, make_cell(center, center, rho=rho))
         weights = dict(zip(cpl.cells.tolist(), cpl.weights))
         for c in range(g.n_cells):
-            lo, hi = g.cell_bounds(c)
+            lo = g.origin + np.array(np.unravel_index(c, g.shape)) * g.spacing
+            hi = lo + g.spacing
 
             def chord(x):
                 s = np.sqrt(max(rho ** 2 - (x - center[0]) ** 2, 0.0))
@@ -550,7 +536,9 @@ class TestNetworkFormat:
     def test_round_trip(self, tmp_path):
         net = simple_network()
         path = tmp_path / "net.txt"
-        write_network(path, net)
+        path.write_text("node 0 0 0 0\nnode 1 0 0 -0.06\nnode 2 0.03 0 -0.09\n"
+                        "seg 0 0 1 0.002 3 2e-11 5e-13\n"
+                        "seg 1 1 2 0.001 3 2e-11 5e-14\n")
         back = parse_network(path)
         assert np.allclose(back.nodes, net.nodes)
         assert back.segments == net.segments
@@ -592,7 +580,7 @@ class TestDiscretization:
         net = simple_network()
         mesh = discretize_network(net, 0.01)
         assert sum(c.length for c in mesh.cells) == pytest.approx(
-            net.total_length(), rel=1e-12)
+            sum(net.segment_length(s) for s in net.segments), rel=1e-12)
 
     def test_target_length_respected(self):
         net = simple_network()
@@ -603,9 +591,19 @@ class TestDiscretization:
         net = simple_network()
         mesh = discretize_network(net, 0.01)
         # every interior joint joins exactly two cell ends here (no branch)
-        degrees = [len(c) for c in mesh.joint_cells]
+        degrees = np.bincount([c.joint_a for c in mesh.cells]
+                              + [c.joint_b for c in mesh.cells],
+                              minlength=mesh.n_joints).tolist()
         assert degrees.count(1) == 2            # collar + tip
         assert all(d in (1, 2) for d in degrees)
+
+    def test_target_length_must_be_finite_and_positive(self):
+        # ceil(length / target), clamped to 1, would give a non-positive
+        # target one cell per segment
+        net = simple_network()
+        for target in (-0.005, 0.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite and positive"):
+                discretize_network(net, target)
 
     def test_collar_node_is_topmost(self):
         net = simple_network()

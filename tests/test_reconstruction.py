@@ -12,7 +12,6 @@ from mdtube.laws import (ConstantLaw, ExponentialLaw, TabulatedLaw,
                          VanGenuchtenLaw)
 from mdtube.reconstruction import (ReconstructionError, ReconstructionInput,
                                    interface_derivatives, kernel_profile_f,
-                                   mvt_error_bound, neighbor_error_bound,
                                    reconstruct_interface)
 
 
@@ -231,20 +230,3 @@ def test_interface_value_between_inputs(u_delta, u_e, delta_frac):
     assert q == pytest.approx(-inp.perimeter * (u_hat - u_e), rel=1e-9,
                               abs=1e-12)
 
-
-class TestErrorBounds:
-    def test_mvt_bound_zero_for_constant_law(self):
-        assert mvt_error_bound(ConstantLaw(3.0), -1.0, 1.0, 0.5, 1.0) == 0.0
-
-    def test_mvt_bound_quadratic_in_spread(self):
-        law = ExponentialLaw(d0=0.5, k=1.0)
-        b1 = mvt_error_bound(law, -1.0, 1.0, 0.1, 1.0)
-        b2 = mvt_error_bound(law, -1.0, 1.0, 0.2, 1.0)
-        assert b2 == pytest.approx(4.0 * b1, rel=1e-12)
-
-    def test_neighbor_bound_decays(self):
-        near = neighbor_error_bound(0.01, 0.1)
-        far = neighbor_error_bound(0.01, 1.0)
-        assert far < near
-        with pytest.raises(ValueError):
-            neighbor_error_bound(0.01, 0.005)

@@ -17,10 +17,11 @@ from mdtube.laws import ConstantLaw, ExponentialLaw, VanGenuchtenLaw
 from mdtube.analytic import solve_multi_tube
 from mdtube.scenarios import (ConfigError, ErrorReport, LevelErrors,
                               ScenarioConfig, _level_errors,
-                              parallel_level_coupling, parse_config,
-                              radius_sweep_anchor, run_parallel_tubes,
-                              run_scenario, solve_parallel_level,
-                              three_tube_specs, write_config)
+                              parallel_level_coupling, parallel_level_problem,
+                              parse_config, radius_sweep_anchor,
+                              run_parallel_tubes, run_scenario,
+                              solve_parallel_level, three_tube_specs,
+                              write_config)
 
 SINGLE_TUBE_INI = """\
 [scenario]
@@ -66,13 +67,42 @@ class TestConfigParsing:
         assert parse_config(path) == config
 
     def test_unknown_key_reports_section(self, tmp_path):
-        # ``threads`` was once parsed and never read; it is rejected now
+        # ``threads`` is not a setting, and the far-field pressure comes
+        # from boundary_saturation alone, not from a [root]
+        # boundary_pressure
         path = tmp_path / "bad.ini"
-        for key in ("bogus", "threads"):
-            path.write_text(f"[scenario]\nkind = single_tube\n{key} = 1\n")
+        for section, key in (("scenario", "bogus"), ("scenario", "threads"),
+                             ("root", "boundary_pressure")):
+            header = "" if section == "scenario" else f"[{section}]\n"
+            path.write_text(f"[scenario]\nkind = single_tube\n{header}"
+                            f"{key} = 1\n")
             with pytest.raises(ConfigError,
-                               match=rf"unknown key \[scenario\] {key}"):
+                               match=rf"unknown key \[{section}\] {key}"):
                 parse_config(path)
+
+    def test_segment_length_must_be_finite_and_positive(self, tmp_path):
+        # ceil(length / target), clamped to 1, would give a non-positive
+        # length one cell per segment
+        for value in (-0.005, 0.0, float("inf"), float("nan")):
+            with pytest.raises(ConfigError, match=r"segment_length"):
+                ScenarioConfig(kind="root_soil", segment_length=value)
+        path = tmp_path / "bad.ini"
+        path.write_text("[scenario]\nkind = root_soil\n"
+                        "[root]\nsegment_length = -0.005\n")
+        with pytest.raises(ConfigError, match=r"segment_length"):
+            parse_config(path)
+
+    def test_kernel_factors_keep_fractions(self, tmp_path):
+        # a fractional factor is kept, not truncated to an integer
+        path = tmp_path / "cfg.ini"
+        path.write_text("[scenario]\nkind = kernel_radius_study\n"
+                        "[tubes]\nkernel_factors = 2.5, 3\n")
+        config = parse_config(path)
+        assert config.kernel_factors == (2.5, 3.0)
+        echo = tmp_path / "echo.ini"
+        write_config(config, echo)
+        assert "kernel_factors = 2.5, 3\n" in echo.read_text()
+        assert parse_config(echo) == config
 
     def test_bad_value_reported(self, tmp_path):
         path = tmp_path / "bad.ini"
@@ -209,7 +239,8 @@ class TestHelpers:
         specs = three_tube_specs(0.2, 2.0)
         ref = solve_multi_tube(specs, law, anchor=(0, 0.8), variant="u")
         grid, segs, cpl = parallel_level_coupling(specs, 4)
-        state = solve_parallel_level(law, specs, grid, segs, cpl, ref)
+        state = solve_parallel_level(
+            parallel_level_problem(law, specs, grid, segs, cpl, ref), ref)
         assert state.iterations > 0
         e_ub, _, e_q = _level_errors(grid, law, state, ref)
         assert e_ub < 0.2
@@ -386,13 +417,21 @@ class TestCli:
                               timeout=CLI_TIMEOUT)
         assert proc.returncode == 2, proc.stderr
 
-    def test_cli_reports_config_errors(self, tmp_path):
+    def test_cli_reports_config_errors(self, tmp_path, capsys):
         from mdtube.cli import main
         missing = tmp_path / "nope.ini"
         assert main(["run", str(missing)]) == 2
         bad = tmp_path / "bad.ini"
         bad.write_text("[scenario]\nkind = single_tube\nbogus = 1\n")
         assert main(["run", str(bad)]) == 2
+        # a bad --levels override is a config error too, not a traceback
+        good = tmp_path / "single.ini"
+        good.write_text("[scenario]\nkind = single_tube\n")
+        capsys.readouterr()
+        assert main(["run", str(good), "--levels", "0",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: levels must be >= 1\n"
+        assert not (tmp_path / "out").exists()
 
     def test_cli_requires_subcommand(self):
         from mdtube.cli import main

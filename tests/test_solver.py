@@ -19,7 +19,8 @@ from mdtube.network import (Segment, SegmentCell, TubeNetwork,
 from mdtube.reconstruction import ReconstructionError
 from mdtube.analytic import solve_multi_tube
 from mdtube.scenarios import (ScenarioConfig, parallel_level_coupling,
-                              solve_parallel_level, three_tube_specs)
+                              parallel_level_problem, solve_parallel_level,
+                              three_tube_specs)
 from mdtube.solver import (CoupledProblem, NonconvergenceError,
                            assemble_coupled, boundary_flux_total,
                            collar_flux_total, coupled_jacobian, newton_solve)
@@ -65,6 +66,15 @@ def small_coupled_problem(gamma=2e-3, collar=0.8, y_junction=False):
                              seg_cells=mesh.cells, couplings=couplings,
                              network=mesh)
     return problem, mesh
+
+
+def joint_cells(mesh):
+    """Per joint of ``mesh``, the indices of the cells attached to it."""
+    attached = [[] for _ in range(mesh.n_joints)]
+    for i, cell in enumerate(mesh.cells):
+        attached[cell.joint_a].append(i)
+        attached[cell.joint_b].append(i)
+    return attached
 
 
 def assert_jacobian_matches_fd(problem, u_b, u_e, rng):
@@ -199,7 +209,7 @@ class TestAssembly:
 
     def test_y_junction_jacobian_matches_finite_differences(self):
         problem, mesh = small_coupled_problem(y_junction=True)
-        assert max(len(c) for c in mesh.joint_cells) == 3
+        assert max(len(c) for c in joint_cells(mesh)) == 3
         rng = np.random.default_rng(9)
         u_b = random_bulk(problem, rng)
         u_e = rng.uniform(0.2, 0.8, problem.n_net)
@@ -231,7 +241,7 @@ class TestAssembly:
         u_e = np.random.default_rng(3).uniform(0.2, 0.8, n_e)
         half_k = [c.d_e / (0.5 * c.length) for c in mesh.cells]
         axial, res = np.zeros((n_e, n_e)), np.zeros(n_e)
-        for joint, attached in enumerate(mesh.joint_cells):
+        for joint, attached in enumerate(joint_cells(mesh)):
             if joint in mesh.joint_dirichlet:
                 for i in attached:
                     axial[i, i] += half_k[i]
@@ -323,7 +333,8 @@ class TestNewton:
         ref = solve_multi_tube(specs, law, anchor=(0, config.anchor),
                                variant=variant)
         grid, segs, cpl = parallel_level_coupling(specs, 64)
-        state = solve_parallel_level(law, specs, grid, segs, cpl, ref)
+        state = solve_parallel_level(
+            parallel_level_problem(law, specs, grid, segs, cpl, ref), ref)
         assert len(calls) <= state.iterations + 1
 
     def test_initial_guesses_are_validated(self):
@@ -388,7 +399,7 @@ class TestNewton:
                                  network=mesh)
         state = newton_solve(problem, np.zeros(problem.n_bulk),
                              np.full(problem.n_net, 0.7))
-        length = net.total_length()
+        length = net.segment_length(net.segments[0])
         mids = np.array([abs(c.midpoint[2] - nodes[0, 2])
                          for c in mesh.cells])
         expect = 1.0 + (0.4 - 1.0) * mids / length
@@ -402,7 +413,7 @@ class TestNewton:
         # tube values sit between the boundary value and the collar value
         assert np.all(state.u_e > 0.1) and np.all(state.u_e < 0.8)
         assert np.all(state.u_hat > 0.1) and np.all(state.u_hat < 0.8)
-        src = float(np.sum(state.source_integrals(problem.seg_cells)))
+        src = float(np.sum(state.q * problem.lengths))
         collar = collar_flux_total(problem, state.u_e)
         scale = max(abs(src), abs(collar))
         # network mass balance: what leaves through the collar is what the
