@@ -18,9 +18,8 @@ from .laws import (ConstantLaw, DiffusionLaw, ExponentialLaw, TabulatedLaw,
 from .network import (NetworkFormatError, NetworkMesh, Segment, SegmentCell,
                       TubeNetwork, discretize_network, parse_network,
                       synthetic_root_network)
-from .reconstruction import (ReconstructionError, ReconstructionInput,
-                             interface_derivatives, kernel_profile_f,
-                             reconstruct_interface)
+from .reconstruction import (Interface, ReconstructionError,
+                             kernel_profile_f, reconstruct_interface)
 from .scenarios import (ConfigError, ErrorReport, ScenarioConfig,
                         parse_config, run_scenario, write_config)
 from .solver import (CoupledProblem, CoupledState, NonconvergenceError,

@@ -298,9 +298,8 @@ class SegmentCoupling:
     """Kernel weights and sampling data for one segment cell."""
 
     cells: np.ndarray           # bulk cells receiving kernel source
-    weights: np.ndarray         # fractions, sum = inside_fraction
-    inside_fraction: float      # 1 for fully interior kernel supports
-    clipped: bool               # support truncated by the domain boundary
+    weights: np.ndarray         # fractions of the source, sum = 1
+    inside_fraction: float      # share of the support inside the domain
     stencil: np.ndarray         # bulk cells sampled for reconstruction
     delta: float                # effective sampling distance
 
@@ -448,7 +447,6 @@ def build_coupling(grid: BulkGrid, seg_cells,
         out.append(SegmentCoupling(cells=bulk_cells,
                                    weights=seg_weights / inside,
                                    inside_fraction=inside,
-                                   clipped=inside < 1.0 - 1e-6,
                                    stencil=stencil, delta=delta))
     return out
 

@@ -8,8 +8,8 @@ The native plain-text format has one record per line::
 with ``#`` comments. The kernel radius of a segment is
 ``rho = rho_factor * R``. Boundary conditions live on the joints of the
 discretized network: the caller sets Dirichlet values on
-``NetworkMesh.joint_dirichlet`` (e.g. the root collar, through
-``joint_of_node``); all other terminal joints are zero-flux.
+``NetworkMesh.joint_dirichlet`` (e.g. the root collar, whose node index is
+its joint); all other terminal joints are zero-flux.
 """
 
 from __future__ import annotations
@@ -115,15 +115,14 @@ class SegmentCell:
 class NetworkMesh:
     """Discretized network: cells plus joint connectivity for axial TPFA.
 
-    Joints are the original network nodes plus subdivision points; each
-    cell end attaches to a joint. Dirichlet joints carry a fixed value,
-    set by the caller; joints with a single attached cell end and no
-    Dirichlet value are zero-flux.
+    Joints are the original network nodes, joints 0..n-1 in node order,
+    plus subdivision points; each cell end attaches to a joint. Dirichlet
+    joints carry a fixed value, set by the caller; joints with a single
+    attached cell end and no Dirichlet value are zero-flux.
     """
 
     cells: list[SegmentCell]
     n_joints: int
-    joint_of_node: dict[int, int]
     joint_dirichlet: dict[int, float] = field(default_factory=dict)
 
     @property
@@ -133,12 +132,12 @@ class NetworkMesh:
 
 def discretize_network(net: TubeNetwork, target_length: float) -> NetworkMesh:
     """Split segments into cells of roughly ``target_length``, a finite
-    positive length."""
+    positive length. The network's n nodes are joints 0..n-1, node i
+    joint i; the subdivision points are numbered after them."""
     if not (np.isfinite(target_length) and target_length > 0.0):
         raise ValueError(f"target cell length {target_length!r} must be "
                          "finite and positive")
     cells: list[SegmentCell] = []
-    joint_of_node = {i: i for i in range(len(net.nodes))}
     n_joints = len(net.nodes)
 
     for sid, seg in enumerate(net.segments):
@@ -146,9 +145,8 @@ def discretize_network(net: TubeNetwork, target_length: float) -> NetworkMesh:
         length = net.segment_length(seg)
         n_sub = max(1, int(np.ceil(length / target_length)))
         ts = np.linspace(0.0, 1.0, n_sub + 1)
-        joints = ([joint_of_node[seg.node_a]]
-                  + list(range(n_joints, n_joints + n_sub - 1))
-                  + [joint_of_node[seg.node_b]])
+        joints = ([seg.node_a] + list(range(n_joints, n_joints + n_sub - 1))
+                  + [seg.node_b])
         n_joints += n_sub - 1
         for i in range(n_sub):
             p0 = a + ts[i] * (b - a)
@@ -161,8 +159,7 @@ def discretize_network(net: TubeNetwork, target_length: float) -> NetworkMesh:
                                      segment_id=sid,
                                      joint_a=joints[i], joint_b=joints[i + 1]))
 
-    return NetworkMesh(cells=cells, n_joints=n_joints,
-                       joint_of_node=joint_of_node)
+    return NetworkMesh(cells=cells, n_joints=n_joints)
 
 
 def synthetic_root_network(n_laterals: int = 24,

@@ -1,15 +1,16 @@
 """Reconstruction of the tube-bulk interface unknown and coupling source.
 
-Given the regularized bulk value sampled at distance ``delta`` from a tube
-centerline, the interface value is the root of a scalar nonlinear equation
-built from the Kirchhoff transform and the radial kernel profile. The
-coupling source then follows from the wall transmissibility. Inputs may
-be arrays over segment cells, solved together; scalars return floats.
+Given the regularized bulk value in the Kirchhoff variable psi, sampled at
+distance ``delta`` from a tube centerline, the interface value is the root
+of a scalar nonlinear equation built from the Kirchhoff transform and the
+radial kernel profile. The coupling source and its derivatives with respect
+to the sampled psi and the tube value then follow from the wall
+transmissibility. Inputs may be arrays over segment cells, solved
+together; scalars return floats.
 """
 
 from __future__ import annotations
 
-import copy
 import warnings
 from dataclasses import dataclass
 
@@ -19,7 +20,7 @@ from .laws import DiffusionLaw
 
 
 #: a cell's interface equation is solved once its Newton step or its
-#: bracket is at most this many times ``max(1, |u_e|, |u_b_delta|)``
+#: bracket is at most this many times ``max(1, |u_e|, |T^-1(psi_bar)|)``
 _TOL = 1e-12
 
 
@@ -50,12 +51,10 @@ def kernel_profile_f(distance, tube_radius, kernel_radius):
 
 
 @dataclass
-class ReconstructionInput:
-    """Inputs of the interface equation: floats for one segment cell, or
-    arrays with one entry per segment cell."""
+class Interface:
+    """The tube-wall geometry of the interface equation: floats for one
+    segment cell, or arrays with one entry per segment cell."""
 
-    u_b_delta: float | np.ndarray   # bulk value sampled at distance delta
-    u_e: float | np.ndarray         # tube unknown
     tube_radius: float | np.ndarray
     kernel_radius: float | np.ndarray
     delta: float | np.ndarray
@@ -67,61 +66,59 @@ class ReconstructionInput:
         f(delta), the linear coefficient of the interface term."""
         if not np.all((0.0 <= self.delta) & (self.delta < self.kernel_radius)):
             raise ValueError("require 0 <= delta < kernel radius")
-        if np.any(self.tube_radius > self.kernel_radius):
-            raise ValueError("require tube radius <= kernel radius")
+        profile = kernel_profile_f(self.delta, self.tube_radius,
+                                   self.kernel_radius)
         if np.any(np.log(self.kernel_radius / self.tube_radius) < 0.5):
             warnings.warn(
                 "ln(rho/R) < 0.5: uniqueness of the interface equation is "
                 "not guaranteed", stacklevel=2)
-        self.coupling_factor = self.perimeter * self.gamma * kernel_profile_f(
-            self.delta, self.tube_radius, self.kernel_radius)
-
-    @property
-    def perimeter(self):
-        return 2.0 * np.pi * self.tube_radius
-
-    def at(self, u_b_delta, u_e) -> ReconstructionInput:
-        """The same tubes at other values of the sampled bulk and the tube:
-        a copy that keeps the checked geometry and ``coupling_factor``."""
-        state = copy.copy(self)
-        state.u_b_delta, state.u_e = u_b_delta, u_e
-        return state
+        self.perimeter = 2.0 * np.pi * self.tube_radius
+        self.coupling_factor = self.perimeter * self.gamma * profile
 
 
-def reconstruct_interface(inp: ReconstructionInput, max_iter: int = 100):
-    """Solve the interface equation; returns ``(u_hat, q)``.
+def reconstruct_interface(interface: Interface, psi_bar, u_e,
+                          max_iter: int = 100):
+    """Solve the interface equation at the sampled bulk value ``psi_bar``
+    (in psi) and the tube value ``u_e``; returns ``(u_hat, q, dq_dpsi,
+    dq_due)``.
 
-    ``u_hat`` satisfies ``g(u_hat) = T(u_b_delta) - T(u_hat) - |P| gamma
+    ``u_hat`` satisfies ``g(u_hat) = psi_bar - T(u_hat) - |P| gamma
     f(delta) (u_hat - u_e) = 0`` and ``q = -|P| gamma (u_hat - u_e)`` is the
     source per unit tube length. As ``g' = -(D(u_hat) + |P| gamma f) < 0``,
-    the root lies between ``u_e`` and ``u_b_delta``: Newton runs in that
-    bracket, padded, and bisects when an iterate leaves it or stalls. A cell
-    is done once its step or its bracket is at most ``_TOL * max(1, |u_e|,
-    |u_b_delta|)``; :class:`ReconstructionError` is raised for non-finite
-    inputs or after ``max_iter`` iterations.
-    """
-    law = inp.law
-    u_b = np.asarray(inp.u_b_delta, float)
-    u_e = np.asarray(inp.u_e, float)
-    if not (np.all(np.isfinite(u_b)) and np.all(np.isfinite(u_e))):
-        raise ReconstructionError(
-            f"non-finite input to the interface equation: {inp!r}")
-    pf = inp.coupling_factor
-    psi_delta = law.transform(u_b)
+    the root lies between ``u_e`` and ``u_bar = T^-1(psi_bar)``: Newton runs
+    in that bracket, padded, and bisects when an iterate leaves it or
+    stalls. A cell is done once its step or its bracket is at most ``_TOL *
+    max(1, |u_e|, |u_bar|)``; :class:`ReconstructionError` is raised for
+    non-finite inputs or after ``max_iter`` iterations.
 
-    scale = np.maximum(1.0, np.maximum(np.abs(u_e), np.abs(u_b)))
-    lo = np.minimum(u_e, u_b)
-    hi = np.maximum(u_e, u_b)
+    The derivatives of q come from the implicit function theorem on g:
+    ``dq/dpsi_bar = -|P| gamma / (D(u_hat) + |P| gamma f)`` and ``dq/du_e =
+    |P| gamma D(u_hat) / (D(u_hat) + |P| gamma f)``.
+    """
+    law = interface.law
+    psi_bar = np.asarray(psi_bar, float)
+    u_e = np.asarray(u_e, float)
+    u_bar = law.inverse_transform(psi_bar)
+    if not (np.all(np.isfinite(psi_bar)) and np.all(np.isfinite(u_bar))
+            and np.all(np.isfinite(u_e))):
+        raise ReconstructionError(
+            "non-finite input to the interface equation: "
+            f"psi_bar={psi_bar!r}, u_e={u_e!r}")
+    pf = interface.coupling_factor
+
+    scale = np.maximum(1.0, np.maximum(np.abs(u_e), np.abs(u_bar)))
+    lo = np.minimum(u_e, u_bar)
+    hi = np.maximum(u_e, u_bar)
     pad = 0.1 * np.maximum(hi - lo, 1e-12 * scale)
     lo, hi = lo - pad, hi + pad
 
-    # the root of the equation linearized at u_b_delta, exact for D = const
-    d_b = law.eval(u_b)
-    u = np.clip((d_b * u_b + pf * u_e) / (d_b + pf), lo, hi)
+    # the root of the equation linearized at u_bar, exact for D = const
+    d_bar = law.eval(u_bar)
+    u = np.clip((d_bar * u_bar + pf * u_e) / (d_bar + pf), lo, hi)
     step = hi - lo
     active = np.ones(u.shape, bool)
     for _ in range(max_iter):
-        g = psi_delta - law.transform(u) - pf * (u - u_e)
+        g = psi_bar - law.transform(u) - pf * (u - u_e)
         lo = np.where(g > 0.0, u, lo)
         hi = np.where(g > 0.0, hi, u)
         newton = g / (law.eval(u) + pf)
@@ -140,19 +137,9 @@ def reconstruct_interface(inp: ReconstructionInput, max_iter: int = 100):
     else:
         raise ReconstructionError(
             f"interface equation not solved in {max_iter} iterations; "
-            f"inputs: {inp!r}")
-    q = -inp.perimeter * inp.gamma * (u - u_e)
-    return _scalar_or_array(u), _scalar_or_array(q)
-
-
-def interface_derivatives(inp: ReconstructionInput, u_hat):
-    """Partial derivatives (du_hat/du_b_delta, du_hat/du_e) at the root.
-
-    Obtained from the implicit function theorem on the interface equation;
-    both denominators share ``D(u_hat) + |P| gamma f(delta) > 0``.
-    """
-    pf = inp.coupling_factor
-    denom = inp.law.eval(u_hat) + pf
-    d_delta = inp.law.eval(inp.u_b_delta)
-    return _scalar_or_array(d_delta / denom), _scalar_or_array(pf / denom)
-
+            f"inputs: psi_bar={psi_bar!r}, u_e={u_e!r}")
+    pg = interface.perimeter * interface.gamma
+    d_hat = law.eval(u)
+    denom = d_hat + pf
+    return tuple(_scalar_or_array(x) for x in
+                 (u, -pg * (u - u_e), -pg / denom, pg * d_hat / denom))

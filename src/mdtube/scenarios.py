@@ -101,6 +101,13 @@ class ScenarioConfig:
             raise ConfigError(
                 f"[law] type = {self.law_type} is not used by scenario kind "
                 f"{self.kind!r}; it uses {' or '.join(used)}")
+        for key, values in (("rho_factor", (self.rho_factor,)),
+                            ("kernel_factors", self.kernel_factors)):
+            if not all(factor >= 1.0 for factor in values):
+                raise ConfigError(
+                    f"[tubes] {key} = {_fmt(getattr(self, key))}: a kernel "
+                    "radius is the factor times the tube radius, so each "
+                    "factor must be >= 1")
         for key, values in (("r_max", (self.r_max,)),
                             ("r_max_values", self.r_max_values)):
             for r_max in values:
@@ -503,7 +510,7 @@ def run_root_soil(config: ScenarioConfig) -> RootSoilResult:
     # the mesh depends on the network alone, so every grid shares it; the
     # collar is its Dirichlet joint, set to each pressure of the sweep
     mesh = discretize_network(net, config.segment_length)
-    collar_joint = mesh.joint_of_node[net.collar_node()]
+    collar_joint = net.collar_node()
     mesh.joint_dirichlet = {collar_joint: p_s}
     # all but the top face are Dirichlet; the bulk is solved in psi
     psi_s = float(law.transform(np.float64(p_s)))
@@ -636,7 +643,7 @@ def run_scenario(config: ScenarioConfig, out_dir=None):
         for k in config.k_values:
             results.append(run_parallel_tubes(config, k=k))
         for r_max in config.r_max_values:
-            if r_max != 0.2:
+            if r_max != BASE_R_MAX:
                 results.append(run_parallel_tubes(config, k=1.0,
                                                   r_max=r_max))
     elif config.kind == "kernel_radius_study":

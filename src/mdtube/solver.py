@@ -6,11 +6,11 @@ in the verification scenarios). Everything but the interface equation is
 fixed per problem, so ``CoupledProblem`` builds it once from the grid, the
 couplings and the network: the kernel deposition matrix W, the stencil
 sampling matrix S and the network's axial TPFA operator with junction
-elimination at branching points. An assembly samples the bulk, solves the
-interface equation of all segment cells in one call and returns the
-residual with the two diagonal scalings of the coupling blocks, the
-derivatives of the sources with respect to the sampled bulk value and the
-tube value; the exact linearization of the source comes from the implicit
+elimination at branching points. An assembly samples the bulk in psi and
+makes one reconstruction call (``reconstruct_interface``) for all segment
+cells, which solves the interface equation in psi and returns the sources
+with the two diagonal scalings of the coupling blocks: their derivatives
+with respect to the sampled psi and the tube value, exact by the implicit
 function theorem.
 
 The bulk is solved in the Kirchhoff variable psi = int_0^u D, in which
@@ -43,8 +43,8 @@ from .laws import DiffusionLaw
 from .network import NetworkMesh, SegmentCell
 from .poisson import (dirichlet_vector, laplacian, laplacian_solver,
                       transmissibilities)
-from .reconstruction import (ReconstructionError, ReconstructionInput,
-                             interface_derivatives, reconstruct_interface)
+from .reconstruction import (Interface, ReconstructionError,
+                             reconstruct_interface)
 
 
 class NonconvergenceError(RuntimeError):
@@ -73,22 +73,22 @@ class CoupledProblem:
     """The coupled system, with the bulk in psi = int_0^u D: the bulk
     unknowns, the Dirichlet values (one per boundary face of each
     Dirichlet side) and the initial guess are psi values, the law enters
-    only the tube-wall coupling through the inverse transform, and the
-    tube values are physical. The tube values are either network unknowns
-    (``network``) or prescribed (``u_e_fixed``), never both.
+    only the interface equation, and the tube values are physical. The
+    tube values are either network unknowns (``network``) or prescribed
+    (``u_e_fixed``), never both.
 
     The state-independent operators are built at construction:
     ``deposit`` (W, bulk by segment cells, kernel weight times cell
     length), ``sample`` (S, segment by bulk cells, 1/|stencil|), the
     interface geometry (``interface``, checked once, with its coupling
-    factor |P| gamma f(delta); an assembly reads it through
-    ``interface.at``), the network's axial operator, the Laplacian L with
-    its Dirichlet vector, the direct solver of L and the capacitance
-    matrix S L^-1 W that ``solve_step`` uses. The solver builds C from the
-    few cells each row of S and column of W touches: on 2D and 3D grids
-    from their transforms along all but the last axis and the last axis's
-    Green's function, with no bulk solve (``SpectralSolver.capacitance``);
-    on radial grids by one banded solve of the columns of W.
+    factor |P| gamma f(delta)), the network's axial operator, the
+    Laplacian L with its Dirichlet vector, the direct solver of L and the
+    capacitance matrix S L^-1 W that ``solve_step`` uses. The solver
+    builds C from the few cells each row of S and column of W touches: on
+    2D and 3D grids from their transforms along all but the last axis and
+    the last axis's Green's function, with no bulk solve
+    (``SpectralSolver.capacitance``); on radial grids by one banded solve
+    of the columns of W.
 
     With network unknowns, the axial operator A is also factored once
     (``axial_lu``, a dense LU), and ``axial_green`` holds G = A^-1
@@ -124,8 +124,7 @@ class CoupledProblem:
             raise ValueError(f"seg_cells ({len(segs)}) must be the network's "
                              f"cells ({self.network.n_cells}), in order")
         self.lengths = np.array([s.length for s in segs])
-        self.interface = ReconstructionInput(
-            u_b_delta=0.0, u_e=0.0,
+        self.interface = Interface(
             tube_radius=np.array([s.radius for s in segs]),
             kernel_radius=np.array([s.kernel_radius for s in segs]),
             delta=np.array([c.delta for c in cpls]),
@@ -326,27 +325,19 @@ class Assembly(NamedTuple):
     res: np.ndarray
     u_hat: np.ndarray               # reconstructed interface values
     q: np.ndarray                   # source per unit tube length
-    dq_dub: np.ndarray              # a: dq / d(sampled bulk value)
+    dq_dub: np.ndarray              # a: dq / d(sampled bulk psi)
     dq_due: np.ndarray              # b: dq / d(tube value)
 
 
 def assemble_coupled(problem: CoupledProblem, u_b: np.ndarray,
                      u_e: np.ndarray) -> Assembly:
     """Residual of the coupled system and the parts of its Jacobian (see
-    ``coupled_jacobian``). The bulk residual is ``L u_b - g - W q``."""
-    law = problem.law
-    res_b = problem.laplacian @ u_b - problem.dirichlet_rhs
-    u_bar = law.inverse_transform(problem.sample @ u_b)
-    inp = problem.interface.at(u_bar, u_e)
-    u_hat, q = reconstruct_interface(inp)
-    duh_dub, duh_due = interface_derivatives(inp, u_hat)
-    # chain rule through u(psi): du/dpsi = 1 / D(u)
-    duh_dub = duh_dub / law.eval(u_bar)
-    pg = inp.perimeter * inp.gamma
-    dq_dub = -pg * duh_dub
-    dq_due = -pg * (duh_due - 1.0)
-
-    res = res_b - problem.deposit @ q
+    ``coupled_jacobian``). The bulk residual is ``L u_b - g - W q``, with
+    q, and its derivatives a and b, from the interface equation at the
+    sampled bulk ``S u_b``, in psi, and the tube values ``u_e``."""
+    u_hat, q, dq_dub, dq_due = reconstruct_interface(
+        problem.interface, problem.sample @ u_b, u_e)
+    res = problem.laplacian @ u_b - problem.dirichlet_rhs - problem.deposit @ q
     if problem.n_net:
         res = np.concatenate([res, q * problem.lengths
                               + problem.axial_residual(u_e)])
@@ -381,16 +372,7 @@ def _converged(problem: CoupledProblem, asm: Assembly, u_b: np.ndarray,
     ``|A| |u_e| + |k u_d| + |q len|`` in the network.
 
     And the network residuals balance at the collar to the rounding of
-    their sum. The axial terms cancel in pairs, so ``sum r_e`` is the
-    exchange ``sum q len`` plus the collar flux ``sum k (u_c - u_d)``.
-    Stored as floats, the unknowns it reads are off by up to eps |x|
-    each, which moves it by up to ``eps (sum len (|b| |u_e| + |a| S |u_b|)
-    + sum k |u_c|)`` (a = ``dq_dub``, b = ``dq_due``); the terms are
-    rounded once more as they are summed, ``eps (sum |q len| + sum
-    |k (u_i - u_m)| + sum |k (u_c - u_d)|)``. One eps is twice the
-    rounding of a float, which leaves the other half for the evaluation
-    of q. The bound holds also for a network that exchanges nothing
-    (gamma = 0).
+    their sum (``_collar_bound``).
     """
     n_b, eps = problem.n_bulk, np.finfo(float).eps
     rounding = _ROUNDING * eps
@@ -408,14 +390,31 @@ def _converged(problem: CoupledProblem, asm: Assembly, u_b: np.ndarray,
                              len(u_e)))
     if not np.max(np.abs(r_e)) <= rounding * np.max(scale_e):
         return False
+    return bool(abs(np.sum(r_e)) <= _collar_bound(problem, asm, u_b, u_e))
+
+
+def _collar_bound(problem: CoupledProblem, asm: Assembly, u_b: np.ndarray,
+                  u_e: np.ndarray) -> float:
+    """The bound on the network residuals' sum that ``_converged`` sets at
+    the state (u_b, u_e) of ``asm``. The axial terms cancel in pairs, so
+    ``sum r_e`` is the exchange ``sum q len`` plus the collar flux ``sum k
+    (u_c - u_d)``. Stored as floats, the unknowns it reads are off by up
+    to eps |x| each, which moves it by up to ``eps (sum len (|b| |u_e| +
+    |a| S |u_b|) + sum k |u_c|)`` (a = ``dq_dub``, b = ``dq_due``); the
+    terms are rounded once more as they are summed, ``eps (sum |q len| +
+    sum |k (u_i - u_m)| + sum |k (u_c - u_d)|)``. One eps is twice the
+    rounding of a float, which leaves the other half for the evaluation
+    of q. The bound holds also for a network that exchanges nothing
+    (gamma = 0)."""
+    eps = np.finfo(float).eps
     u_c = u_e[problem.dir_cell]
     pairs = problem.pair_k * (u_e[problem.pair_i] - u_e[problem.pair_m])
     inputs = (problem.lengths @ (np.abs(asm.dq_due * u_e) + np.abs(asm.dq_dub)
                                  * (problem.sample @ np.abs(u_b)))
               + np.sum(problem.dir_k * np.abs(u_c)))
-    terms = (np.sum(exchange) + np.sum(np.abs(pairs))
+    terms = (np.sum(np.abs(asm.q * problem.lengths)) + np.sum(np.abs(pairs))
              + np.sum(np.abs(problem.dir_k * (u_c - problem.dir_value))))
-    return bool(abs(np.sum(r_e)) <= eps * (inputs + terms))
+    return eps * (inputs + terms)
 
 
 def newton_solve(problem: CoupledProblem, u_b0: np.ndarray,

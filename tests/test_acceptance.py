@@ -14,7 +14,7 @@ from mdtube.grid import BulkGrid
 from mdtube.laws import ConstantLaw, ExponentialLaw, VanGenuchtenLaw
 from mdtube.network import Segment, TubeNetwork, discretize_network
 from mdtube.poisson import laplacian
-from mdtube.reconstruction import ReconstructionInput, reconstruct_interface
+from mdtube.reconstruction import Interface, reconstruct_interface
 from mdtube.scenarios import (ScenarioConfig, model_error_plateau,
                               run_kernel_radius_study, run_parallel_tubes,
                               run_root_soil, run_single_tube,
@@ -167,11 +167,10 @@ def test_criterion_7_property_suite():
         abs(fd - float(exp_law.eval(0.3))) / float(exp_law.eval(0.3)) < 1e-6)
 
     # reconstruction against the constant-law closed form
-    inp = ReconstructionInput(u_b_delta=0.4, u_e=0.1, tube_radius=0.01,
-                              kernel_radius=0.05, delta=0.02, gamma=1.0,
-                              law=ConstantLaw(2.0))
-    u_hat, _ = reconstruct_interface(inp)
-    pf = inp.coupling_factor
+    iface = Interface(tube_radius=0.01, kernel_radius=0.05, delta=0.02,
+                      gamma=1.0, law=ConstantLaw(2.0))
+    u_hat = reconstruct_interface(iface, 2.0 * 0.4, 0.1)[0]   # psi = D u
+    pf = iface.coupling_factor
     checks["reconstruction_closed_form"] = (
         abs(u_hat - (2.0 * 0.4 + pf * 0.1) / (2.0 + pf)) < 1e-12)
 
@@ -192,7 +191,7 @@ def test_criterion_7_property_suite():
                       segments=[Segment(0, 1, 2e-3, 3.0, 2e-3, 5e-4),
                                 Segment(1, 2, 1e-3, 3.0, 2e-3, 5e-5)])
     mesh = discretize_network(net, 0.02)
-    mesh.joint_dirichlet = {mesh.joint_of_node[0]: 0.8}
+    mesh.joint_dirichlet = {0: 0.8}
     psi_b = exp_law.transform(np.float64(0.1))
     dirichlet = {s: np.full(len(grid.side_cells(s)), psi_b)
                  for s in range(6)}

@@ -163,14 +163,13 @@ class TestSegmentCoupling:
         g = BulkGrid("2d", [0.0, 0.0], [1.0, 1.0], (16, 16))
         cpl = build_one(g, make_cell([0.53, 0.47], [0.53, 0.47], rho=0.11))
         assert np.sum(cpl.weights) == pytest.approx(1.0, abs=1e-9)
-        assert not cpl.clipped
+        assert cpl.inside_fraction == pytest.approx(1.0, rel=0, abs=1e-6)
 
     def test_disc_inside_one_cell_exact(self):
         g = BulkGrid("2d", [0.0, 0.0], [1.0, 1.0], (4, 4))
         cpl = build_one(g, make_cell([0.6, 0.4], [0.6, 0.4], rho=0.05))
         assert cpl.cells.tolist() == [9]
         assert cpl.inside_fraction == pytest.approx(1.0, rel=0, abs=1e-14)
-        assert not cpl.clipped
 
     def test_disc_at_four_cell_corner_is_symmetric(self):
         g = BulkGrid("2d", [0.0, 0.0], [1.0, 1.0], (4, 4))
@@ -185,15 +184,13 @@ class TestSegmentCoupling:
         # support hangs over the domain boundary; deposition stays total
         g = BulkGrid("2d", [0.0, 0.0], [1.0, 1.0], (8, 8))
         cpl = build_one(g, make_cell([0.02, 0.5], [0.02, 0.5], rho=0.1))
-        assert cpl.clipped
-        assert cpl.inside_fraction < 1.0
+        assert cpl.inside_fraction < 1.0 - 1e-6
         assert np.sum(cpl.weights) == pytest.approx(1.0, abs=1e-9)
 
     def test_half_clipped_disc_inside_fraction_exact(self):
         # centred on the left boundary: exactly half the disc is inside
         g = BulkGrid("2d", [0.0, 0.0], [1.0, 1.0], (8, 8))
         cpl = build_one(g, make_cell([0.0, 0.5], [0.0, 0.5], rho=0.1))
-        assert cpl.clipped
         assert cpl.inside_fraction == pytest.approx(0.5, rel=0, abs=1e-14)
         assert np.sum(cpl.weights) == pytest.approx(1.0, rel=0, abs=1e-14)
 
@@ -306,7 +303,7 @@ class TestSegmentCoupling:
         assert np.max(np.abs(got - expect)) <= 1e-9 * volume
         cpl = build_one(g, make_cell(p0, p1, rho=rho))
         assert np.all(cpl.weights > 0.0)
-        assert cpl.clipped == (p0[0] == 0.05)
+        assert (cpl.inside_fraction < 1.0 - 1e-6) == (p0[0] == 0.05)
 
     # The oblique cases below pin the closed-form weights at rounding
     # level. Each pinned value agrees within 1e-12 with the same build from
@@ -322,7 +319,6 @@ class TestSegmentCoupling:
                   37: 0.09360926068657643, 38: 0.3236568518898274,
                   41: 0.01416555807180728, 42: 0.068568329351789}
         assert sorted(cpl.cells.tolist()) == sorted(pinned)
-        assert not cpl.clipped
         assert cpl.inside_fraction == pytest.approx(1.0, rel=1e-13, abs=0.0)
         for c, w in zip(cpl.cells.tolist(), cpl.weights):
             assert w == pytest.approx(pinned[c], rel=1e-13, abs=0.0)
@@ -337,7 +333,6 @@ class TestSegmentCoupling:
                   2: 0.0444673390121895, 17: 0.03646571738678302,
                   18: 8.933171092161874e-09}
         assert sorted(cpl.cells.tolist()) == sorted(pinned)
-        assert cpl.clipped
         assert cpl.inside_fraction == pytest.approx(0.7928547577929391,
                                                     rel=1e-13, abs=0.0)
         for c, w in zip(cpl.cells.tolist(), cpl.weights):
@@ -380,7 +375,7 @@ class TestSegmentCoupling:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             _, _, cpl = parallel_level_coupling(specs, 16)
-        assert all(c.clipped for c in cpl)
+        assert all(c.inside_fraction < 1.0 - 1e-6 for c in cpl)
         for c in cpl:
             assert np.sum(c.weights) == pytest.approx(1.0, abs=1e-12)
 
@@ -427,7 +422,6 @@ def assert_same_couplings(got, expect):
         assert g.cells.dtype == e.cells.dtype
         assert np.array_equal(g.weights, e.weights)
         assert g.inside_fraction == e.inside_fraction
-        assert g.clipped == e.clipped
         assert np.array_equal(g.stencil, e.stencil)
         assert g.delta == e.delta
 

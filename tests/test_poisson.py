@@ -217,7 +217,7 @@ def test_capacitance_of_root_coupling():
     grid = BulkGrid(dim, origin, extents, shape)
     net = synthetic_root_network(seed=2024)
     mesh = discretize_network(net, 0.005)
-    mesh.joint_dirichlet = {mesh.joint_of_node[net.collar_node()]: 0.0}
+    mesh.joint_dirichlet = {net.collar_node(): 0.0}
     problem = CoupledProblem(
         grid=grid, law=ConstantLaw(1.0),
         dirichlet={s: np.zeros(len(grid.side_cells(s))) for s in sides},

@@ -92,6 +92,23 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=r"segment_length"):
             parse_config(path)
 
+    def test_kernel_factors_below_one_rejected(self, tmp_path):
+        # the kernel radius is the factor times the tube radius, and must
+        # not be smaller than it
+        for bad in (dict(rho_factor=0.5), dict(rho_factor=float("nan")),
+                    dict(kind="kernel_radius_study", kernel_factors=(2, 0.5))):
+            with pytest.raises(ConfigError, match=r"factor"):
+                ScenarioConfig(**{"kind": "single_tube", **bad})
+        for key, value in (("rho_factor", "0.5"),
+                           ("kernel_factors", "3, 0.9")):
+            path = tmp_path / f"{key}.ini"
+            path.write_text("[scenario]\nkind = kernel_radius_study\n"
+                            f"[tubes]\n{key} = {value}\n")
+            with pytest.raises(ConfigError, match=key):
+                parse_config(path)
+        assert ScenarioConfig(kind="single_tube", rho_factor=1.0,
+                              kernel_factors=(1.0, 2.0)).rho_factor == 1.0
+
     def test_kernel_factors_keep_fractions(self, tmp_path):
         # a fractional factor is kept, not truncated to an integer
         path = tmp_path / "cfg.ini"
@@ -305,15 +322,31 @@ class TestArtifacts:
             calls.append(None)
             return real(*args)
 
+        # the bound of the Newton loop's collar-balance test at each
+        # returned state, taken before the next collar pressure is set
+        bounds = []
+        real_solve = scenarios.newton_solve
+
+        def solve_and_bound(problem, u_b0, u_e0):
+            state = real_solve(problem, u_b0, u_e0)
+            asm = real(problem, state.u_b, state.u_e)
+            bounds.append(solver._collar_bound(problem, asm, state.u_b,
+                                               state.u_e))
+            return state
+
         monkeypatch.setattr(solver, "assemble_coupled", counting)
+        monkeypatch.setattr(scenarios, "newton_solve", solve_and_bound)
         config = ScenarioConfig(kind="root_soil", grids=((8, 8, 15),),
                                 collar_pressures=(-2.5e5, -5e5),
                                 delta_correction=True)
         sweep = scenarios.run_root_soil(config).transpiration
         assert len(calls) <= sum(row["iterations"] + 1 for row in sweep)
-        for row in sweep:
-            assert abs(row["r_t"] + row["collar_flux"]) <= 2e-11 * max(
-                abs(row["r_t"]), abs(row["collar_flux"]))
+        assert len(bounds) == len(sweep)
+        for row, bound in zip(sweep, bounds):
+            defect = abs(row["r_t"] + row["collar_flux"])
+            assert defect <= bound
+            assert defect <= 2e-11 * max(abs(row["r_t"]),
+                                         abs(row["collar_flux"]))
 
     @pytest.mark.parametrize("delta,seed", [(False, 3), (False, 6),
                                             (True, 1), (True, 11)])

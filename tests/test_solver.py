@@ -59,7 +59,7 @@ def small_coupled_problem(gamma=2e-3, collar=0.8, y_junction=False):
         nodes, segments = nodes[:3], segments[:2]
     net = TubeNetwork(nodes=nodes, segments=segments)
     mesh = discretize_network(net, 0.02)
-    mesh.joint_dirichlet = {mesh.joint_of_node[0]: collar}
+    mesh.joint_dirichlet = {0: collar}
     couplings = build_coupling(grid, mesh.cells, delta_correction=True)
     problem = CoupledProblem(grid=grid, law=LAW,
                              dirichlet=box_dirichlet(grid, psi(0.1)),
@@ -138,7 +138,7 @@ def network_problem_args(nodes, segments, dirichlet_nodes):
                     (6, 6, 8))
     mesh = discretize_network(TubeNetwork(nodes=np.array(nodes),
                                           segments=segments), 0.02)
-    mesh.joint_dirichlet = {mesh.joint_of_node[n]: 0.8
+    mesh.joint_dirichlet = {n: 0.8
                             for n in dirichlet_nodes}
     return dict(grid=grid, law=LAW, dirichlet=box_dirichlet(grid, psi(0.1)),
                 seg_cells=mesh.cells,
@@ -273,6 +273,31 @@ class TestAssembly:
                              np.full(problem.n_net, 0.4))
         assert state.iterations > 0 and calls == []
 
+    def test_assembly_maps_the_sampled_bulk_to_u_once(self, monkeypatch):
+        # the interface equation is in psi: an assembly inverts the sampled
+        # bulk once, to bracket and start the root, and transforms only
+        # the root's iterates, never that inverse back
+        problem, _ = small_coupled_problem()
+        inverted, transformed = [], []
+        real_inverse, real_transform = (ExponentialLaw.inverse_transform,
+                                        ExponentialLaw.transform)
+
+        def inverse(law, psi_values):
+            inverted.append(real_inverse(law, psi_values))
+            return inverted[-1]
+
+        def transform(law, u):
+            transformed.append(np.array(u, float))
+            return real_transform(law, u)
+
+        monkeypatch.setattr(ExponentialLaw, "inverse_transform", inverse)
+        monkeypatch.setattr(ExponentialLaw, "transform", transform)
+        rng = np.random.default_rng(5)
+        assemble_coupled(problem, psi(rng.uniform(0.0, 0.6, problem.n_bulk)),
+                         rng.uniform(0.2, 0.8, problem.n_net))
+        assert len(inverted) == 1 and len(transformed) > 0
+        assert not any(np.array_equal(u, inverted[0]) for u in transformed)
+
     def test_absolute_operators_share_index_arrays(self):
         problem, _ = small_coupled_problem()
         for matrix, absolute in ((problem.laplacian, problem.laplacian_abs),
@@ -390,8 +415,8 @@ class TestNewton:
         net = TubeNetwork(nodes=nodes,
                           segments=[Segment(0, 1, 2e-3, 3.0, 0.0, 1e-3)])
         mesh = discretize_network(net, 0.02)
-        mesh.joint_dirichlet = {mesh.joint_of_node[0]: 1.0,
-                                mesh.joint_of_node[1]: 0.4}
+        mesh.joint_dirichlet = {0: 1.0,
+                                1: 0.4}
         couplings = build_coupling(grid, mesh.cells)
         problem = CoupledProblem(grid=grid, law=ConstantLaw(1.0),
                                  dirichlet=box_dirichlet(grid, 0.0),
@@ -528,7 +553,7 @@ class TestCapacitanceStep:
 class TestJointDirichlet:
     def test_changed_collar_matches_fresh_problem(self):
         problem, mesh = small_coupled_problem(y_junction=True)
-        collar = mesh.joint_of_node[0]
+        collar = 0
         u_e = np.random.default_rng(17).uniform(0.2, 0.8, problem.n_net)
         before = problem.axial_residual(u_e)
         problem.set_joint_dirichlet({collar: 0.3})
@@ -543,7 +568,7 @@ class TestJointDirichlet:
     def test_joint_set_is_fixed(self):
         problem, mesh = small_coupled_problem()
         with pytest.raises(ValueError, match="Dirichlet joints"):
-            problem.set_joint_dirichlet({mesh.joint_of_node[2]: 0.3})
+            problem.set_joint_dirichlet({2: 0.3})
 
 
 class TestBulkDirichlet:
