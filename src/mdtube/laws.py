@@ -22,13 +22,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .quadrature import tanh_sinh_piecewise_cumulative
 
 #: the largest spacing of the Van Genuchten table's nodes, in Pa: 7,171
 #: nodes for the loam of the root scenario, whose floor kink is -72,389 Pa
 _TABLE_SPACING = 10.1
+
+#: the width, in Pa, of the bracket whose midpoint is the floor kink
+_FLOOR_TOLERANCE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -231,15 +233,31 @@ class VanGenuchtenLaw(DiffusionLaw):
         return self.d_sat * np.maximum(self.relative_permeability(u), self.eps)
 
     def _find_floor_pressure(self) -> float:
-        """Pressure below which the d_min floor is active."""
-        g = lambda p: self.relative_permeability(p) - self.eps
-        lo = -1.0
-        while g(lo) > 0.0:
-            lo *= 10.0
+        """Pressure below which the d_min floor is active: the root of
+        k_r(p) = eps, which has one, since k_r increases with p from 0 to
+        k_r(0) = 1 > eps.
+
+        Decades [10 p_0, p_0], p_0 = -1, -10, ..., bracket the root, and a
+        bisection narrows the bracket to ``_FLOOR_TOLERANCE`` (or to
+        adjacent floats, far below 0) and returns its midpoint. Raises
+        ``ValueError`` when k_r stays above eps down to -1e15 Pa.
+        """
+        above = lambda p: self.relative_permeability(p) > self.eps
+        lo, hi = -1.0, 0.0
+        while above(lo):
+            lo, hi = 10.0 * lo, lo
             if lo < -1e15:
                 raise ValueError(f"k_r stays above eps = {self.eps!r} down "
                                  "to -1e15 Pa; use a larger eps")
-        return brentq(g, lo, lo / 10.0, xtol=1e-6)
+        while hi - lo > _FLOOR_TOLERANCE:
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                break
+            if above(mid):
+                hi = mid
+            else:
+                lo = mid
+        return 0.5 * (lo + hi)
 
     def _build_table(self) -> TransformTable:
         """Sample the transform between the floor kink and 0, where D varies.

@@ -13,6 +13,7 @@ import configparser
 import csv
 import os
 from dataclasses import dataclass, field, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -318,41 +319,55 @@ def _physical_state(law: DiffusionLaw, state: CoupledState) -> CoupledState:
     return replace(state, u_b=law.inverse_transform(state.u_b))
 
 
+class LevelReference(NamedTuple):
+    """A reference evaluated on one level's grid, each value once: psi on
+    the boundary faces of each side (the Dirichlet values), and psi and u
+    at the cell centers (the initial guess and the errors' reference)."""
+
+    ref: MultiTubeSolution
+    dirichlet: dict[int, np.ndarray]
+    psi: np.ndarray
+    u: np.ndarray
+
+
+def level_reference(ref: MultiTubeSolution, grid: BulkGrid) -> LevelReference:
+    """``ref`` on the cells and boundary faces of ``grid``; u is psi mapped
+    through the law, as ``ref.u`` maps it."""
+    law = ref.law
+    psi = ref.psi(grid.cell_centers)
+    dirichlet = {s: law.transform(ref.u(grid.side_centers(s)))
+                 for s in range(4)}
+    return LevelReference(ref, dirichlet, psi, law.inverse_transform(psi))
+
+
 def parallel_level_problem(law: DiffusionLaw, specs, grid: BulkGrid,
                            segs: list[SegmentCell], cpl,
-                           ref: MultiTubeSolution) -> CoupledProblem:
+                           level: LevelReference) -> CoupledProblem:
     """The three-tube problem on one level's grid and coupling (see
-    ``parallel_level_coupling``), on the boundary values of ``ref``."""
-    return CoupledProblem(grid=grid, law=law,
-                          dirichlet=_reference_dirichlet(law, grid, ref),
+    ``parallel_level_coupling``), on the boundary values of ``level``."""
+    return CoupledProblem(grid=grid, law=law, dirichlet=level.dirichlet,
                           seg_cells=segs, couplings=cpl,
                           u_e_fixed=np.array([t.u_e for t in specs]))
 
 
-def _reference_dirichlet(law: DiffusionLaw, grid: BulkGrid,
-                         ref: MultiTubeSolution) -> dict[int, np.ndarray]:
-    return {s: law.transform(ref.u(grid.side_centers(s))) for s in range(4)}
-
-
 def solve_parallel_level(problem: CoupledProblem,
-                         ref: MultiTubeSolution) -> CoupledState:
+                         level: LevelReference) -> CoupledState:
     """Solve the three-tube cross-section of ``problem``, one level's
-    (``parallel_level_problem``), against the reference ``ref``. The
-    problem is given ``ref``'s boundary values in place of a new build:
-    the references differ only in those."""
-    law, grid = problem.law, problem.grid
-    problem.set_dirichlet(_reference_dirichlet(law, grid, ref))
-    state = newton_solve(problem, law.transform(ref.u(grid.cell_centers)))
+    (``parallel_level_problem``), against the reference ``level``. The
+    problem is given the reference's boundary values in place of a new
+    build: the references differ only in those."""
+    law = problem.law
+    problem.set_dirichlet(level.dirichlet)
+    state = newton_solve(problem, law.transform(level.u))
     return _physical_state(law, state)
 
 
 def _level_errors(grid: BulkGrid, law: DiffusionLaw, state: CoupledState,
-                  ref: MultiTubeSolution):
-    pts = grid.cell_centers
-    e_ub = bulk_l2_error(grid, state.u_b, ref.u(pts), 1.0)
+                  level: LevelReference):
+    e_ub = bulk_l2_error(grid, state.u_b, level.u, 1.0)
     e_psi = bulk_l2_error(grid, np.asarray(law.transform(state.u_b), float),
-                          ref.psi(pts), 0.1)
-    e_q = source_l2_error(state.q, ref.q)
+                          level.psi, 0.1)
+    e_q = source_l2_error(state.q, level.ref.q)
     return e_ub, e_psi, e_q
 
 
@@ -417,11 +432,12 @@ def run_parallel_tubes(config: ScenarioConfig,
         grid, segs, cpl = parallel_level_coupling(specs, n,
                                                   config.delta_correction)
         row = LevelErrors(h=2.0 / n)
+        levels = {v: level_reference(ref, grid) for v, ref in refs.items()}
         problem = parallel_level_problem(law, specs, grid, segs, cpl,
-                                         refs["u"])
-        for variant, ref in refs.items():
-            state = solve_parallel_level(problem, ref)
-            e_ub, e_psi, e_q = _level_errors(grid, law, state, ref)
+                                         levels["u"])
+        for variant, level in levels.items():
+            state = solve_parallel_level(problem, level)
+            e_ub, e_psi, e_q = _level_errors(grid, law, state, level)
             if variant == "u":
                 row.e_ub, row.e_psi, row.e_q = e_ub, e_psi, e_q
             else:
@@ -459,8 +475,9 @@ def run_kernel_radius_study(config: ScenarioConfig) -> list[tuple[float, float]]
         ref = solve_multi_tube(specs, law, anchor=(0, config.anchor),
                                variant="u")
         grid, segs, cpl = parallel_level_coupling(specs, 16)
+        level = level_reference(ref, grid)
         state = solve_parallel_level(
-            parallel_level_problem(law, specs, grid, segs, cpl, ref), ref)
+            parallel_level_problem(law, specs, grid, segs, cpl, level), level)
         rows.append((float(factor), source_l2_error(state.q, ref.q)))
     return rows
 
@@ -567,7 +584,9 @@ def _write_csv(path, header, rows):
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([f"{v:.12g}" if isinstance(v, float) else v
+            # repr is the shortest text that reads back as the same float;
+            # float() first, as numpy 2 gives reprs like np.float64(0.5)
+            writer.writerow([repr(float(v)) if isinstance(v, float) else v
                              for v in row])
 
 

@@ -35,7 +35,6 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import lu_factor, lu_solve
-from scipy.sparse.csgraph import connected_components
 
 from .coupling import SegmentCoupling
 from .grid import BulkGrid
@@ -66,6 +65,28 @@ def _abs_entries(matrix: sp.csr_matrix) -> sp.csr_matrix:
     """``abs(matrix)`` that shares the index arrays of ``matrix``."""
     return sp.csr_matrix((np.abs(matrix.data), matrix.indices,
                           matrix.indptr), shape=matrix.shape)
+
+
+def _components(n: int, i: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Connected components of the undirected graph on vertices 0..n-1
+    with edges (i[k], m[k]): each vertex's label is the lowest vertex of
+    its component.
+
+    Each pass lowers every label to the least label among its neighbours
+    and then to the label of that label. Labels only fall, and stay
+    vertices of their own component, so they stop changing exactly when
+    they are constant across every edge, each component then carrying
+    its lowest vertex, whose label never falls.
+    """
+    label = np.arange(n)
+    while True:
+        lower = label.copy()
+        np.minimum.at(lower, i, label[m])
+        np.minimum.at(lower, m, label[i])
+        lower = lower[lower]
+        if np.array_equal(lower, label):
+            return label
+        label = lower
 
 
 @dataclass
@@ -212,7 +233,12 @@ class CoupledProblem:
         """Axial TPFA operator with the joints eliminated: through
         half-cell transmissibilities k, an interior joint couples each pair
         of attached cells (i, m, k_i k_m / sum k), a Dirichlet joint each
-        attached cell (i, k_i, u_d), and a zero-flux tip nothing."""
+        attached cell (i, k_i, u_d), and a zero-flux tip nothing.
+
+        Raises ``ValueError`` when A is singular: it names the lowest
+        segment cell of a connected part of the network (cells joined by
+        positive conductances, labelled by ``_components``) that holds no
+        cell with a Dirichlet joint."""
         mesh = self.network
         cells = mesh.cells
         n_e = len(cells)
@@ -250,10 +276,8 @@ class CoupledProblem:
         # A is invertible when every connected part of the network, joined
         # by positive conductances, holds a cell with a Dirichlet joint
         linked = self.pair_k > 0.0
-        n_parts, part = connected_components(sp.csr_matrix(
-            (self.pair_k[linked], (self.pair_i[linked], self.pair_m[linked])),
-            shape=(n_e, n_e)), directed=False)
-        anchored = np.zeros(n_parts, bool)
+        part = _components(n_e, self.pair_i[linked], self.pair_m[linked])
+        anchored = np.zeros(n_e, bool)
         anchored[part[self.dir_cell[self.dir_k > 0.0]]] = True
         if not np.all(anchored[part]):
             first = int(np.argmin(anchored[part]))

@@ -165,6 +165,18 @@ class TestVanGenuchtenLaw:
         with pytest.raises(ValueError, match=name):
             VanGenuchtenLaw(**params)
 
+    @pytest.mark.parametrize("params", [
+        {}, {"eps": 1e-4, "n": 2.0}, {"eps": 1e-8, "lam": 1.0},
+        {"eps": 0.5}, {"eps": 0.999999}],
+        ids=["loam", "eps_1e-4_n_2", "eps_1e-8", "eps_half", "eps_near_one"])
+    def test_floor_is_the_root_of_k_r_minus_eps(self, params):
+        # k_r crosses eps within the bisection's tolerance of the floor;
+        # near eps = 1 the root lies in the first decade, above -1 Pa
+        law = VanGenuchtenLaw(LOAM_PERMEABILITY, **params)
+        a, tol = law._u_floor, mdtube.laws._FLOOR_TOLERANCE
+        k_r = law.relative_permeability
+        assert k_r(a - 0.5 * tol) <= law.eps < k_r(a + 0.5 * tol)
+
     def test_floor_out_of_reach_raises(self):
         # with n near 1, k_r decays too slowly to reach a tiny eps
         with pytest.raises(ValueError, match="larger eps"):

@@ -9,7 +9,37 @@ import pytest
 from scipy.integrate import quad
 
 import mdtube.quadrature as quadrature
+from mdtube.laws import VanGenuchtenLaw
 from mdtube.quadrature import tanh_sinh_piecewise_cumulative
+
+
+def _rule_97():
+    """The rule with all of its 97 nodes up to t = 6.1, 46 of them at the
+    interval's ends."""
+    t = 0.125 * np.arange(-48, 49)
+    v = 0.5 * np.pi * np.sinh(t)
+    return np.tanh(v), 0.125 * 0.5 * np.pi * np.cosh(t) / np.cosh(v) ** 2
+
+
+def test_rule_has_no_node_at_the_ends():
+    x, w = quadrature._nodes_weights()
+    full_x, full_w = _rule_97()
+    inside = np.abs(full_x) < 1.0
+    assert x.size == 51
+    np.testing.assert_array_equal(x, full_x[inside])
+    np.testing.assert_array_equal(w, full_w[inside])
+    assert np.all(w > 0.0)
+
+
+def test_table_matches_the_97_node_rule(monkeypatch):
+    # the dropped nodes carry weights below rounding: the Van Genuchten
+    # table moves by rounding only
+    law = VanGenuchtenLaw(5.89912e-13, mu=1e-3)
+    monkeypatch.setattr(quadrature, "_nodes_weights", _rule_97)
+    full = VanGenuchtenLaw(5.89912e-13, mu=1e-3)
+    np.testing.assert_array_equal(law.table.u, full.table.u)
+    np.testing.assert_allclose(law.table.psi, full.table.psi, rtol=1e-15,
+                               atol=0.0)
 
 
 def test_polynomial_exact():

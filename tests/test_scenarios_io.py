@@ -1,10 +1,12 @@
 """Scenario configuration round trips, CSV artifacts and the CLI."""
 
+import csv
 import importlib
 import os
 import shutil
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +18,7 @@ import mdtube.solver as solver
 from mdtube.laws import ConstantLaw, ExponentialLaw, VanGenuchtenLaw
 from mdtube.analytic import solve_multi_tube
 from mdtube.scenarios import (ConfigError, ErrorReport, LevelErrors,
-                              ScenarioConfig, _level_errors,
+                              ScenarioConfig, _level_errors, level_reference,
                               parallel_level_coupling, parallel_level_problem,
                               parse_config, radius_sweep_anchor,
                               run_parallel_tubes, run_scenario,
@@ -256,10 +258,11 @@ class TestHelpers:
         specs = three_tube_specs(0.2, 2.0)
         ref = solve_multi_tube(specs, law, anchor=(0, 0.8), variant="u")
         grid, segs, cpl = parallel_level_coupling(specs, 4)
+        level = level_reference(ref, grid)
         state = solve_parallel_level(
-            parallel_level_problem(law, specs, grid, segs, cpl, ref), ref)
+            parallel_level_problem(law, specs, grid, segs, cpl, level), level)
         assert state.iterations > 0
-        e_ub, _, e_q = _level_errors(grid, law, state, ref)
+        e_ub, _, e_q = _level_errors(grid, law, state, level)
         assert e_ub < 0.2
         assert e_q < 0.3
 
@@ -290,6 +293,17 @@ class TestArtifacts:
                                        "r_t", "collar_flux", "iterations"]
         assert len(lines) == 2
         assert int(lines[1].split(",")[-1]) > 0
+
+    def test_transpiration_csv_keeps_every_bit(self, tmp_path):
+        # "%.12g" cannot resolve the 1e-12 relative bounds r_T is held to
+        config = ScenarioConfig(kind="root_soil", grids=((8, 8, 15),),
+                                collar_pressures=(0.0, -1e5))
+        result = run_scenario(config, tmp_path)
+        with open(tmp_path / "transpiration.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        for row, solved in zip(rows, result.transpiration, strict=True):
+            assert float(row["r_t"]) == solved["r_t"]
+            assert float(row["collar_flux"]) == solved["collar_flux"]
 
     def test_root_soil_builds_one_problem_per_grid(self, monkeypatch):
         built = []
@@ -449,6 +463,32 @@ class TestCli:
                               capture_output=True, text=True, env=env,
                               timeout=CLI_TIMEOUT)
         assert proc.returncode == 2, proc.stderr
+
+    def test_runs_load_only_the_scipy_they_use(self, tmp_path):
+        # scipy.optimize (which loads scipy.spatial) and scipy.sparse.csgraph
+        # served one call each, for 17 MB of every run's memory
+        code = textwrap.dedent(f"""
+            import sys
+            import mdtube
+            mdtube.run_scenario(mdtube.ScenarioConfig(
+                kind="root_soil", grids=((8, 8, 15),),
+                collar_pressures=(-1e5,)), {str(tmp_path / "root")!r})
+            mdtube.run_scenario(mdtube.ScenarioConfig(
+                kind="parallel_tubes", levels=1, k_values=(1.0,),
+                r_max_values=(0.2,)), {str(tmp_path / "tubes")!r})
+            print(" ".join(name for name in ("scipy.optimize",
+                                             "scipy.sparse.csgraph",
+                                             "scipy.spatial")
+                           if name in sys.modules))
+            """)
+        _, env = _module_cli()
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=env,
+                              timeout=CLI_TIMEOUT)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "root" / "transpiration.csv").is_file()
+        assert (tmp_path / "tubes" / "errors.csv").is_file()
+        assert proc.stdout.strip() == ""
 
     def test_cli_reports_config_errors(self, tmp_path, capsys):
         from mdtube.cli import main

@@ -6,6 +6,8 @@ from functools import cache
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import spsolve
 
 import mdtube.reconstruction as reconstruction
@@ -18,9 +20,9 @@ from mdtube.network import (Segment, SegmentCell, TubeNetwork,
                             discretize_network)
 from mdtube.reconstruction import ReconstructionError
 from mdtube.analytic import solve_multi_tube
-from mdtube.scenarios import (ScenarioConfig, parallel_level_coupling,
-                              parallel_level_problem, solve_parallel_level,
-                              three_tube_specs)
+from mdtube.scenarios import (ScenarioConfig, level_reference,
+                              parallel_level_coupling, parallel_level_problem,
+                              solve_parallel_level, three_tube_specs)
 from mdtube.solver import (CoupledProblem, NonconvergenceError,
                            assemble_coupled, boundary_flux_total,
                            collar_flux_total, coupled_jacobian, newton_solve)
@@ -358,8 +360,9 @@ class TestNewton:
         ref = solve_multi_tube(specs, law, anchor=(0, config.anchor),
                                variant=variant)
         grid, segs, cpl = parallel_level_coupling(specs, 64)
+        level = level_reference(ref, grid)
         state = solve_parallel_level(
-            parallel_level_problem(law, specs, grid, segs, cpl, ref), ref)
+            parallel_level_problem(law, specs, grid, segs, cpl, level), level)
         assert len(calls) <= state.iterations + 1
 
     def test_initial_guesses_are_validated(self):
@@ -620,6 +623,39 @@ class TestAxialOperator:
         with pytest.raises(ValueError, match=rf"segment cell {first} "
                            r"\(segment 1\) reaches no Dirichlet joint"):
             CoupledProblem(**kwargs)
+
+    def test_two_unanchored_parts_name_their_lowest_cell(self):
+        # parts in segment order: held at the collar (0), free (1 and 3,
+        # joined at node 3) and free (2); the message names the first cell
+        # of segment 1
+        nodes = [[0.0, 0.0, -0.001], [0.0, 0.0, -0.05],
+                 [0.025, 0.0, -0.03], [0.025, 0.0, -0.07],
+                 [-0.025, 0.0, -0.03], [-0.025, 0.0, -0.07],
+                 [0.025, 0.0, -0.11]]
+        segments = [Segment(0, 1, 2e-3, 3.0, 2e-3, 5e-4),
+                    Segment(2, 3, 1e-3, 3.0, 2e-3, 5e-5),
+                    Segment(4, 5, 1e-3, 3.0, 2e-3, 5e-5),
+                    Segment(3, 6, 1e-3, 3.0, 2e-3, 5e-5)]
+        kwargs = network_problem_args(nodes, segments, [0])
+        first = next(j for j, c in enumerate(kwargs["seg_cells"])
+                     if c.segment_id == 1)
+        assert first > 0
+        with pytest.raises(ValueError, match=rf"segment cell {first} "
+                           r"\(segment 1\) reaches no Dirichlet joint"):
+            CoupledProblem(**kwargs)
+
+    def test_components_match_csgraph(self):
+        # every label is the lowest vertex of scipy's component
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            n = int(rng.integers(1, 40))
+            i, m = rng.integers(0, n, (2, int(rng.integers(0, 2 * n))))
+            label = solver._components(n, i, m)
+            _, part = connected_components(sp.coo_matrix(
+                (np.ones(i.size), (i, m)), shape=(n, n)), directed=False)
+            for c in np.unique(part):
+                cells = np.flatnonzero(part == c)
+                assert np.all(label[cells] == cells[0])
 
     def test_zero_axial_conductance_raises(self):
         # a cell linked to the collar only through d_e = 0
