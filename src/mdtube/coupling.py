@@ -13,7 +13,7 @@ of the support:
 - An oblique cylinder's volume in a box is exact up to rounding. It is
   computed for the boxes of all oblique cells that pass the near test
   (closer to the segment than the kernel radius plus half their
-  diagonal), ``_OBLIQUE_CHUNK`` (64) boxes at a time. In the cylinder's
+  diagonal), ``_OBLIQUE_CHUNK`` (256) boxes at a time. In the cylinder's
   frame, z along its axis e and x + iy across it, the divergence theorem
   with the field (0, 0, z - s) gives the box's volume inside the
   half-infinite cylinder r <= rho, z >= s. It is a signed sum over the
@@ -26,7 +26,11 @@ of the support:
   integral follows from the area and first moment of the polygon inside
   the disc. By Green's theorem these are sums over its edges: the part
   inside the disc of the triangle between the axis and the edge, a
-  triangle and up to two circular sectors in closed form. The rounding
+  triangle and up to two circular sectors in closed form. Each box edge
+  is an edge of two faces, run in opposite directions, so its part above
+  the level is integrated once and added to one face and taken from the
+  other; an edge wholly below the level has no part. A face that the
+  level cuts adds one more edge, the chord along the level. The rounding
   grows like eps / |e_a| for an axis component e_a near zero, about
   1e-13 of the cylinder at |e_a| = 1e-3 (the smallest nonzero |e_a| of
   the synthetic root networks is 1.5e-3). Faces with |e_a| below
@@ -38,8 +42,12 @@ whose closure contains the segment-cell midpoint, averaged with equal
 weights so midpoints on faces or corners are treated symmetrically. The
 mean minimum distance of a stencil cell to its segment provides the
 optional delta correction. It is computed for the stencil cells of all
-segment cells together, ``_DISTANCE_CHUNK`` (16) cells of 512 sample
-points at a time, so that no temporary holds more than 192 KiB.
+segment cells together, ``_DISTANCE_CHUNK`` (32) cells of 512 sample
+points at a time, from the 8 midpoint coordinates along each axis: the
+squared distances to the segment's ends and the projection onto it are
+sums of per-axis terms, and each component of the cross product that
+gives the distance to its line takes the terms of two axes. So no sample
+point is formed as a vector, and no temporary holds more than 128 KiB.
 
 Each value is computed from its own segment cell's data alone, by
 elementwise operations or by sums of a fixed layout per cell. So a
@@ -115,10 +123,11 @@ def _disc_rect_area(x0, x1, y0, y1, rho):
 #: a smaller share of the support is the rounding residue of a cell that
 #: the support only touches (a shared face computed twice, say)
 _NEGLIGIBLE_SHARE = 1e-12
-#: oblique boxes integrated at once: each box has 60 polygon edges (two
-#: levels, six faces, five edges), so a temporary holds 3,840 values
-#: (30 KiB as floats, 60 KiB as complex points)
-_OBLIQUE_CHUNK = 64
+#: oblique boxes integrated at once: each box has 24 box edges (two
+#: levels, twelve edges) and 48 face-edge entries, so the largest
+#: temporaries hold 12,288 values (96 KiB as floats, 192 KiB as complex
+#: points)
+_OBLIQUE_CHUNK = 256
 #: the corners of each box face, corner i + 2j + 4k at offsets (i, j, k)
 #: along the grid axes: face 2a is the lower face of axis a, 2a + 1 the
 #: upper, each as the cycle (lo_b, lo_c), (hi_b, lo_c), (hi_b, hi_c),
@@ -131,6 +140,16 @@ _FACES = np.array([[sum(o << ax for o, ax in ((side, a), (ob, (a + 1) % 3),
                    for a in range(3) for side in (0, 1)])
 #: the next corner of each face's cycle
 _NEXT = np.array([1, 2, 3, 0])
+#: the twelve box edges, each from its corner u to u + 2^a along axis a
+_EDGES = np.array([(u, u | 1 << a) for a in range(3) for u in range(8)
+                   if not u >> a & 1])
+#: the box edge of each step of each face's cycle, and +1 where the cycle
+#: runs along it from u, -1 where it runs back: each edge is shared by two
+#: faces, which run it in opposite directions
+_FACE_EDGES = np.array([[_EDGES.tolist().index(sorted((p, q)))
+                         for p, q in zip(face, face[_NEXT])]
+                        for face in _FACES])
+_FACE_EDGE_SIGN = np.where(_FACES < _FACES[:, _NEXT], 1.0, -1.0)
 #: the sign of each face's outward normal along its axis
 _FACE_SIGN = np.tile([-1.0, 1.0], 3)
 #: a box face whose normal has a smaller component e_a along the axis
@@ -206,29 +225,48 @@ def _cylinder_volumes(rel_lo: np.ndarray, rel_hi: np.ndarray,
         for a in range(3):
             out = (out[:, None, :] + np.arange(2.0)[:, None]
                    * step[:, a, None, None]).reshape(m, -1)
-        return out[:, _FACES]                                # (m, 6, 4)
+        return out
 
-    z, xy = at_corners(e), at_corners(across)[:, None]
-    # each face's part above the level s = 0 and the one above s = length
-    w = np.stack([z, z - length[:, None, None]], axis=1)     # (m, 2, 6, 4)
-    w_next, xy_next = w[..., _NEXT], xy[..., _NEXT]
-    inside, inside_next = w >= 0.0, w_next >= 0.0
-    leaves, enters = inside & ~inside_next, ~inside & inside_next
+    z, xy = at_corners(e), at_corners(across)
+    # the heights of the corners above the level s = 0 and s = length
+    w = np.stack([z, z - length[:, None]], axis=1)           # (m, 2, 8)
+    above = w >= 0.0
+    # the part of each box edge above the level, from u towards v, where
+    # there is one: it ends where the edge crosses the level, a point
+    # computed from the edge's corner above the level
+    u, v = _EDGES.T
+    box, level, edge = np.nonzero(above[..., u] | above[..., v])
+    u, v = u[edge], v[edge]
+    w_u, w_v = w[box, level, u], w[box, level, v]
+    xy_u, xy_v = xy[box, u], xy[box, v]
+    above_u, above_v = w_u >= 0.0, w_v >= 0.0
+    w_in, w_out = np.where(above_u, w_u, w_v), np.where(above_u, w_v, w_u)
+    xy_in = np.where(above_u, xy_u, xy_v)
     with np.errstate(divide="ignore", invalid="ignore"):
-        exit_at = xy + w / (w - w_next) * (xy_next - xy)
-        entry_at = xy_next + w_next / (w_next - w) * (xy - xy_next)
-    # the part of each edge above the level, collapsed onto its start
-    # where there is none, and the chord along the level from the exit to
-    # the entry
-    area, moment = (np.sum(part, axis=-1) for part in _fan_moments(
-        np.concatenate([np.where(enters, entry_at, xy),
-                        np.sum(np.where(leaves, exit_at, 0.0), axis=-1,
-                               keepdims=True)], axis=-1),
-        np.concatenate([np.where(leaves, exit_at,
-                                 np.where(inside_next, xy_next, xy)),
-                        np.sum(np.where(enters, entry_at, 0.0), axis=-1,
-                               keepdims=True)], axis=-1),
-        rho[:, None, None, None]))                           # (m, 2, 6)
+        cut = xy_in + w_in / (w_in - w_out) * (np.where(above_u, xy_v, xy_u)
+                                               - xy_in)
+    edge_area = np.zeros((m, 2, len(_EDGES)))
+    edge_moment = np.zeros((m, 2, len(_EDGES)), complex)
+    edge_area[box, level, edge], edge_moment[box, level, edge] = _fan_moments(
+        np.where(above_u, xy_u, cut), np.where(above_v, xy_v, cut), rho[box])
+    cuts = np.zeros((m, 2, len(_EDGES)), complex)
+    cuts[box, level, edge] = cut
+    # each face's polygon above the level: its edges' parts, each run in
+    # the face's direction, and where the level cuts the face, the chord
+    # along the level from the cycle's exit to its entry
+    area, moment = (np.sum(_FACE_EDGE_SIGN * part[..., _FACE_EDGES], axis=-1)
+                    for part in (edge_area, edge_moment))    # (m, 2, 6)
+    corner_above = above[..., _FACES]                        # (m, 2, 6, 4)
+    leaves = corner_above & ~corner_above[..., _NEXT]
+    enters = ~corner_above & corner_above[..., _NEXT]
+    box, level, face = np.nonzero(np.any(leaves, axis=-1))
+    at = cuts[box[:, None], level[:, None], _FACE_EDGES[face]]
+    chord_area, chord_moment = _fan_moments(
+        np.sum(np.where(leaves[box, level, face], at, 0.0), axis=-1),
+        np.sum(np.where(enters[box, level, face], at, 0.0), axis=-1),
+        rho[box])
+    area[box, level, face] += chord_area
+    moment[box, level, face] += chord_moment
     # on the face p_a = c the height is z = (c - Re(conj(across_a) (x +
     # iy))) / e_a; faces parallel to the axis add nothing
     c = np.stack([rel_lo, rel_hi], axis=-1).reshape(m, 6)
@@ -247,8 +285,25 @@ def _cylinder_volumes(rel_lo: np.ndarray, rel_hi: np.ndarray,
 #: midpoint samples per axis of a cell in ``mean_distance``
 _DISTANCE_SAMPLES = 8
 #: stencil cells whose mean distances are computed at once: 512 sample
-#: points each, so each temporary holds 8192 points (192 KiB in 3D)
-_DISTANCE_CHUNK = 16
+#: points each, so each temporary holds 16,384 values (128 KiB in 3D)
+_DISTANCE_CHUNK = 32
+
+
+def _on_axis(values, a, dim):
+    """Per-axis values (n, s) shaped to broadcast along axis a of the
+    tensor grid of the sample indices (n, s, ..., s)."""
+    return values.reshape((len(values),) + (1,) * a + (-1,)
+                          + (1,) * (dim - 1 - a))
+
+
+def _outer_sum(parts):
+    """The sums of per-axis terms (n, dim, s) over the tensor grid of the
+    sample indices, parts[:, 0, i] + parts[:, 1, j] (+ parts[:, 2, k])."""
+    dim = parts.shape[1]
+    out = 0.0
+    for a in range(dim):
+        out = out + _on_axis(parts[:, a], a, dim)
+    return out
 
 
 def mean_distance(grid: BulkGrid, cells, p0, p1):
@@ -260,6 +315,15 @@ def mean_distance(grid: BulkGrid, cells, p0, p1):
     midpoint quadrature over each cell volume, ``_DISTANCE_SAMPLES``
     points per axis and ``_DISTANCE_CHUNK`` cells at a time; for the
     radial grid the annular measure integral is closed-form.
+
+    The squared distance of a midpoint x is |x - p0|^2 before the segment,
+    |x - p1|^2 beyond it, and |(x - p0) x (p1 - p0)|^2 / |p1 - p0|^2 beside
+    it; the projection (x - p0) . (p1 - p0) tells the three apart. The
+    squares and the projection are sums of per-axis terms, and each
+    component of the cross product takes the terms of two axes, so all of
+    them come from the midpoints' coordinates along each axis. Beside the
+    segment the cross product keeps the distance to the rounding of its
+    own size, where |x - p0|^2 less the projection's square would cancel.
     """
     cells = np.asarray(cells)
     lo = grid.origin + np.stack(np.unravel_index(cells, grid.shape),
@@ -272,24 +336,34 @@ def mean_distance(grid: BulkGrid, cells, p0, p1):
     dim = lo.shape[-1]
     lo, hi = lo.reshape(-1, dim), hi.reshape(-1, dim)
     p0, p1 = (np.broadcast_to(np.asarray(p, float),
-                              cells.shape + (dim,)).reshape(-1, 1, dim)
+                              cells.shape + (dim,)).reshape(-1, dim)
               for p in (p0, p1))
-    # midpoints along each axis, then their tensor grid, per cell
-    t = np.arange(_DISTANCE_SAMPLES) + 0.5
-    idx = np.indices((_DISTANCE_SAMPLES,) * dim).reshape(dim, -1)
-    width = hi - lo
+    axis = p1 - p0
+    l2 = np.sum(axis * axis, axis=1).reshape((-1,) + (1,) * dim)
+    # the midpoints' coordinates along each axis (n, dim, samples)
+    coords = lo[..., None] + (hi - lo)[..., None] * (
+        (np.arange(_DISTANCE_SAMPLES) + 0.5) / _DISTANCE_SAMPLES)
     out = np.empty(len(lo))
     for s in range(0, len(lo), _DISTANCE_CHUNK):
         part = slice(s, s + _DISTANCE_CHUNK)
-        axes = (lo[part, :, None]
-                + width[part, :, None] * t / _DISTANCE_SAMPLES)
+        rel0 = coords[part] - p0[part, :, None]
+        rel1 = coords[part] - p1[part, :, None]
+        ax = axis[part, :, None]
+        along = _outer_sum(rel0 * ax)
+        beside = 0.0
+        for a in range(dim):
+            for b in range(a + 1, dim):
+                cross = (_on_axis(rel0[:, a] * ax[:, b], a, dim)
+                         - _on_axis(rel0[:, b] * ax[:, a], b, dim))
+                beside = beside + cross * cross
+        # a degenerate segment is its point p0: no midpoint lies beside it
+        square = np.where(
+            along <= 0.0, _outer_sum(rel0 * rel0),
+            np.where(along >= l2[part], _outer_sum(rel1 * rel1),
+                     beside / np.where(l2[part] > 0.0, l2[part], 1.0)))
         # C order, so that each cell's mean is the same pairwise sum in a
         # chunk of any size
-        pts = np.empty(axes.shape[:1] + idx.shape[1:] + (dim,))
-        for a in range(dim):
-            pts[..., a] = axes[:, a, idx[a]]
-        out[part] = np.mean(point_segment_distance(pts, p0[part], p1[part]),
-                            axis=-1)
+        out[part] = np.mean(np.sqrt(square).reshape(len(rel0), -1), axis=-1)
     return float(out[0]) if cells.ndim == 0 else out.reshape(cells.shape)
 
 
@@ -401,6 +475,7 @@ def build_coupling(grid: BulkGrid, seg_cells,
     segs = list(seg_cells)
     if not segs:
         return []
+    rho = np.array([s.kernel_radius for s in segs], float)
     if grid.dimension == "radial":
         owner, cells, weights = _radial_weights(grid, segs)
         # every stencil is the axis cell, whose mean distance to the tube
@@ -411,52 +486,48 @@ def build_coupling(grid: BulkGrid, seg_cells,
     else:
         p0 = np.array([s.p0 for s in segs], float)
         p1 = np.array([s.p1 for s in segs], float)
-        rho = np.array([s.kernel_radius for s in segs], float)
         owner, cells, lo, hi = _candidate_boxes(grid, p0, p1, rho)
-        _ends(segs, owner, "{} lies outside the bulk grid")
+        _groups(segs, owner, "{} lies outside the bulk grid")
         # the cylinder's volume; a disc's area in 2D
-        support = np.array([np.pi * s.kernel_radius ** 2
-                            * (float(np.linalg.norm(s.p1 - s.p0)) or 1.0)
-                            for s in segs])
+        length = np.linalg.norm(p1 - p0, axis=1)
+        support = np.pi * rho ** 2 * np.where(length > 0.0, length, 1.0)
         weights = (_support_measures(grid, segs, p0, p1, rho, owner, lo, hi)
                    / support[owner])
         keep = weights > _NEGLIGIBLE_SHARE
         owner, cells, weights = owner[keep], cells[keep], weights[keep]
         stencil_owner, stencils = grid.stencils(0.5 * (p0 + p1))
 
-    ends = _ends(segs, owner,
-                 "kernel support of {} does not intersect the grid")
-    stencil_ends = _ends(segs, stencil_owner,
-                         "midpoint of {} lies outside the bulk grid")
-    deltas = (mean_distance(grid, stencils, p0[stencil_owner],
-                            p1[stencil_owner])
-              if delta_correction else np.zeros(len(stencils)))
-    out = []
-    for seg, bulk_cells, seg_weights, stencil, seg_deltas in zip(
-            segs, np.split(cells, ends), np.split(weights, ends),
-            np.split(stencils, stencil_ends), np.split(deltas, stencil_ends)):
-        inside = float(np.sum(seg_weights))
-        delta = 0.0
-        if delta_correction:
-            # f(delta) is affine in delta^2 inside the support, so the RMS
-            # distance reproduces the stencil average of f exactly
-            delta = float(np.sqrt(np.mean(seg_deltas ** 2)))
-            delta = min(delta, seg.kernel_radius * (1.0 - 1e-6))
-        # conservative deposition: the bulk always sees the full source,
-        # also when the support is truncated by the domain boundary
-        out.append(SegmentCoupling(cells=bulk_cells,
-                                   weights=seg_weights / inside,
-                                   inside_fraction=inside,
-                                   stencil=stencil, delta=delta))
-    return out
+    starts, counts = _groups(
+        segs, owner, "kernel support of {} does not intersect the grid")
+    stencil_starts, stencil_counts = _groups(
+        segs, stencil_owner, "midpoint of {} lies outside the bulk grid")
+    inside = np.add.reduceat(weights, starts)
+    # conservative deposition: the bulk always sees the full source, also
+    # when the support is truncated by the domain boundary
+    weights = weights / np.repeat(inside, counts)
+    delta = np.zeros(len(segs))
+    if delta_correction:
+        # f(delta) is affine in delta^2 inside the support, so the RMS
+        # distance reproduces the stencil average of f exactly
+        square = mean_distance(grid, stencils, p0[stencil_owner],
+                               p1[stencil_owner]) ** 2
+        delta = np.minimum(np.sqrt(np.add.reduceat(square, stencil_starts)
+                                   / stencil_counts),
+                           rho * (1.0 - 1e-6))
+    return [SegmentCoupling(cells=cells[a:a + n], weights=weights[a:a + n],
+                            inside_fraction=f, stencil=stencils[b:b + k],
+                            delta=d)
+            for a, n, b, k, f, d in zip(
+                starts.tolist(), counts.tolist(), stencil_starts.tolist(),
+                stencil_counts.tolist(), inside.tolist(), delta.tolist())]
 
 
-def _ends(segs: list[SegmentCell], owner: np.ndarray,
-          message: str) -> np.ndarray:
+def _groups(segs: list[SegmentCell], owner: np.ndarray,
+            message: str) -> tuple[np.ndarray, np.ndarray]:
     """Where the entries of each segment cell in ``owner``, which is
-    sorted, end, but for the last; raise ``CouplingError`` with
+    sorted, start, and how many there are; raise ``CouplingError`` with
     ``message`` naming the first segment cell that has none."""
     counts = np.bincount(owner, minlength=len(segs))
     if not np.all(counts):
         raise CouplingError(message.format(_name(segs, np.argmin(counts))))
-    return np.cumsum(counts)[:-1]
+    return np.cumsum(counts) - counts, counts

@@ -13,6 +13,10 @@ from .grid import BulkGrid
 from .network import NetworkMesh
 
 
+#: values formatted and written at once by ``write_structured_points``
+_LINES_PER_WRITE = 1024
+
+
 def _vtk_shape(grid: BulkGrid) -> tuple[int, int, int]:
     if grid.dimension == "3d":
         return grid.shape
@@ -42,9 +46,12 @@ def write_structured_points(path, grid: BulkGrid,
         for name, values in cell_fields.items():
             values = np.asarray(values, float).reshape((nx, ny, nz))
             fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-            # VTK expects x varying fastest
-            for v in values.transpose(2, 1, 0).ravel():
-                fh.write(f"{v:.10g}\n")
+            # VTK expects x varying fastest. One write per block of lines:
+            # as fast as one write of all, without holding all their text
+            flat = values.transpose(2, 1, 0).ravel()
+            for s in range(0, flat.size, _LINES_PER_WRITE):
+                fh.write("".join([f"{v:.10g}\n" for v in
+                                  flat[s:s + _LINES_PER_WRITE].tolist()]))
 
 
 def write_network_polydata(path, mesh: NetworkMesh,

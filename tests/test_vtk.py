@@ -38,6 +38,39 @@ class TestStructuredPoints:
         expect = field.reshape(2, 3, 4).transpose(2, 1, 0).ravel()
         assert np.array_equal(data, expect)
 
+    def test_bytes_of_two_fields(self, tmp_path):
+        # the whole file, each value in 10 significant digits on its own
+        # line: signs, exponents, integers, zeros and a non-finite value
+        grid = BulkGrid("3d", [-0.04, 0.0, -0.15], [0.08, 0.1, 0.15],
+                        (3, 2, 2))
+        field = np.array([-1.25e5, 0.0, -0.0, 3.0, 1.0 / 3.0, -2.5e-12,
+                          6.02214076e23, np.nan, 12345678901.0, -7.0,
+                          1e-300, 0.1])
+        path = tmp_path / "bulk.vtk"
+        write_structured_points(path, grid, {"p": field,
+                                             "q": np.arange(12.0)})
+        # x varies fastest: cell (i, j, k) is value 4i + 2j + k
+        expect = ("# vtk DataFile Version 3.0\nmdtube bulk field\nASCII\n"
+                  "DATASET STRUCTURED_POINTS\nDIMENSIONS 4 3 3\n"
+                  "ORIGIN -0.04 0 -0.15\nSPACING 0.02666666667 0.05 0.075\n"
+                  "CELL_DATA 12\nSCALARS p double 1\nLOOKUP_TABLE default\n"
+                  "-125000\n0.3333333333\n1.23456789e+10\n-0\n"
+                  "6.02214076e+23\n1e-300\n0\n-2.5e-12\n-7\n3\nnan\n0.1\n"
+                  "SCALARS q double 1\nLOOKUP_TABLE default\n"
+                  "0\n4\n8\n2\n6\n10\n1\n5\n9\n3\n7\n11\n")
+        assert path.read_bytes() == expect.encode()
+
+    def test_every_value_on_its_own_line_past_one_write(self, tmp_path):
+        # 2,520 values, more than one block of lines per write
+        grid = BulkGrid("3d", [0.0] * 3, [1.0] * 3, (15, 14, 12))
+        field = np.random.default_rng(3).normal(size=grid.n_cells) * 1e3
+        path = tmp_path / "bulk.vtk"
+        write_structured_points(path, grid, {"u": field})
+        lines = path.read_text().split("\n")
+        start = lines.index("LOOKUP_TABLE default") + 1
+        ordered = field.reshape(15, 14, 12).transpose(2, 1, 0).ravel()
+        assert lines[start:] == [format(v, ".10g") for v in ordered] + [""]
+
     def test_2d_grid_written_as_single_slab(self, tmp_path):
         grid = BulkGrid("2d", [0.0, 0.0], [1.0, 1.0], (4, 4))
         path = tmp_path / "bulk.vtk"
