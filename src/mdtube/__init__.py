@@ -8,8 +8,8 @@ Kirchhoff transform, which keeps the source accurate on grids much
 coarser than the tube radius.
 """
 
-from .analytic import (AnalyticSolveError, MultiTubeSolution,
-                       SingleTubeSolution, TubeSpec, solve_multi_tube)
+from .analytic import (AnalyticSolveError, MultiTubeSolution, TubeSpec,
+                       solve_multi_tube)
 from .coupling import (SegmentCoupling, build_coupling, mean_distance,
                        point_segment_distance)
 from .grid import BulkGrid, bulk_l2_error, observed_orders, source_l2_error

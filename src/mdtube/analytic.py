@@ -1,12 +1,15 @@
-"""Exact and semi-analytical reference solutions.
+"""Semi-analytical reference solutions for parallel tubes.
 
-Single straight tube: closed-form radial profile of the transformed
-variable. Multiple parallel tubes: superposition of regularized
-logarithmic profiles whose interface values are found by a dense Newton
-iteration over perimeter-average conditions. Two averaging variants are
-supported: averaging the untransformed unknown (``variant="u"``) or the
-transformed variable (``variant="psi"``); the latter is the solution the
-distributed-source scheme converges to.
+The transformed variable is a superposition of regularized logarithmic
+profiles, one per tube, whose interface values are found by a dense
+Newton iteration over perimeter-average conditions. Two averaging
+variants are supported: averaging the untransformed unknown
+(``variant="u"``) or the transformed variable (``variant="psi"``); the
+latter is the solution the distributed-source scheme converges to.
+
+A single straight tube is the one-tube case: its perimeter condition pins
+the constant to T(u_hat), which the initial guess already meets, so the
+closed-form radial profile comes out with no Newton step.
 """
 
 from __future__ import annotations
@@ -32,32 +35,6 @@ class TubeSpec:
     @property
     def perimeter(self) -> float:
         return 2.0 * np.pi * self.tube_radius
-
-
-@dataclass
-class SingleTubeSolution:
-    """Radial solution around an infinite straight tube."""
-
-    tube_radius: float
-    kernel_radius: float
-    gamma: float
-    u_e: float
-    u_hat: float            # interface unknown
-    law: DiffusionLaw
-
-    def __post_init__(self):
-        self.psi_hat = float(self.law.transform(np.float64(self.u_hat)))
-        self.q = (-2.0 * np.pi * self.tube_radius * self.gamma
-                  * (self.u_hat - self.u_e))
-
-    def psi(self, r):
-        # the profile is normalized so that the line-source limit is zero
-        # at the tube wall, hence psi(R)|_{rho=R} = psi_hat
-        f = kernel_profile_f(r, self.tube_radius, self.kernel_radius)
-        return self.psi_hat - self.q * f
-
-    def u(self, r):
-        return self.law.inverse_transform(self.psi(r))
 
 
 def _perimeter_points(tube: TubeSpec, k_ip: int) -> np.ndarray:
@@ -143,9 +120,12 @@ class AnalyticSolveError(RuntimeError):
 
 
 #: the dense Newton of ``solve_multi_tube`` stops below this max-norm
-#: residual, and fails after ``_MAX_ITER`` steps
+#: residual, relative to max(1, |u_hat|, |u_e|), and fails after
+#: ``_MAX_ITER`` steps or when ``_MAX_HALVINGS`` halvings of a step find
+#: no lower residual
 _TOL = 1e-12
 _MAX_ITER = 100
+_MAX_HALVINGS = 20
 #: the forward-difference step of its Jacobian, relative to max(1, |z|)
 _FD_STEP = 1e-7
 
@@ -157,7 +137,10 @@ def solve_multi_tube(tubes, law: DiffusionLaw, anchor: tuple[int, float],
     One interface unknown is pinned by ``anchor = (tube index, value)``;
     the remaining unknowns plus the constant make the square system of
     perimeter-average conditions. The dense Jacobian is approximated by
-    forward differences.
+    forward differences. The residual is in the units of u, so the
+    stopping test is relative to the largest interface or tube value: the
+    round trip T^-1(T(u)) of a Van Genuchten pressure in Pa alone is off by
+    more than 1e-12.
     """
     tubes = tuple(tubes)
     n = len(tubes)
@@ -183,12 +166,13 @@ def solve_multi_tube(tubes, law: DiffusionLaw, anchor: tuple[int, float],
     z[0] = float(law.transform(np.float64(anchor_val)))
     z[1:] = [tubes[i].u_e for i in free]
 
+    scale_e = max(abs(t.u_e) for t in tubes)
     history = []
     r = residual(z)
     for _ in range(_MAX_ITER):
         norm = float(np.max(np.abs(r)))
         history.append(norm)
-        if norm < _TOL:
+        if norm < _TOL * max(1.0, np.max(np.abs(unpack(z)[1])), scale_e):
             break
         jac = np.empty((n, n))
         for col in range(n):
@@ -203,11 +187,14 @@ def solve_multi_tube(tubes, law: DiffusionLaw, anchor: tuple[int, float],
                 f"singular dense Jacobian; residual history {history}"
             ) from exc
         alpha = 1.0
-        for _ in range(30):
+        for _ in range(_MAX_HALVINGS + 1):
             r_new = residual(z + alpha * dz)
-            if np.max(np.abs(r_new)) < norm or alpha < 1e-6:
+            if np.max(np.abs(r_new)) < norm:
                 break
             alpha *= 0.5
+        else:
+            raise AnalyticSolveError(
+                f"line search failed; residual history {history}")
         z = z + alpha * dz
         r = r_new
     else:

@@ -1,11 +1,14 @@
 """Kernel weights and sampling stencils tying segment cells to bulk cells.
 
-``build_coupling`` builds the coupling of all segment cells of a grid in
-one pass. It lists the candidate boxes of every cell, the grid cells that
-meet its support's bounding box, one cell after another and each with
-its owner, and integrates the uniform kernel over them from the geometry
-of the support:
+``build_coupling`` builds the coupling of all segment cells of a grid, of
+any kind, in one pass. It lists the candidate boxes of every cell, the
+grid cells that meet its support's bounding box, one cell after another
+and each with its owner, and integrates the uniform kernel over them from
+the geometry of the support:
 
+- On a radial grid the tube is the axis r = 0, and the support is the
+  disc around it. Its part in the annulus [r_lo, r_hi] is
+  pi (min(r_hi, rho)^2 - min(r_lo, rho)^2).
 - In 2D the support is a disc. Its overlap with a cell is the
   closed-form area of a disc and a rectangle, for all boxes at once.
 - In 3D the support is a finite cylinder. One parallel to a grid axis
@@ -39,7 +42,9 @@ of the support:
 
 The reconstruction samples the bulk field through a stencil: all cells
 whose closure contains the segment-cell midpoint, averaged with equal
-weights so midpoints on faces or corners are treated symmetrically. The
+weights so midpoints on faces or corners are treated symmetrically; on a
+radial grid, the innermost cell, also where the grid leaves a hole
+around the axis. The
 mean minimum distance of a stencil cell to its segment provides the
 optional delta correction. It is computed for the stencil cells of all
 segment cells together, ``_DISTANCE_CHUNK`` (32) cells of 512 sample
@@ -84,9 +89,12 @@ def point_segment_distance(points: np.ndarray, p0: np.ndarray,
 
 def _disc_primitive(x, rho):
     """Integral of sqrt(rho^2 - s^2) over s in [0, x], for 0 <= x <= rho;
-    elementwise, as are the two functions below."""
-    return 0.5 * (x * np.sqrt(np.maximum(rho * rho - x * x, 0.0))
-                  + rho * rho * np.arcsin(np.minimum(x / rho, 1.0)))
+    elementwise, as are the two functions below. Near x = rho, arcsin(x /
+    rho) and rho^2 - x^2 would turn a one-ulp error into sqrt(eps); the
+    half chord as sqrt((rho - x)(rho + x)) and the angle as its arctan2
+    keep the rounding of their own size."""
+    s = np.sqrt(np.maximum((rho - x) * (rho + x), 0.0))
+    return 0.5 * (x * s + rho * rho * np.arctan2(x, s))
 
 
 def _cap_integral(a0, a1, b, rho):
@@ -95,7 +103,7 @@ def _cap_integral(a0, a1, b, rho):
     Requires 0 <= a0 <= a1 and b >= 0: the integrand is positive on
     x < sqrt(rho^2 - b^2), where it integrates through ``_disc_primitive``.
     """
-    c = np.sqrt(np.maximum(rho * rho - b * b, 0.0))
+    c = np.sqrt(np.maximum((rho - b) * (rho + b), 0.0))
     u0 = np.minimum(a0, c)
     u1 = np.minimum(a1, c)
     return (_disc_primitive(u1, rho) - _disc_primitive(u0, rho)
@@ -382,23 +390,6 @@ def _name(segs: list[SegmentCell], i: int) -> str:
     return f"segment cell {i} (segment {segs[i].segment_id})"
 
 
-def _radial_weights(grid: BulkGrid, segs: list[SegmentCell]):
-    """``(owner, cells, weights)`` of the annuli inside each kernel disc."""
-    edges = grid.origin[0] + grid.spacing[0] * np.arange(grid.shape[0] + 1)
-    owner, cells, weights = [], [], []
-    for i, seg in enumerate(segs):
-        rho = seg.kernel_radius
-        r1 = np.minimum(edges[:-1], rho)
-        r2 = np.minimum(edges[1:], rho)
-        w = (r2 ** 2 - r1 ** 2) / rho ** 2
-        keep = np.flatnonzero(w > 0.0)
-        owner.append(np.full(keep.size, i))
-        cells.append(keep)
-        weights.append(w[keep])
-    return (np.concatenate(owner), np.concatenate(cells),
-            np.concatenate(weights))
-
-
 def _candidate_boxes(grid: BulkGrid, p0: np.ndarray, p1: np.ndarray,
                      rho: np.ndarray):
     """Cells of the grid that meet each support's bounding box:
@@ -427,6 +418,10 @@ def _support_measures(grid: BulkGrid, segs: list[SegmentCell],
                       hi: np.ndarray) -> np.ndarray:
     """Measure of the kernel support of segment cell ``owner`` inside
     each of the boxes [lo, hi]."""
+    if grid.dimension == "radial":
+        # the kernel disc around the axis r = 0 inside each annulus
+        r_lo, r_hi = (np.minimum(r[:, 0], rho[owner]) for r in (lo, hi))
+        return np.pi * (r_hi * r_hi - r_lo * r_lo)
     axis = p1 - p0
     moving = np.count_nonzero(axis, axis=1)
     rel_lo, rel_hi = lo - p0[owner], hi - p0[owner]
@@ -477,25 +472,25 @@ def build_coupling(grid: BulkGrid, seg_cells,
         return []
     rho = np.array([s.kernel_radius for s in segs], float)
     if grid.dimension == "radial":
-        owner, cells, weights = _radial_weights(grid, segs)
-        # every stencil is the axis cell, whose mean distance to the tube
-        # does not depend on the segment
+        # the tube is the grid's axis, and every stencil the innermost
+        # cell, whose mean distance to the tube does not depend on the
+        # segment
         p0 = p1 = np.zeros((len(segs), 1))
         stencil_owner, stencils = np.arange(len(segs)), np.zeros(len(segs),
                                                                   int)
     else:
         p0 = np.array([s.p0 for s in segs], float)
         p1 = np.array([s.p1 for s in segs], float)
-        owner, cells, lo, hi = _candidate_boxes(grid, p0, p1, rho)
-        _groups(segs, owner, "{} lies outside the bulk grid")
-        # the cylinder's volume; a disc's area in 2D
-        length = np.linalg.norm(p1 - p0, axis=1)
-        support = np.pi * rho ** 2 * np.where(length > 0.0, length, 1.0)
-        weights = (_support_measures(grid, segs, p0, p1, rho, owner, lo, hi)
-                   / support[owner])
-        keep = weights > _NEGLIGIBLE_SHARE
-        owner, cells, weights = owner[keep], cells[keep], weights[keep]
         stencil_owner, stencils = grid.stencils(0.5 * (p0 + p1))
+    owner, cells, lo, hi = _candidate_boxes(grid, p0, p1, rho)
+    _groups(segs, owner, "{} lies outside the bulk grid")
+    # the cylinder's volume; a disc's area in 2D and on a radial grid
+    length = np.linalg.norm(p1 - p0, axis=1)
+    support = np.pi * rho ** 2 * np.where(length > 0.0, length, 1.0)
+    weights = (_support_measures(grid, segs, p0, p1, rho, owner, lo, hi)
+               / support[owner])
+    keep = weights > _NEGLIGIBLE_SHARE
+    owner, cells, weights = owner[keep], cells[keep], weights[keep]
 
     starts, counts = _groups(
         segs, owner, "kernel support of {} does not intersect the grid")

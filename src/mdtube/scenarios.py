@@ -17,8 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analytic import MultiTubeSolution, SingleTubeSolution, TubeSpec, \
-    solve_multi_tube
+from .analytic import MultiTubeSolution, TubeSpec, solve_multi_tube
 from .coupling import build_coupling
 from .grid import BulkGrid, bulk_l2_error, observed_orders, source_l2_error
 from .laws import ConstantLaw, DiffusionLaw, ExponentialLaw, VanGenuchtenLaw
@@ -372,39 +371,36 @@ def _level_errors(grid: BulkGrid, law: DiffusionLaw, state: CoupledState,
 
 
 def run_single_tube(config: ScenarioConfig) -> ErrorReport:
-    """Radial convergence against the closed-form single-tube solution."""
+    """Radial convergence against the single-tube reference, the one-tube
+    case of the three-tube studies' superposition: the tube lies on the
+    axis r = 0, and a radius r is the point (r, 0) of the reference."""
     law = config.build_law()
     radius = config.tube_radius
-    rho = config.rho_factor * radius
-    sol = SingleTubeSolution(tube_radius=radius, kernel_radius=rho,
-                             gamma=config.gamma, u_e=config.u_e,
-                             u_hat=config.u_hat, law=law)
+    tube = TubeSpec(center=(0.0, 0.0), tube_radius=radius,
+                    kernel_radius=config.rho_factor * radius,
+                    gamma=config.gamma, u_e=config.u_e)
+    ref = solve_multi_tube([tube], law, anchor=(0, config.u_hat))
+    segs = _degenerate_segments([tube])
     r_out = 1.0
+    dirichlet = {1: law.transform(ref.u(np.array([[r_out, 0.0]])))}
     n0 = max(1, round(r_out / (20.0 * radius)))
     report = ErrorReport(label="single_tube")
     for level in range(config.levels):
         n = n0 * 2 ** level
         grid = BulkGrid("radial", [0.0], [r_out], (n,))
-        seg = SegmentCell(p0=np.zeros(1), p1=np.zeros(1), length=1.0,
-                          radius=radius, kernel_radius=rho,
-                          gamma=config.gamma, d_e=0.0, segment_id=0,
-                          joint_a=0, joint_b=1)
-        cpl = build_coupling(grid, [seg],
+        cpl = build_coupling(grid, segs,
                              delta_correction=config.delta_correction)
-        psi_out = law.transform(np.full(1, sol.u(r_out)))
-        prob = CoupledProblem(grid=grid, law=law, dirichlet={1: psi_out},
-                              seg_cells=[seg], couplings=cpl,
-                              u_e_fixed=np.array([config.u_e]))
-        state = _physical_state(law, newton_solve(prob, np.full(n, psi_out)))
-        r = grid.cell_centers[:, 0]
-        e_ub = bulk_l2_error(grid, state.u_b, sol.u(r), 1.0)
-        e_psi = bulk_l2_error(grid, np.asarray(law.transform(state.u_b),
-                                               float), sol.psi(r), 0.1)
-        e_q = abs(state.q[0] - sol.q) / abs(sol.q)
+        prob = CoupledProblem(grid=grid, law=law, dirichlet=dirichlet,
+                              seg_cells=segs, couplings=cpl,
+                              u_e_fixed=np.array([tube.u_e]))
+        state = _physical_state(law, newton_solve(prob,
+                                                  np.full(n, dirichlet[1])))
+        psi = ref.psi(np.stack([grid.cell_centers[:, 0], np.zeros(n)],
+                               axis=-1))
+        errors = _level_errors(grid, law, state, LevelReference(
+            ref, dirichlet, psi, law.inverse_transform(psi)))
         # single infinite tube: both averaging variants coincide
-        report.rows.append(LevelErrors(h=r_out / n, e_ub=e_ub, e_psi=e_psi,
-                                       e_q=e_q, et_ub=e_ub, et_psi=e_psi,
-                                       et_q=e_q))
+        report.rows.append(LevelErrors(r_out / n, *errors, *errors))
     return report
 
 

@@ -61,10 +61,15 @@ _MAX_HALVINGS = 10
 _ROUNDING = 8.0
 
 
-def _abs_entries(matrix: sp.csr_matrix) -> sp.csr_matrix:
-    """``abs(matrix)`` that shares the index arrays of ``matrix``."""
-    return sp.csr_matrix((np.abs(matrix.data), matrix.indices,
-                          matrix.indptr), shape=matrix.shape)
+def _abs_product(matrix: sp.csr_matrix, diagonal: np.ndarray,
+                 x: np.ndarray) -> np.ndarray:
+    """``abs(matrix) @ abs(x)`` for a matrix with the ``diagonal`` >= 0
+    and no entry > 0 off it, as L and A have: there abs(matrix) = 2
+    diag(matrix) - matrix. Each term of matrix @ |x| is at most the
+    diagonal term, so the difference keeps the rounding of the result's
+    size."""
+    x = np.abs(x)
+    return 2.0 * diagonal * x - matrix @ x
 
 
 def _components(n: int, i: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -167,7 +172,7 @@ class CoupledProblem:
             self._build_axial()
         self.laplacian, self.dirichlet_rhs = laplacian(self.grid,
                                                        self.dirichlet)
-        self.laplacian_abs = _abs_entries(self.laplacian)
+        self.laplacian_diag = self.laplacian.diagonal()
         self.solve_bulk = laplacian_solver(self.grid, self.dirichlet)
         self.capacitance = self.solve_bulk.capacitance(self.sample,
                                                        self.deposit)
@@ -271,7 +276,7 @@ class CoupledProblem:
         self.axial = (sp.diags(diag) - sp.csr_matrix(
             (self.pair_k, (self.pair_i, self.pair_m)),
             shape=(n_e, n_e))).tocsr()
-        self.axial_abs = _abs_entries(self.axial)
+        self.axial_diag = diag
 
         # A is invertible when every connected part of the network, joined
         # by positive conductances, holds a cell with a Dirichlet joint
@@ -400,7 +405,7 @@ def _converged(problem: CoupledProblem, asm: Assembly, u_b: np.ndarray,
     """
     n_b, eps = problem.n_bulk, np.finfo(float).eps
     rounding = _ROUNDING * eps
-    scale_b = (problem.laplacian_abs @ np.abs(u_b)
+    scale_b = (_abs_product(problem.laplacian, problem.laplacian_diag, u_b)
                + np.abs(problem.dirichlet_rhs)
                + problem.deposit @ np.abs(asm.q))
     if not np.max(np.abs(asm.res[:n_b])) <= rounding * np.max(scale_b):
@@ -408,7 +413,8 @@ def _converged(problem: CoupledProblem, asm: Assembly, u_b: np.ndarray,
     if not problem.n_net:
         return True
     r_e, exchange = asm.res[n_b:], np.abs(asm.q * problem.lengths)
-    scale_e = (problem.axial_abs @ np.abs(u_e) + exchange
+    scale_e = (_abs_product(problem.axial, problem.axial_diag, u_e)
+               + exchange
                + np.bincount(problem.dir_cell, np.abs(problem.dir_k
                                                       * problem.dir_value),
                              len(u_e)))

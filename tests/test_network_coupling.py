@@ -465,6 +465,65 @@ class TestSegmentCoupling:
                            0.25 ** 2 - 0.2 ** 2]) / 0.25 ** 2
         assert np.allclose(cpl.weights, expect, atol=1e-12)
 
+    @pytest.mark.parametrize("rho", [0.25, 0.05])
+    def test_radial_grid_off_the_axis(self, rho):
+        # inner radius 0.01: the tube stays on r = 0, inside the hole, and
+        # the stencil stays the innermost cell. The weights are the annular
+        # shares (r_hi^2 - r_lo^2) / rho^2 renormalized by the share of the
+        # disc outside the hole, 1 - 0.01^2 / rho^2
+        g = BulkGrid("radial", [0.01], [0.99], (10,))
+        cpl = build_one(g, make_cell([0.0] * 3, [0.0, 0.0, 1.0], rho=rho),
+                        delta_correction=True)
+        edges = np.minimum(0.01 + 0.099 * np.arange(11), rho)
+        shares = (edges[1:] ** 2 - edges[:-1] ** 2) / rho ** 2
+        assert cpl.cells.tolist() == np.flatnonzero(shares).tolist()
+        assert np.allclose(cpl.weights, shares[cpl.cells] / np.sum(shares),
+                           rtol=0.0, atol=2e-16)
+        assert cpl.inside_fraction == pytest.approx(1.0 - 0.01 ** 2 / rho ** 2,
+                                                    rel=0.0, abs=4e-16)
+        assert cpl.stencil.tolist() == [0]
+        # the RMS distance of the one stencil cell, clamped inside the disc
+        assert cpl.delta == min(mean_distance(g, 0, [0.0], [0.0]),
+                                rho * (1.0 - 1e-6))
+
+    def test_near_tangent_disc_inside_fraction(self):
+        # criterion 5's kernel study at factor 5, the second tube on 16^2:
+        # rho = 5 * 0.15000000000000002 = 0.7500000000000001 meets the grid
+        # lines 0.75 from the centre (0.5, -0.5). The oracle integrates the
+        # vertical chord of the disc clipped to [-1, 1]^2 in closed form
+        # with mpmath at 40 digits, split where the chord meets y = -1
+        specs = three_tube_specs(0.2, 5.0)
+        assert specs[1].kernel_radius == 0.7500000000000001
+        _, _, cpl = parallel_level_coupling(specs, 16)
+        assert cpl[1].inside_fraction == pytest.approx(
+            0.7819200418176051009, rel=0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("axis", [None, 0, 1, 2],
+                             ids=["2d", "3d_x", "3d_y", "3d_z"])
+    def test_near_tangent_supports_have_no_negative_box(self, axis):
+        # rho = k h (1 + delta) around a grid node: the disc meets, or just
+        # misses, the grid lines k h away. No box may hold less than
+        # -1e-15 of the support: the arcsine of x / rho and
+        # sqrt(rho^2 - x^2) turned a one-ulp gap into sqrt(eps)
+        if axis is None:
+            g = BulkGrid("2d", [-1.0, -1.0], [2.0, 2.0], (16, 16))
+            p0 = p1 = np.array([[0.5, -0.5]])
+        else:
+            g = BulkGrid("3d", [-1.0] * 3, [2.0] * 3, (16, 16, 8))
+            p0 = np.array([[0.5, -0.5, 0.25]])
+            p1 = p0.copy()
+            p1[0, axis] -= 0.8
+        length = np.linalg.norm(p1 - p0) or 1.0
+        for k in range(1, 7):
+            for delta in (0.0, 2e-16, -2e-16, 4e-16, -4e-16, 1e-15, -1e-15,
+                          1e-13, -1e-13, 1e-10, -1e-10):
+                rho = np.array([k * 0.125 * (1.0 + delta)])
+                owner, _, lo, hi = coupling._candidate_boxes(g, p0, p1, rho)
+                measures = coupling._support_measures(
+                    g, [make_cell(p0[0], p1[0])], p0, p1, rho, owner, lo, hi)
+                support = np.pi * rho[0] ** 2 * length
+                assert np.min(measures) / support >= -1e-15, (k, delta)
+
     def test_delta_correction_bounded_by_kernel(self):
         g = BulkGrid("2d", [0.0, 0.0], [1.0, 1.0], (4, 4))
         cpl = build_one(g, make_cell([0.5, 0.5], [0.5, 0.5], rho=0.3),

@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
-from mdtube import poisson
+from mdtube import poisson, solver
 from mdtube.coupling import build_coupling
 from mdtube.grid import BulkGrid
 from mdtube.laws import ConstantLaw
@@ -60,6 +60,21 @@ def test_solver_matches_sparse_lu(name):
     ref = np.column_stack([spsolve(lap.tocsc(), b) for b in rhs.T])
     for x, r in ((solve(rhs), ref), (solve(rhs[:, 0]), ref[:, 0])):
         assert np.max(np.abs(x - r)) <= 1e-12 * np.max(np.abs(r))
+
+
+@pytest.mark.parametrize("name", sorted(PATTERNS))
+def test_absolute_laplacian_from_its_diagonal(name):
+    # no entry of L off its diagonal is positive, so |L| = 2 diag(L) - L:
+    # the Newton stopping test's |L| |u| without a copy of L
+    dim, origin, extents, shape, sides = PATTERNS[name]
+    grid = BulkGrid(dim, origin, extents, shape)
+    rng = np.random.default_rng(len(name))
+    lap, _ = laplacian(grid, random_dirichlet(grid, sides, rng))
+    u = rng.standard_normal(grid.n_cells)
+    expect = abs(lap) @ np.abs(u)
+    got = solver._abs_product(lap, lap.diagonal(), u)
+    assert np.all(np.abs(got - expect)
+                  <= 4.0 * np.finfo(float).eps * expect)
 
 
 @pytest.mark.parametrize("dim,shape", [("2d", (4, 5)), ("3d", (3, 4, 5)),

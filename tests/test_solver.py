@@ -300,13 +300,24 @@ class TestAssembly:
         assert len(inverted) == 1 and len(transformed) > 0
         assert not any(np.array_equal(u, inverted[0]) for u in transformed)
 
-    def test_absolute_operators_share_index_arrays(self):
-        problem, _ = small_coupled_problem()
-        for matrix, absolute in ((problem.laplacian, problem.laplacian_abs),
-                                 (problem.axial, problem.axial_abs)):
-            assert np.shares_memory(absolute.indices, matrix.indices)
-            assert np.shares_memory(absolute.indptr, matrix.indptr)
-            assert np.array_equal(absolute.data, np.abs(matrix.data))
+    @pytest.mark.parametrize("case", ["small", "root"])
+    def test_flux_scales_equal_the_absolute_operators(self, case):
+        # the stopping test's |L| |u_b| and |A| |u_e|, from the stored
+        # diagonals, against the absolute operators formed entry by entry
+        if case == "small":
+            problem, _ = small_coupled_problem(y_junction=True)
+            rng = np.random.default_rng(11)
+            u_b = random_bulk(problem, rng) - psi(0.3)
+            u_e = rng.uniform(-0.8, 0.8, problem.n_net)
+        else:
+            problem, u_b, u_e = root_sweep_state()
+        eps = np.finfo(float).eps
+        for matrix, diagonal, x in (
+                (problem.laplacian, problem.laplacian_diag, u_b),
+                (problem.axial, problem.axial_diag, u_e)):
+            expect = abs(matrix) @ np.abs(x)
+            got = solver._abs_product(matrix, diagonal, x)
+            assert np.all(np.abs(got - expect) <= 4.0 * eps * expect)
 
     def test_fixed_tube_values_have_no_network_rows(self):
         problem = point_source_problem()
