@@ -384,6 +384,9 @@ class SegmentCoupling:
     inside_fraction: float      # share of the support inside the domain
     stencil: np.ndarray         # bulk cells sampled for reconstruction
     delta: float                # effective sampling distance
+    #: delta is the kernel radius times (1 - 1e-6), not the RMS stencil
+    #: distance, which reaches the radius
+    delta_clamped: bool = False
 
 
 def _name(segs: list[SegmentCell], i: int) -> str:
@@ -501,20 +504,24 @@ def build_coupling(grid: BulkGrid, seg_cells,
     # when the support is truncated by the domain boundary
     weights = weights / np.repeat(inside, counts)
     delta = np.zeros(len(segs))
+    clamped = np.zeros(len(segs), bool)
     if delta_correction:
         # f(delta) is affine in delta^2 inside the support, so the RMS
-        # distance reproduces the stencil average of f exactly
+        # distance reproduces the stencil average of f exactly; the
+        # interface equation needs delta < rho, so it is clamped below
         square = mean_distance(grid, stencils, p0[stencil_owner],
                                p1[stencil_owner]) ** 2
-        delta = np.minimum(np.sqrt(np.add.reduceat(square, stencil_starts)
-                                   / stencil_counts),
-                           rho * (1.0 - 1e-6))
+        rms = np.sqrt(np.add.reduceat(square, stencil_starts)
+                      / stencil_counts)
+        clamped = rms > rho * (1.0 - 1e-6)
+        delta = np.minimum(rms, rho * (1.0 - 1e-6))
     return [SegmentCoupling(cells=cells[a:a + n], weights=weights[a:a + n],
                             inside_fraction=f, stencil=stencils[b:b + k],
-                            delta=d)
-            for a, n, b, k, f, d in zip(
+                            delta=d, delta_clamped=c)
+            for a, n, b, k, f, d, c in zip(
                 starts.tolist(), counts.tolist(), stencil_starts.tolist(),
-                stencil_counts.tolist(), inside.tolist(), delta.tolist())]
+                stencil_counts.tolist(), inside.tolist(), delta.tolist(),
+                clamped.tolist())]
 
 
 def _groups(segs: list[SegmentCell], owner: np.ndarray,

@@ -10,9 +10,9 @@ rates and per-segment reconstructions).
 from __future__ import annotations
 
 import configparser
-import csv
 import os
 from dataclasses import dataclass, field, fields, replace
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -495,14 +495,40 @@ ROOT_DOMAIN_ORIGIN = (-0.04, -0.04, -0.15)
 ROOT_DOMAIN_EXTENTS = (0.08, 0.08, 0.15)
 
 
+class SegmentTable(NamedTuple):
+    """The columns of ``segments.csv`` for one solve, one entry per
+    segment cell."""
+
+    grid: list[str]
+    collar_pressure: np.ndarray
+    segment_id: np.ndarray
+    cell: np.ndarray
+    depth: np.ndarray
+    length: np.ndarray
+    radius: np.ndarray
+    u_e: np.ndarray
+    u_hat: np.ndarray
+    q: np.ndarray
+
+
 @dataclass
 class RootSoilResult:
     boundary_pressure: float
     transpiration: list[dict] = field(default_factory=list)
-    segment_rows: list[dict] = field(default_factory=list)
+    segments: list[SegmentTable] = field(default_factory=list)
+    #: per grid, the segment cells whose delta ``build_coupling`` clamped
+    #: below the kernel radius
+    delta_clamped: dict[str, int] = field(default_factory=dict)
     final_state: CoupledState | None = None
     final_grid: BulkGrid | None = None
     final_mesh: NetworkMesh | None = None
+
+    @property
+    def segment_rows(self) -> list[dict]:
+        """The rows of ``segments.csv``, one dict per segment cell and
+        solve."""
+        return [dict(zip(SegmentTable._fields, row))
+                for table in self.segments for row in zip(*table)]
 
 
 def run_root_soil(config: ScenarioConfig) -> RootSoilResult:
@@ -529,10 +555,18 @@ def run_root_soil(config: ScenarioConfig) -> RootSoilResult:
     psi_s = float(law.transform(np.float64(p_s)))
 
     result = RootSoilResult(boundary_pressure=p_s)
+    cells = mesh.cells
+    geometry = (np.array([c.segment_id for c in cells]),
+                np.arange(len(cells)),
+                np.array([c.midpoint[2] for c in cells], float),
+                np.array([c.length for c in cells], float),
+                np.array([c.radius for c in cells], float))
     for shape in config.grids:
+        label = "x".join(str(s) for s in shape)
         grid = BulkGrid("3d", ROOT_DOMAIN_ORIGIN, ROOT_DOMAIN_EXTENTS, shape)
         couplings = build_coupling(grid, mesh.cells,
                                    delta_correction=config.delta_correction)
+        result.delta_clamped[label] = sum(c.delta_clamped for c in couplings)
         dirichlet = {side: np.full(len(grid.side_cells(side)), psi_s)
                      for side in (0, 1, 2, 3, 4)}
         # one problem, and so one set of operators, per grid
@@ -547,26 +581,16 @@ def run_root_soil(config: ScenarioConfig) -> RootSoilResult:
             u_b, u_e = state.u_b, state.u_e     # warm start for next sweep
             r_t = float(np.sum(state.q * prob.lengths))
             result.transpiration.append({
-                "grid": "x".join(str(s) for s in shape),
+                "grid": label,
                 "n_cells": grid.n_cells,
                 "collar_pressure": p_rc,
                 "r_t": r_t,
                 "collar_flux": collar_flux_total(prob, state.u_e),
                 "iterations": state.iterations,
             })
-            for j, cell in enumerate(mesh.cells):
-                result.segment_rows.append({
-                    "grid": "x".join(str(s) for s in shape),
-                    "collar_pressure": p_rc,
-                    "segment_id": cell.segment_id,
-                    "cell": j,
-                    "depth": float(cell.midpoint[2]),
-                    "length": cell.length,
-                    "radius": cell.radius,
-                    "u_e": float(state.u_e[j]),
-                    "u_hat": float(state.u_hat[j]),
-                    "q": float(state.q[j]),
-                })
+            result.segments.append(SegmentTable(
+                [label] * len(cells), np.full(len(cells), float(p_rc)),
+                *geometry, state.u_e, state.u_hat, state.q))
             result.final_state = _physical_state(law, state)
             result.final_grid = grid
             result.final_mesh = mesh
@@ -575,15 +599,30 @@ def run_root_soil(config: ScenarioConfig) -> RootSoilResult:
 
 # -- output plumbing -------------------------------------------------------
 
-def _write_csv(path, header, rows):
+def _write_csv(path, header, columns):
+    """Write a table given by its columns, byte for byte as ``csv.writer``
+    writes rows of their values with each float as its repr, the shortest
+    text that reads back as the same float: fields joined by commas and
+    each line ended by CR LF. No field of these tables holds a comma, a
+    quote or a line break, which csv.writer would quote: the labels are
+    built from numbers."""
+    rows = zip(*map(_column_text, columns))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            # repr is the shortest text that reads back as the same float;
-            # float() first, as numpy 2 gives reprs like np.float64(0.5)
-            writer.writerow([repr(float(v)) if isinstance(v, float) else v
-                             for v in row])
+        fh.writelines(",".join(row) + "\r\n"
+                      for row in chain([header], rows))
+
+
+def _column_text(values) -> list[str]:
+    """The fields of one column. A column of floats is formatted whole:
+    the repr of a list of Python floats formats each one in C. Otherwise
+    each float is formatted by itself, float() first, as numpy 2 gives
+    reprs like np.float64(0.5), and any other value by str()."""
+    values = (values.tolist() if isinstance(values, np.ndarray)
+              else list(values))
+    if values and all(type(v) is float for v in values):
+        return repr(values)[1:-1].split(", ")
+    return [repr(float(v)) if isinstance(v, float) else str(v)
+            for v in values]
 
 
 def _error_csv_rows(report: ErrorReport):
@@ -618,26 +657,28 @@ def emit_outputs(config: ScenarioConfig, results, out_dir):
     if config.kind in ("single_tube", "parallel_tubes"):
         reports = results if isinstance(results, list) else [results]
         rows = [r for rep in reports for r in _error_csv_rows(rep)]
-        _write_csv(os.path.join(out_dir, "errors.csv"), _ERRORS_HEADER, rows)
+        _write_csv(os.path.join(out_dir, "errors.csv"), _ERRORS_HEADER,
+                   zip(*rows))
     elif config.kind == "kernel_radius_study":
         _write_csv(os.path.join(out_dir, "errors.csv"),
-                   ["rho_factor", "e_q"], results)
+                   ["rho_factor", "e_q"], zip(*results))
     elif config.kind == "delta_study":
         rows = []
         for k, (off, on) in results.items():
             off = replace(off, label=f"k={k:g}_delta=0")
             on = replace(on, label=f"k={k:g}_delta=mean")
             rows += _error_csv_rows(off) + _error_csv_rows(on)
-        _write_csv(os.path.join(out_dir, "errors.csv"), _ERRORS_HEADER, rows)
+        _write_csv(os.path.join(out_dir, "errors.csv"), _ERRORS_HEADER,
+                   zip(*rows))
     elif config.kind == "root_soil":
         _write_csv(os.path.join(out_dir, "transpiration.csv"),
                    _TRANSPIRATION_HEADER,
-                   [[d[h] for h in _TRANSPIRATION_HEADER]
-                    for d in results.transpiration])
-        seg_header = ["grid", "collar_pressure", "segment_id", "cell",
-                      "depth", "length", "radius", "u_e", "u_hat", "q"]
-        _write_csv(os.path.join(out_dir, "segments.csv"), seg_header,
-                   [[d[h] for h in seg_header] for d in results.segment_rows])
+                   [[d[h] for d in results.transpiration]
+                    for h in _TRANSPIRATION_HEADER])
+        _write_csv(os.path.join(out_dir, "segments.csv"),
+                   SegmentTable._fields,
+                   [np.concatenate(column)
+                    for column in zip(*results.segments)])
         if config.write_vtk and results.final_state is not None:
             vtk_io.write_structured_points(
                 os.path.join(out_dir, "soil.vtk"), results.final_grid,

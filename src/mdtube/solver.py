@@ -1,30 +1,42 @@
-"""Monolithic Newton solver for the coupled bulk-network system.
+"""Newton solver for the coupled bulk-network system, in its exchange
+unknowns.
 
-Unknowns are the bulk cell values followed by the network segment-cell
-values (the latter are absent when the tube unknowns are prescribed, as
-in the verification scenarios). Everything but the interface equation is
-fixed per problem, so ``CoupledProblem`` builds it once from the grid, the
-couplings and the network: the kernel deposition matrix W, the stencil
-sampling matrix S and the network's axial TPFA operator with junction
-elimination at branching points. An assembly samples the bulk in psi and
-makes one reconstruction call (``reconstruct_interface``) for all segment
-cells, which solves the interface equation in psi and returns the sources
-with the two diagonal scalings of the coupling blocks: their derivatives
-with respect to the sampled psi and the tube value, exact by the implicit
-function theorem.
+The unknowns of the coupled system are the bulk cell values, in the
+Kirchhoff variable psi = int_0^u D, and the network segment-cell values
+(absent when the tube values are prescribed, as in the verification
+scenarios). Everything but the interface equation is fixed per problem,
+so ``CoupledProblem`` builds it once from the grid, the couplings and the
+network: the kernel deposition matrix W, the stencil sampling matrix S,
+the network's axial TPFA operator A with junction elimination at branching
+points, the TPFA Laplacian L of the bulk with the direct solver of L
+(trigonometric transforms on 2D and 3D grids, a banded Cholesky factor on
+radial ones, see ``poisson``), the capacitance matrix C = S L^-1 W and
+G = A^-1 diag(len). An assembly samples the bulk and makes one
+reconstruction call (``reconstruct_interface``) for all segment cells,
+which solves the interface equation in psi and returns the sources q with
+their derivatives a and b in the sampled psi and the tube value, exact by
+the implicit function theorem.
 
-The bulk is solved in the Kirchhoff variable psi = int_0^u D, in which
-its flux operator is the constant TPFA Laplacian L. The bulk block of the
-Jacobian is ``L - W diag(a) S``; the direct solver of L is built once per
-problem (trigonometric transforms on 2D and 3D grids, a banded Cholesky
-factor on radial ones, see ``poisson``), and a Newton step is one
-capacitance-matrix solve (``CoupledProblem.solve_step``): two bulk solves
-and one dense LU of the size of the number of segment cells, in their
-exchange unknowns alone; the network block enters it through the axial
-operator, factored once per problem. The damped Newton loop stops on its
-own test per block (``_converged``): each residual at the rounding level
-of its flux terms, and the network residuals balanced at the collar.
-Failing that, it raises ``NonconvergenceError``.
+The interface equation is the only nonlinearity: L psi = g + W q is
+linear, and so are the network rows len q + A u_e = d (d from the
+Dirichlet joints). So the exchange q alone sets the sampled bulk, psi_g +
+C q with psi_g = S L^-1 g, and the tube values u_e(q) = A^-1 (d - len q),
+and the coupled system reduces to the exchange residual F(q) = q - Q(psi_g
++ C q, u_e(q)) in as many unknowns as segment cells (``exchange_residual``).
+Its Jacobian, I - diag(a) C + diag(b) G, is the matrix of the
+capacitance-matrix method of Buzbee, Dorr, George & Golub (SIAM J. Numer.
+Anal. 8, 1971), here carried from one Newton step to the whole iteration.
+
+``newton_solve`` takes damped Newton steps on F, with one dense LU of that
+matrix each and no bulk solve, until F is at the rounding level of its
+terms, entry by entry. Then it assembles the state and holds it to one
+stopping test per block (``_converged``): each residual at the rounding
+level of its flux terms, and the network residuals balanced at the
+collar. The bulk is solved only as a correction of the initial one, so
+that the solves' forward error is that of the correction; should it
+still leave the assembled state above the test, full Newton steps of the
+coupled system (``CoupledProblem.solve_step``) take it on until it
+passes. Failing that, the solve raises ``NonconvergenceError``.
 """
 
 from __future__ import annotations
@@ -47,12 +59,18 @@ from .reconstruction import (Interface, ReconstructionError,
 
 
 class NonconvergenceError(RuntimeError):
-    def __init__(self, message: str, history):
+    """A solve that did not converge. ``step`` is the kind of step that
+    failed, "reduced" or "full" (see ``newton_solve``), and ``history``
+    the solve's residual history (``CoupledState.residual_history``)."""
+
+    def __init__(self, message: str, step: str, history):
         super().__init__(f"{message}; residual history {history}")
+        self.step = step
         self.history = list(history)
 
 
-#: Newton steps before a solve is reported as not converged
+#: Newton steps, reduced and full, before a solve is reported as not
+#: converged
 _MAX_ITER = 50
 #: step halvings of the backtracking line search
 _MAX_HALVINGS = 10
@@ -109,7 +127,7 @@ class CoupledProblem:
     interface geometry (``interface``, checked once, with its coupling
     factor |P| gamma f(delta)), the network's axial operator, the
     Laplacian L with its Dirichlet vector, the direct solver of L and the
-    capacitance matrix S L^-1 W that ``solve_step`` uses. The solver
+    capacitance matrix C = S L^-1 W of the Newton steps. The solver
     builds C from the few cells each row of S and column of W touches: on
     2D and 3D grids from their transforms along all but the last axis and
     the last axis's Green's function, with no bulk solve
@@ -184,9 +202,13 @@ class CoupledProblem:
             self.axial_green = lu_solve(self.axial_lu, np.diag(self.lengths))
 
     def solve_step(self, asm: Assembly) -> np.ndarray:
-        """Newton step at the state of ``asm`` by the capacitance-matrix
-        method (Buzbee, Dorr, George & Golub, SIAM J. Numer. Anal. 8,
-        1971), in the exchange unknowns z alone.
+        """Full Newton step of the coupled system at the state of ``asm``,
+        by the capacitance-matrix method (Buzbee, Dorr, George & Golub,
+        SIAM J. Numer. Anal. 8, 1971), in the exchange unknowns z alone.
+        ``newton_solve`` takes it only after the reduced steps, on an
+        assembled state that fails ``_converged``: its bulk solves act on
+        the residual, so their forward error is that of the correction,
+        not of the field.
 
         With z = a*(S x_b) + b*x_e the step equations read
         ``L x_b - W z = r_b`` and ``len*z + A x_e = r_e``. So x_b =
@@ -204,19 +226,16 @@ class CoupledProblem:
         Comp. 35, 1980); it needs no bulk solve. Its axial residual is in
         pairwise form (``axial_residual``), so the network rows of the
         step balance to the rounding of the differences, as the Newton
-        residual does. Then
-        ``x_b = L^-1 (r_b + W z)``.
+        residual does. Then ``x_b = L^-1 (r_b + W z)``.
         """
         n_b = self.n_bulk
         r_b = -asm.res[:n_b]
         a = asm.dq_dub
         a_sy = a * (self.sample @ self.solve_bulk(r_b))
-        system = np.eye(len(a)) - a[:, None] * self.capacitance
+        lu = self.exchange_factor(a, asm.dq_due)
         if self.n_net:
             b, r_e = asm.dq_due, -asm.res[n_b:]
-            system += b[:, None] * self.axial_green
-        lu = lu_factor(system, overwrite_a=True, check_finite=False)
-        if not self.n_net:
+        else:
             z = lu_solve(lu, a_sy, check_finite=False)
             return self.solve_bulk(r_b + self.deposit @ z)
 
@@ -233,6 +252,32 @@ class CoupledProblem:
         z += dz
         x_b = self.solve_bulk(r_b + self.deposit @ z)
         return np.concatenate([x_b, x_e + dx_e])
+
+    def exchange_factor(self, a: np.ndarray, b: np.ndarray):
+        """LU factor of ``I - diag(a) C + diag(b) G`` (without network
+        unknowns ``I - diag(a) C``): the matrix of the capacitance step,
+        and the Jacobian of the exchange residual (``exchange_residual``)."""
+        system = -a[:, None] * self.capacitance
+        system.flat[::len(a) + 1] += 1.0
+        if self.n_net:
+            system += b[:, None] * self.axial_green
+        return lu_factor(system, overwrite_a=True, check_finite=False)
+
+    def tube_values(self, q: np.ndarray) -> np.ndarray:
+        """The tube values of the exchange q: the prescribed ones, or
+        ``u_e = A^-1 (d - len q)`` (d the Dirichlet joints' terms) through
+        the factor of A, refined once against the pairwise axial residual
+        (``axial_residual``), so that the network rows balance to the
+        rounding of the differences, as in ``solve_step``."""
+        if not self.n_net:
+            return np.asarray(self.u_e_fixed, float)
+        exchange = self.lengths * q
+        u_e = lu_solve(self.axial_lu, np.bincount(
+            self.dir_cell, self.dir_k * self.dir_value, len(q)) - exchange,
+            check_finite=False)
+        return u_e - lu_solve(self.axial_lu,
+                              exchange + self.axial_residual(u_e),
+                              check_finite=False)
 
     def _build_axial(self):
         """Axial TPFA operator with the joints eliminated: through
@@ -338,12 +383,51 @@ class CoupledProblem:
 
 @dataclass
 class CoupledState:
+    """A converged solution, with the record of the loop that reached it
+    (see ``newton_solve``)."""
+
     u_b: np.ndarray
     u_e: np.ndarray                 # per segment cell (fixed or solved)
     u_hat: np.ndarray               # reconstructed interface values
     q: np.ndarray                   # source per unit tube length
-    iterations: int = 0
+    iterations: int = 0             # reduced_steps + full_steps
+    #: max-norm of the coupled residual at each iterate: of the state
+    #: that the exchange sets, (W F, -len F), at a reduced iterate; then
+    #: of the assembled state the reduced steps end on, and of each full
+    #: step's
     residual_history: list = field(default_factory=list)
+    reduced_steps: int = 0
+    full_steps: int = 0
+    #: max |F| / bound of the exchange residual at each reduced iterate
+    reduced_history: list = field(default_factory=list)
+    #: the line search's step length of each step, in order
+    step_lengths: list = field(default_factory=list)
+
+
+class Exchange(NamedTuple):
+    """The coupled problem in its exchange unknowns at one iterate q (see
+    ``exchange_residual``): the tube values u_e(q), the derivatives of the
+    interface equation's source at (psi_g + C q, u_e(q)), the exchange
+    residual F and the bound that the stopping test holds it to, per
+    entry."""
+
+    q: np.ndarray
+    u_e: np.ndarray
+    dq_dub: np.ndarray              # a: dq / d(sampled bulk psi)
+    dq_due: np.ndarray              # b: dq / d(tube value)
+    res: np.ndarray                 # F
+    bound: np.ndarray
+
+    @property
+    def converged(self) -> bool:
+        return bool(np.all(np.abs(self.res) <= self.bound))
+
+    def ratio(self) -> float:
+        """max |F| / bound; an entry with F = 0 reads 0."""
+        f = np.abs(self.res)
+        with np.errstate(divide="ignore"):
+            return float(np.max(np.divide(f, self.bound, where=f > 0.0,
+                                          out=np.zeros_like(f)), initial=0.0))
 
 
 class Assembly(NamedTuple):
@@ -447,14 +531,61 @@ def _collar_bound(problem: CoupledProblem, asm: Assembly, u_b: np.ndarray,
     return eps * (inputs + terms)
 
 
+def exchange_residual(problem: CoupledProblem, psi_g: np.ndarray,
+                      q: np.ndarray) -> Exchange:
+    """The exchange residual ``F(q) = q - Q(psi_g + C q, u_e(q))``. The
+    bulk is linear in psi and the axial operator is linear, so the exchange
+    q alone sets the sampled bulk, ``S L^-1 (g + W q) = psi_g + C q`` with
+    ``psi_g = S L^-1 g``, and the tube values u_e(q)
+    (``CoupledProblem.tube_values``); Q is the source of the interface
+    equation there. The Jacobian of F is ``I - diag(a) C + diag(b) G``
+    (``CoupledProblem.exchange_factor``).
+
+    ``bound`` is ``_ROUNDING eps (|q| + |a| (|psi_g| + C |q|) + |b|
+    |u_e|)``, per entry: the magnitudes that F's terms carry, read with C
+    >= 0, as S, L^-1 and W are non-negative."""
+    u_e = problem.tube_values(q)
+    _, source, a, b = reconstruct_interface(
+        problem.interface, psi_g + problem.capacitance @ q, u_e)
+    scale = (np.abs(q) + np.abs(a) * (np.abs(psi_g)
+                                      + problem.capacitance @ np.abs(q))
+             + np.abs(b) * np.abs(u_e))
+    return Exchange(q, u_e, a, b, q - source,
+                    _ROUNDING * np.finfo(float).eps * scale)
+
+
+def _coupled_norm(problem: CoupledProblem, ex: Exchange) -> float:
+    """The max-norm of the coupled residual of the state that the exchange
+    of ``ex`` sets, ``(W F, -len F)``."""
+    norm = _max_abs(problem.deposit @ ex.res)
+    if problem.n_net:
+        norm = max(norm, _max_abs(problem.lengths * ex.res))
+    return norm
+
+
 def newton_solve(problem: CoupledProblem, u_b0: np.ndarray,
                  u_e0: np.ndarray | None = None) -> CoupledState:
-    """Damped Newton iteration from (u_b0, u_e0), stepping with the
-    problem's ``solve_step`` until ``_converged`` holds. ``u_e0`` is
+    """Damped Newton iteration from (u_b0, u_e0), in the exchange unknowns
+    q while it can, until the state passes ``_converged``. ``u_e0`` is
     required with network unknowns and refused with fixed tube values.
-    Raises :class:`NonconvergenceError` when a line search finds no step
-    that lowers the max-norm residual or passes the test, or after
-    ``_MAX_ITER`` steps."""
+
+    The initial q is the source of the interface equation at the initial
+    state. The loop takes reduced steps, Newton steps on the exchange
+    residual F(q) (``exchange_residual``), with ``psi_g = S L^-1 g``
+    formed once per solve, by one bulk solve; no bulk field is solved for
+    or applied in them. Once |F| is within its bound per entry, the
+    iterate's state is assembled, the bulk ``L^-1 (g + W q)`` by one more
+    bulk solve and the tube values u_e(q), and tested. A state that fails,
+    as the rounding of the bulk solves could leave it, is taken on by full
+    steps (``solve_step``) until one passes. Both bulk solves act on the
+    residual of the initial bulk u_b0, as corrections of it.
+
+    Each step has a backtracking line search: a trial is accepted when its
+    max-norm residual (F in a reduced step, the coupled residual in a full
+    one) is lower or the trial passes its test, and a trial that the
+    interface equation cannot solve (``ReconstructionError``) halves the
+    step. Raises :class:`NonconvergenceError`, naming the kind of step,
+    when a line search fails or after ``_MAX_ITER`` steps."""
     n_b, n_e = problem.n_bulk, problem.n_net
     u_b = _initial_guess("u_b0", u_b0, n_b)
     if n_e:
@@ -465,40 +596,94 @@ def newton_solve(problem: CoupledProblem, u_b0: np.ndarray,
     else:
         u_e = np.asarray(problem.u_e_fixed, float).copy()
 
-    history = []
-    asm = assemble_coupled(problem, u_b, u_e)
-    for it in range(_MAX_ITER + 1):
-        norm = float(np.max(np.abs(asm.res)))
-        history.append(norm)
-        if _converged(problem, asm, u_b, u_e):
-            return CoupledState(u_b=u_b, u_e=u_e, u_hat=asm.u_hat, q=asm.q,
-                                iterations=it, residual_history=history)
-        if it == _MAX_ITER:
-            raise NonconvergenceError("Newton did not converge", history)
-        delta = problem.solve_step(asm)
+    # the bulk as the initial one plus a correction, L^-1 g = u_b0 + L^-1
+    # r_b0 with r_b0 = g - L u_b0, so that a bulk solve's forward error is
+    # that of the correction: psi is a large level with small differences,
+    # and solved from g the bulk's mass balance was off by 6e-10 of the
+    # exchanged flow on 64x64x120, r_T by 1.4e-10, and states failed the
+    # bulk block of _converged by up to 1.5 times
+    r_b0 = problem.dirichlet_rhs - problem.laplacian @ u_b
+    psi_g = problem.sample @ (u_b + problem.solve_bulk(r_b0))
+    _, q, _, _ = reconstruct_interface(problem.interface,
+                                       problem.sample @ u_b, u_e)
+    exchange = exchange_residual(problem, psi_g, q)
+    history, ratios = [_coupled_norm(problem, exchange)], [exchange.ratio()]
+    lengths = []
+    steps = {"reduced": 0, "full": 0}
+    kind, passed = "reduced", False
+    while True:
+        if kind == "reduced" and exchange.converged:
+            u_b += problem.solve_bulk(r_b0 + problem.deposit @ exchange.q)
+            u_e = exchange.u_e
+            asm = assemble_coupled(problem, u_b, u_e)
+            history.append(_max_abs(asm.res))
+            passed = _converged(problem, asm, u_b, u_e)
+            kind = "full"
+        if passed:
+            break
+        if len(lengths) == _MAX_ITER:
+            raise NonconvergenceError(
+                f"Newton did not converge in {_MAX_ITER} steps "
+                f"({steps['reduced']} reduced, {steps['full']} full)", kind,
+                history)
+        if kind == "reduced":
+            norm = _max_abs(exchange.res)
+            dq = lu_solve(problem.exchange_factor(exchange.dq_dub,
+                                                  exchange.dq_due),
+                          -exchange.res, check_finite=False)
+
+            def trial(alpha):
+                ex = exchange_residual(problem, psi_g,
+                                       exchange.q + alpha * dq)
+                return ex, _max_abs(ex.res), ex.converged
+        else:
+            norm = _max_abs(asm.res)
+            delta = problem.solve_step(asm)
+
+            def trial(alpha):
+                ub = u_b + alpha * delta[:n_b]
+                ue = u_e + alpha * delta[n_b:] if n_e else u_e
+                at = assemble_coupled(problem, ub, ue)
+                return ((ub, ue, at), _max_abs(at.res),
+                        _converged(problem, at, ub, ue))
         alpha = 1.0
         for _ in range(_MAX_HALVINGS + 1):
-            ub_try = u_b + alpha * delta[:n_b]
-            ue_try = u_e + alpha * delta[n_b:] if n_e else u_e
             try:
                 # overshooting trial states may overflow the coefficient;
                 # the resulting nan norm fails the comparison and the
                 # step is halved, so silence the transient warnings
                 with np.errstate(over="ignore", invalid="ignore",
                                  divide="ignore"):
-                    asm_try = assemble_coupled(problem, ub_try, ue_try)
+                    point, trial_norm, done = trial(alpha)
             except ReconstructionError:
                 # a trial state the interface equation cannot handle; any
                 # other error is a defect
                 alpha *= 0.5
                 continue
-            if (float(np.max(np.abs(asm_try.res))) < norm
-                    or _converged(problem, asm_try, ub_try, ue_try)):
+            if trial_norm < norm or done:
                 break
             alpha *= 0.5
         else:
-            raise NonconvergenceError("line search failed", history)
-        u_b, u_e, asm = ub_try, ue_try, asm_try
+            raise NonconvergenceError(f"line search failed in a {kind} step",
+                                      kind, history)
+        steps[kind] += 1
+        lengths.append(alpha)
+        if kind == "reduced":
+            exchange = point
+            history.append(_coupled_norm(problem, exchange))
+            ratios.append(exchange.ratio())
+        else:
+            (u_b, u_e, asm), passed = point, done
+            history.append(trial_norm)
+    return CoupledState(u_b=u_b, u_e=u_e, u_hat=asm.u_hat, q=asm.q,
+                        iterations=len(lengths), residual_history=history,
+                        reduced_steps=steps["reduced"],
+                        full_steps=steps["full"], reduced_history=ratios,
+                        step_lengths=lengths)
+
+
+def _max_abs(x: np.ndarray) -> float:
+    return float(np.max(np.abs(x)))
 
 
 def _initial_guess(name: str, values, size: int) -> np.ndarray:

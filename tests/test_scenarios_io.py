@@ -2,6 +2,7 @@
 
 import csv
 import importlib
+import math
 import os
 import shutil
 import subprocess
@@ -294,6 +295,75 @@ class TestArtifacts:
         assert len(lines) == 2
         assert int(lines[1].split(",")[-1]) > 0
 
+    def test_csv_writer_bytes(self, tmp_path):
+        # the column writer against csv.writer writing each float's repr:
+        # labels, signed zeros, subnormals, non-finite values, numpy
+        # scalars, ints and float arrays of either kind
+        floats = np.array([0.1, -0.0, 5e-324, 1e-300, 1e16, 1.5e300,
+                           np.nan, np.inf, -np.inf, 2.0 / 3.0])
+        columns = [["16x16x30", "k=1_rmax=0.2", "k=5_delta=mean", " lead",
+                    "t\tt", "", "é", "#", "-1e+05", "x"],
+                   list(range(-3, 7)), np.arange(10) * 7,
+                   floats, floats.tolist(), list(floats),
+                   [np.float32(0.1)] * 10,
+                   [1.0, 2, "s", "", True, 0.5, -1, 3.25, 1e-7, np.int64(4)]]
+        header = ["label", "i", "j", "array", "list", "scalars", "float32",
+                  "mixed"]
+        # and a table of one row, its columns tuples, as zip(*rows) gives
+        table = list(zip(*columns))
+        for name, cols, rows in (("table", columns, table),
+                                 ("row", zip(*table[3:4]), table[3:4])):
+            scenarios._write_csv(tmp_path / f"{name}.csv", header, cols)
+            with open(tmp_path / f"{name}-ref.csv", "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(header)
+                for row in rows:
+                    writer.writerow([repr(float(v)) if isinstance(v, float)
+                                     else v for v in row])
+            assert ((tmp_path / f"{name}.csv").read_bytes()
+                    == (tmp_path / f"{name}-ref.csv").read_bytes())
+
+    def test_root_csvs_are_csv_writer_bytes(self, tmp_path):
+        # segments.csv and transpiration.csv of a run against csv.writer
+        # over the rows of the same result
+        config = ScenarioConfig(kind="root_soil", grids=((8, 8, 15),),
+                                collar_pressures=(0.0, -1e5),
+                                delta_correction=True)
+        result = run_scenario(config, tmp_path)
+        for name, rows in (("segments.csv", result.segment_rows),
+                           ("transpiration.csv", result.transpiration)):
+            with open(tmp_path / f"ref-{name}", "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(list(rows[0]))
+                for row in rows:
+                    writer.writerow([repr(float(v)) if isinstance(v, float)
+                                     else v for v in row.values()])
+            assert ((tmp_path / name).read_bytes()
+                    == (tmp_path / f"ref-{name}").read_bytes())
+
+    def test_delta_clamp_is_reported(self):
+        # build_coupling clamps the RMS stencil distance below the kernel
+        # radius on 243 of the 262 segment cells of seed 2024 on 16x16x30
+        built = []
+        real = scenarios.build_coupling
+
+        def keep(*args, **kwargs):
+            built.append(real(*args, **kwargs))
+            return built[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scenarios, "build_coupling", keep)
+            result = scenarios.run_root_soil(ScenarioConfig(
+                kind="root_soil", seed=2024, grids=((16, 16, 30),),
+                collar_pressures=(-1e5,), delta_correction=True))
+        (couplings,) = built
+        assert len(couplings) == 262
+        assert result.delta_clamped == {"16x16x30": 243}
+        mesh = result.final_mesh
+        for cell, c in zip(mesh.cells, couplings):
+            cap = cell.kernel_radius * (1.0 - 1e-6)
+            assert (c.delta == cap) if c.delta_clamped else (c.delta < cap)
+
     def test_transpiration_csv_keeps_every_bit(self, tmp_path):
         # "%.12g" cannot resolve the 1e-12 relative bounds r_T is held to
         config = ScenarioConfig(kind="root_soil", grids=((8, 8, 15),),
@@ -328,33 +398,40 @@ class TestArtifacts:
 
     def test_warm_started_sweep_meets_collar_balance(self, monkeypatch):
         # the Newton loop's own collar-balance test, with no second pass
-        # over the network block: one assembly per step and the initial one
+        # over the network block: one interface solve per line-search
+        # trial, and three per solve, for the initial q, its exchange
+        # residual and the assembled state
         calls = []
-        real = solver.assemble_coupled
+        real_interface = solver.reconstruct_interface
 
         def counting(*args):
             calls.append(None)
-            return real(*args)
+            return real_interface(*args)
 
         # the bound of the Newton loop's collar-balance test at each
-        # returned state, taken before the next collar pressure is set
-        bounds = []
+        # returned state, taken before the next collar pressure is set,
+        # and the solve's line-search trials: a step of length 2^-k took
+        # k + 1
+        bounds, trials = [], []
         real_solve = scenarios.newton_solve
 
         def solve_and_bound(problem, u_b0, u_e0):
             state = real_solve(problem, u_b0, u_e0)
-            asm = real(problem, state.u_b, state.u_e)
+            asm = solver.assemble_coupled(problem, state.u_b, state.u_e)
+            calls.pop()
             bounds.append(solver._collar_bound(problem, asm, state.u_b,
                                                state.u_e))
+            trials.append(sum(1 - math.log2(alpha)
+                              for alpha in state.step_lengths))
             return state
 
-        monkeypatch.setattr(solver, "assemble_coupled", counting)
+        monkeypatch.setattr(solver, "reconstruct_interface", counting)
         monkeypatch.setattr(scenarios, "newton_solve", solve_and_bound)
         config = ScenarioConfig(kind="root_soil", grids=((8, 8, 15),),
                                 collar_pressures=(-2.5e5, -5e5),
                                 delta_correction=True)
         sweep = scenarios.run_root_soil(config).transpiration
-        assert len(calls) <= sum(row["iterations"] + 1 for row in sweep)
+        assert len(calls) <= sum(n + 3 for n in trials)
         assert len(bounds) == len(sweep)
         for row, bound in zip(sweep, bounds):
             defect = abs(row["r_t"] + row["collar_flux"])

@@ -7,6 +7,7 @@ from functools import cache
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import lu_solve
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import spsolve
 
@@ -25,7 +26,8 @@ from mdtube.scenarios import (ScenarioConfig, level_reference,
                               solve_parallel_level, three_tube_specs)
 from mdtube.solver import (CoupledProblem, NonconvergenceError,
                            assemble_coupled, boundary_flux_total,
-                           collar_flux_total, coupled_jacobian, newton_solve)
+                           collar_flux_total, coupled_jacobian,
+                           exchange_residual, newton_solve)
 
 LAW = ExponentialLaw(d0=0.5, k=1.0)
 
@@ -394,9 +396,9 @@ class TestNewton:
             newton_solve(fixed, np.append(u_b, 0.1))
 
     @staticmethod
-    def fail_second_assembly(monkeypatch, error):
+    def fail_first_trial(monkeypatch, error):
         calls = []
-        real = solver.assemble_coupled
+        real = solver.exchange_residual
 
         def failing(*args):
             calls.append(None)
@@ -404,20 +406,50 @@ class TestNewton:
                 raise error
             return real(*args)
 
-        monkeypatch.setattr(solver, "assemble_coupled", failing)
+        monkeypatch.setattr(solver, "exchange_residual", failing)
 
     def test_trial_state_errors_halve_the_step(self, monkeypatch):
-        self.fail_second_assembly(monkeypatch, ReconstructionError("trial"))
+        self.fail_first_trial(monkeypatch, ReconstructionError("trial"))
         problem = point_source_problem()
         state = newton_solve(problem, np.full(problem.n_bulk, psi(0.1)))
-        assert state.iterations > 0
+        assert state.reduced_steps > 0 and state.step_lengths[0] == 0.5
 
     def test_programming_errors_propagate(self, monkeypatch):
         # an operator shape error is a defect, not a bad trial state
-        self.fail_second_assembly(monkeypatch, ValueError("shapes differ"))
+        self.fail_first_trial(monkeypatch, ValueError("shapes differ"))
         problem = point_source_problem()
         with pytest.raises(ValueError, match="shapes differ"):
             newton_solve(problem, np.full(problem.n_bulk, psi(0.1)))
+
+    def test_records_its_steps(self):
+        problem, _ = small_coupled_problem(y_junction=True)
+        state = newton_solve(problem, np.full(problem.n_bulk, psi(0.1)),
+                             np.full(problem.n_net, 0.4))
+        assert state.reduced_steps > 0
+        assert state.iterations == state.reduced_steps + state.full_steps
+        assert len(state.step_lengths) == state.iterations
+        # the initial iterate's ratio, then one per reduced step, the last
+        # within the bound
+        assert len(state.reduced_history) == state.reduced_steps + 1
+        assert state.reduced_history[0] > 1.0 >= state.reduced_history[-1]
+        # one coupled residual per iterate, and the assembled state's
+        assert len(state.residual_history) == state.iterations + 2
+
+    def test_nonconvergence_names_the_step(self, monkeypatch):
+        # with no step allowed the reduced loop fails; with a contract that
+        # no state passes, the full steps after the reduced loop fail
+        problem = point_source_problem()
+        u_b = np.full(problem.n_bulk, psi(0.1))
+        monkeypatch.setattr(solver, "_MAX_ITER", 0)
+        with pytest.raises(NonconvergenceError,
+                           match=r"\(0 reduced, 0 full\)") as exc:
+            newton_solve(problem, u_b)
+        assert exc.value.step == "reduced"
+        monkeypatch.setattr(solver, "_MAX_ITER", 50)
+        monkeypatch.setattr(solver, "_converged", lambda *args: False)
+        with pytest.raises(NonconvergenceError, match="full") as exc:
+            newton_solve(problem, u_b)
+        assert exc.value.step == "full"
 
     def test_axial_chain_linear_profile(self):
         # gamma = 0 decouples the tube from the bulk; with both segment
@@ -562,6 +594,90 @@ class TestCapacitanceStep:
         n_b = problem.n_bulk
         np.testing.assert_array_equal(problem.solve_step(asm)[:n_b],
                                       problem.solve_bulk(-asm.res[:n_b]))
+
+
+class TestExchangeResidual:
+    @pytest.mark.parametrize("case", ["point_source", "y_junction"])
+    def test_jacobian_matches_finite_differences(self, case):
+        # F(q) = q - Q(psi_g + C q, u_e(q)) against the matrix the reduced
+        # step factors, I - diag(a) C + diag(b) G
+        if case == "point_source":
+            problem = point_source_problem()
+        else:
+            problem, mesh = small_coupled_problem(y_junction=True)
+            assert max(len(c) for c in joint_cells(mesh)) == 3
+        rng = np.random.default_rng(29)
+        u_e = (rng.uniform(0.2, 0.8, problem.n_net) if problem.n_net
+               else problem.u_e_fixed)
+        q = assemble_coupled(problem, random_bulk(problem, rng), u_e).q
+        psi_g = problem.sample @ problem.solve_bulk(problem.dirichlet_rhs)
+        ex = exchange_residual(problem, psi_g, q)
+        jac = np.eye(len(q)) - ex.dq_dub[:, None] * problem.capacitance
+        if problem.n_net:
+            jac += ex.dq_due[:, None] * problem.axial_green
+        v = rng.standard_normal(len(q)) * np.max(np.abs(q))
+        h = 1e-6
+        fd = (exchange_residual(problem, psi_g, q + h * v).res
+              - exchange_residual(problem, psi_g, q - h * v).res) / (2 * h)
+        jv = jac @ v
+        assert np.max(np.abs(fd - jv)) / np.max(np.abs(jv)) < 1e-5
+        x = lu_solve(problem.exchange_factor(ex.dq_dub, ex.dq_due), jv)
+        assert np.max(np.abs(x - v)) <= 1e-12 * np.max(np.abs(v))
+
+    def test_capacitance_is_non_negative(self):
+        # the bound on F takes C |q| for |C| |q|: S, L^-1 and W are
+        # non-negative, so C is
+        for problem in (point_source_problem(),
+                        small_coupled_problem(y_junction=True)[0],
+                        root_sweep_state()[0], radial_single_tube_problem()):
+            assert np.all(problem.capacitance > 0.0)
+
+
+def sweep_states(config):
+    """Run the root-soil scenario of ``config`` and return each solve's
+    state, with whether it passes ``_converged``."""
+    solves = []
+    real = scenarios.newton_solve
+
+    def keep(problem, u_b0, u_e0):
+        state = real(problem, u_b0, u_e0)
+        asm = assemble_coupled(problem, state.u_b, state.u_e)
+        solves.append((state, solver._converged(problem, asm, state.u_b,
+                                                state.u_e)))
+        return state
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scenarios, "newton_solve", keep)
+        scenarios.run_root_soil(config)
+    return solves
+
+
+class TestFullSteps:
+    def test_reduced_steps_reach_the_contract(self):
+        # seed 2024 on 16x16x30: the assembled states sit at 0.08-0.11 of
+        # the bulk bound and at most 0.2 of the collar bound, and no solve
+        # of the sweep takes a full step
+        solves = sweep_states(ScenarioConfig(
+            kind="root_soil", seed=2024, grids=((16, 16, 30),),
+            delta_correction=True))
+        assert [s.full_steps for s, _ in solves] == [0] * 5
+        assert all(passed for _, passed in solves)
+
+    def test_full_steps_refine_an_inexact_bulk_solver(self, monkeypatch):
+        # a bulk solver off by 1e-8 relative leaves the assembled state
+        # far above the bulk bound; each full step's bulk solves act on a
+        # smaller correction, so their error shrinks with it. No grid of
+        # the root scenario from 16x16x30 to 64x64x120, held-out network
+        # or demo config needs a full step: they are the safety net
+        problem, _ = small_coupled_problem()
+        exact = problem.solve_bulk
+        monkeypatch.setattr(problem, "solve_bulk",
+                            lambda rhs: exact(rhs) * (1.0 + 1e-8))
+        state = newton_solve(problem, np.full(problem.n_bulk, psi(0.1)),
+                             np.full(problem.n_net, 0.4))
+        asm = assemble_coupled(problem, state.u_b, state.u_e)
+        assert state.full_steps >= 1
+        assert solver._converged(problem, asm, state.u_b, state.u_e)
 
 
 class TestJointDirichlet:
