@@ -6,8 +6,11 @@ because every law is floored at a positive ``d_min``, so the inverse is
 globally defined. Each law has one transform path. The constant,
 regularized-exponential and tabulated (piecewise-linear D) laws have
 closed forms. The Van Genuchten-Mualem law has none: it builds a
-``TransformTable`` at construction, by one cumulative tanh-sinh pass
-(``quadrature``) over evenly spaced nodes.
+``TransformTable`` at construction, by cumulative quadrature
+(``quadrature``) over evenly spaced nodes: Gauss-Legendre on every panel
+up to one node spacing below saturation, and tanh-sinh on the four panels
+of half a spacing from there to one spacing above it, which meet the
+infinite derivative of D at saturation or come within half a panel of it.
 
 D is constant below the Van Genuchten floor kink and above saturation, so
 T is affine there. The table's nodes run from the floor kink to 0, both
@@ -23,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import tanh_sinh_piecewise_cumulative
+from .quadrature import (gauss_legendre_rule, piecewise_cumulative,
+                         tanh_sinh_piecewise_cumulative)
 
 #: the largest spacing of the Van Genuchten table's nodes, in Pa: 7,171
 #: nodes for the loam of the root scenario, whose floor kink is -72,389 Pa
@@ -265,9 +269,14 @@ class VanGenuchtenLaw(DiffusionLaw):
         The nodes are evenly spaced, at most ``_TABLE_SPACING`` apart, with
         both kinks among them and one node beyond each, so the affine tails
         are exact beyond the table's ends (the floor kink moves with alpha,
-        n, lam and eps). One cumulative quadrature pass over the nodes and
-        their midpoints gives the node values (at the nodes) and the
-        round-trip error (at all of them).
+        n, lam and eps). Cumulative quadrature over the nodes and their
+        midpoints gives the node values (at the nodes) and the round-trip
+        error (at all of them). D is smooth but at 0, where D' is infinite,
+        so the panels up to one spacing below 0 take Gauss-Legendre and the
+        four from there to one spacing above 0 take tanh-sinh. Gauss-Legendre
+        on the panel from one to half a spacing below 0 too would move the
+        loam's table by 2.5e-15 of its range, against 1.4e-16, from a table
+        of tanh-sinh on every panel.
 
         Raises ``ValueError`` when the table would hold more than 1e6 nodes
         (a floor far below 0), and ``RuntimeError`` when the round-trip
@@ -285,7 +294,11 @@ class VanGenuchtenLaw(DiffusionLaw):
         h = -a / intervals
         points = a + 0.5 * h * np.arange(-2, 2 * intervals + 3)
         points[2], points[-3] = a, 0.0
-        cum = tanh_sinh_piecewise_cumulative(self.eval, points)
+        # Gauss-Legendre up to -h, tanh-sinh from -h to h
+        cum = piecewise_cumulative(self.eval, points[:-4],
+                                   gauss_legendre_rule())
+        tail = tanh_sinh_piecewise_cumulative(self.eval, points[-5:])
+        cum = np.append(cum, cum[-1] + tail[1:])
         psi_points = cum - cum[-3]                              # T(0) = 0
         u, psi = points[::2], psi_points[::2]
         err = float(np.max(np.abs(np.interp(psi_points, psi, u) - points)))

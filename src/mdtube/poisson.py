@@ -36,25 +36,46 @@ Each solver also builds the capacitance matrix C = S L^-1 W of a coupled
 problem (``capacitance``), S sampling and W depositing on a few cells per
 segment cell. On a radial grid that is one banded solve of the columns of
 W. On 2D and 3D grids no bulk field is solved for. Write the axes as the
-lead axes (all but the last) and the last axis, let m run over the modes
-of the lead axes and k over those of the last axis, with eigenvalues
-lambda(m, k), and let F be the last axis's orthonormal transform matrix.
-A row s of S and a column t of W each touch a few layers of the last
-axis; s_hat(m, z) is the lead-axis transform of row s on layer z and
-w_hat(m, w) that of column t on layer w. Then, exactly,
+lead axes (all but the last) and the last axis, and let m run over the
+modes of the lead axes, with eigenvalues lambda(m). A row s of S and a
+column t of W each touch a few layers of the last axis; s_hat(m, z) is the
+lead-axis transform of row s on layer z and w_hat(m, w) that of column t
+on layer w. Then, exactly,
 
     C[s, t] = sum_m sum_z sum_w s_hat(m, z) G_m(z, w) w_hat(m, w),
-    G_m(z, w) = sum_k F[k, z] F[k, w] / lambda(m, k),
 
-with G_m the Green's function of the last axis at lead mode m, needed only
-at (S layer, W layer) pairs. With M lead modes, n last-axis cells, Z_S
-and Z_W the layers S and W touch and E_S and E_W their (segment cell,
-layer) entries, the build costs (E_S + E_W) M log M for the transforms,
-2 M n |Z_S| |Z_W| for G and 2 M E_S E_W for the sums, against
-n_seg M n log(M n) for a full solve per column of W. G is formed for a
-chunk of W layers at a time, so that it and its product with the S
-entries stay small; within a chunk, the W layers with equally many
-entries share one stack of matrix products.
+with G_m = (lambda(m) I + c T)^-1 the Green's function of the last axis at
+lead mode m, T the last axis's tridiagonal matrix and c = volume / h^2 its
+scale (h its spacing). G_m has a product form (Meurant, SIAM J. Matrix
+Anal. Appl. 13, 1992):
+
+    G_m(z, w) = u_m(min(z, w)) v_m(max(z, w)) / (c theta_m),
+
+with u_m and v_m the solutions of the three-term recurrence of
+mu_m I + T, mu_m = lambda(m) / c, that meet the end row of T at the low
+and at the high end (3 at a Dirichlet end, 1 at a zero-flux one), and
+theta_m their Wronskian. So C takes two dense products of (S entries by
+modes) and (modes by W entries): u on the S side and v on the W side for
+the pairs of entries with z <= w, and v and u for those with z > w.
+
+u and v grow like e^(kappa z), cosh kappa = 1 + mu / 2: kappa is at most
+2.29 on cubic cells and more on cells long in the last axis, and the
+solutions overflow a float on a 4x4x400 cubic grid. So they are formed
+from the ratios of neighbouring values, rho(z + 1) = mu + 2 - 1 / rho(z),
+kept less one so that the Wronskian loses no digits at small mu, and
+multiplied out relative to the centre of a window of layers across which
+they grow by at most ``_WINDOW_GROWTH``. Each is cut at the window's edge
+on its growing side, which only the pairs on the discarded side of the
+select meet. One window covers every grid of the root runs.
+
+With M lead modes, n last-axis cells and E_S and E_W the (segment cell,
+layer) entries of S and W, the build costs (E_S + E_W) M log M for the
+transforms, 2 M n for the recurrences and at most 4 M E_S E_W for the
+products, against n_seg M n log(M n) for a full solve per column of W; no
+Green's function is formed. The products go by blocks of S entries in
+layer order, and only the W entries within a block's span of layers meet
+both products, which brings their cost near 2 M E_S E_W. The modes go in
+chunks, so that each factor matrix holds at most ``_CHUNK_VALUES``.
 """
 
 from __future__ import annotations
@@ -75,11 +96,19 @@ _TRANSFORMS = {
     (False, False): (fft.dct, fft.idct, 2),
 }
 
-#: values (8 bytes each) in the largest temporaries of the capacitance
-#: build: the Green's functions of a chunk of last-axis layers, and their
-#: products with the entries of S. 2 MB fit the L2 cache of a core of the
-#: Xeon measured; chunks of 16 MB made the build 1.3x slower on 32x32x60
+#: values (8 bytes each) in the two factor matrices of the W entries of a
+#: chunk of lead modes, the largest temporaries of the capacitance build
+#: but the entries' transforms and their products. 2 MB fit the L2 cache
+#: of a core of the Xeon measured
 _CHUNK_VALUES = 1 << 18
+
+#: the largest growth of the last axis's recurrence solutions across one
+#: window of layers of the capacitance build; with the sum over modes and
+#: the entries' values it stays far below the largest float
+_WINDOW_GROWTH = 1e250
+
+#: S entries per block of the capacitance products
+_BLOCK_ENTRIES = 64
 
 
 def transmissibilities(grid: BulkGrid, axis: int):
@@ -187,16 +216,22 @@ class SpectralSolver:
         sides = _require_dirichlet(grid, dirichlet_sides)
         self.shape = grid.shape
         self.axes = []
-        eigenvalues = np.zeros(grid.shape)
+        eigenvalues = np.zeros(())
         volume = float(np.prod(grid.spacing))
         for axis, (n, h) in enumerate(zip(grid.shape, grid.spacing)):
             ends = (2 * axis in sides, 2 * axis + 1 in sides)
             self.axes.append(_TRANSFORMS[ends])
             k = np.arange(n) + 0.5 * sum(ends)
             lam = volume / h ** 2 * 4.0 * np.sin(0.5 * np.pi * k / n) ** 2
-            eigenvalues = eigenvalues + lam.reshape(
-                [n if a == axis else 1 for a in range(len(grid.shape))])
+            if axis == len(grid.shape) - 1:
+                # the sums over the lead axes, one per lead mode
+                self.lead_eigenvalues = eigenvalues.ravel()
+            eigenvalues = eigenvalues[..., None] + lam
         self.eigenvalues = eigenvalues
+        # the last axis's scale c, face area over spacing, and which of its
+        # ends are Dirichlet
+        self.last_scale = volume / grid.spacing[-1] ** 2
+        self.last_ends = ends
 
     def __call__(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, float)
@@ -213,50 +248,63 @@ class SpectralSolver:
                     deposit: sp.spmatrix) -> np.ndarray:
         """C = S L^-1 W (rows of ``sample`` by columns of ``deposit``) from
         the lead-axis transforms of the last-axis layers each row and
-        column touches and the last axis's Green's function (see the
-        module docstring)."""
+        column touches and the product form of the last axis's Green's
+        function (see the module docstring)."""
         n = self.shape[-1]
         n_rows, n_cols = sample.shape[0], deposit.shape[1]
-        forward, _, kind = self.axes[-1]
-        f = forward(np.eye(n), type=kind, axis=0, norm="ortho")     # F[k, z]
-        inverse = (1.0 / self.eigenvalues).reshape(-1, n).T         # (k, m)
-        (s_row, s_layer, s_hat), (w_layer, w_col, w_hat) = self._entries(
+        (s_layer, s_row, s_hat), (w_layer, w_col, w_hat) = self._entries(
             sample, deposit)
-        s_layers, s_at = _distinct(s_layer, n)
-        w_layers, starts, counts = np.unique(w_layer, return_index=True,
-                                             return_counts=True)
-        by_count = np.argsort(counts, kind="stable")
-        f_s = f[:, s_layers].T
-        # C between single entries, W entries by S entries, over chunks of
-        # W layers in the order of their entry counts. G_m(z, w) for the S
-        # layers z and the chunk's layers w, and its product with the S
-        # entries, are each at most _CHUNK_VALUES values
-        step = max(1, _CHUNK_VALUES // max(s_hat.size, 1))
-        pairs = np.empty((len(w_layer), len(s_row)))
-        for first in range(0, len(w_layers), step):
-            chunk = by_count[first:first + step]
-            f_w = f[:, w_layers[chunk]].T
-            green = ((f_w[:, None, :] * f_s).reshape(-1, n) @ inverse
-                     ).reshape(len(f_w), len(f_s), inverse.shape[1])
-            weighted = green[:, s_at]
-            weighted *= s_hat
-            # the chunk's layers with k W entries each: one stack of
-            # products
-            ks, lows = np.unique(counts[chunk], return_index=True)
-            for k, low, high in zip(ks, lows, np.append(lows[1:], len(chunk))):
-                rows = (starts[chunk[low:high], None] + np.arange(k)).ravel()
-                pairs[rows] = (w_hat[rows].reshape(high - low, k, -1)
-                               @ weighted[low:high].transpose(0, 2, 1)
-                               ).reshape(len(rows), len(s_row))
-        return np.bincount((w_col[:, None] * n_rows + s_row).ravel(),
-                           pairs.ravel(), n_cols * n_rows
-                           ).reshape(n_cols, n_rows).T
+        # C between single entries, S entries by W entries, summed over
+        # chunks of lead modes
+        pairs = np.zeros((len(s_row), len(w_col)))
+        step = max(1, _CHUNK_VALUES // (2 * max(len(w_col), n + 1)))
+        windows = self._windows()
+        for first in range(0, s_hat.shape[1], step):
+            modes = slice(first, first + step)
+            ratios = self._ratios(modes)
+            for lo, hi in windows:
+                rows = slice(*np.searchsorted(s_layer, [lo, hi]))
+                _add_pairs(pairs[rows], s_layer[rows], s_hat[rows, modes],
+                           w_layer, w_hat[:, modes],
+                           *_window_factors(*ratios, lo, hi))
+        cap = np.bincount((w_col * n_rows + s_row[:, None]).ravel(),
+                          pairs.ravel(), n_cols * n_rows)
+        cap /= self.last_scale
+        # in column order, which the Newton steps' LU factors in place
+        return cap.reshape(n_cols, n_rows).T
+
+    def _windows(self):
+        """Layer ranges [lo, hi) of the last axis over which the recurrence
+        solutions, taken relative to the range's centre, grow by at most
+        ``_WINDOW_GROWTH``: each ratio of neighbouring values is below
+        mu + 3, mu the largest lead eigenvalue over the last axis's scale."""
+        n = self.shape[-1]
+        mu = np.max(self.lead_eigenvalues) / self.last_scale
+        width = max(1, int(np.log(_WINDOW_GROWTH) / np.log(mu + 3.0)))
+        count = -(-n // width)
+        edges = np.linspace(0, n, count + 1).round().astype(int)
+        return list(zip(edges[:-1], edges[1:]))
+
+    def _ratios(self, modes: slice):
+        """The last axis's recurrence at the lead modes ``modes``, as ratios
+        less one: r[z] = u(z) / u(z - 1) - 1 for z = 0 .. n and q[z] =
+        v(z) / v(z + 1) - 1 for z = 0 .. n - 1, with r[0] and q[n - 1] the
+        ghost values of the ends (-2 at a Dirichlet end, 0 at a zero-flux
+        one). Both follow t' = mu + t / (1 + t) from their end, so one
+        loop serves both."""
+        n = self.shape[-1]
+        mu = self.lead_eigenvalues[modes] / self.last_scale
+        t = np.empty((n + 1, 2, len(mu)))
+        t[0] = np.where(self.last_ends, -2.0, 0.0)[:, None]
+        for z in range(n):
+            t[z + 1] = mu + t[z] / (1.0 + t[z])
+        return t[:, 0], t[n - 1::-1, 1]
 
     def _entries(self, sample: sp.spmatrix, deposit: sp.spmatrix):
-        """The entries of S, one per (row, layer) it touches, in row order,
-        and of W, one per (layer, column), in layer order: their rows and
-        layers, or layers and columns, and the lead-axis transforms of the
-        row or column on the layer, one row of lead modes each. One set of
+        """The entries of S, one per (row, layer) it touches, and of W, one
+        per (layer, column), each in layer order: their layers and rows, or
+        layers and columns, and the lead-axis transforms of the row or
+        column on the layer, one row of lead modes each. One set of
         transforms serves both."""
         n, lead_shape = self.shape[-1], self.shape[:-1]
         n_rows, n_cols = sample.shape[0], deposit.shape[1]
@@ -267,7 +315,7 @@ class SpectralSolver:
         w_lead, w_layer = np.divmod(w_cell, n)
         offset = n_rows * n
         keys, entry = _distinct(np.concatenate(
-            [s_row * n + s_layer, offset + w_layer * n_cols + w_col]),
+            [s_layer * n_rows + s_row, offset + w_layer * n_cols + w_col]),
             offset + n * n_cols)
         x = np.bincount(entry * n_lead + np.concatenate([s_lead, w_lead]),
                         np.concatenate([s_value, w_value]),
@@ -277,8 +325,57 @@ class SpectralSolver:
                         overwrite_x=True)
         hat = x.reshape(len(keys), n_lead)
         n_s = np.searchsorted(keys, offset)
-        return ((*np.divmod(keys[:n_s], n), hat[:n_s]),
+        return ((*np.divmod(keys[:n_s], n_rows), hat[:n_s]),
                 (*np.divmod(keys[n_s:] - offset, n_cols), hat[n_s:]))
+
+
+def _window_factors(r: np.ndarray, q: np.ndarray, lo: int, hi: int):
+    """The recurrence solutions of ``_ratios`` relative to their values at
+    the centre layer e of the window [lo, hi), u(z) / u(e) and v(z) / v(e),
+    one row per layer, and g = u(e) v(e) / theta, so that the Green's
+    function times the scale c is u(z) v(w) g where z <= w and v(z) u(w) g
+    where z > w. The growing side of each is cut at the window, where it is
+    0: u beyond hi and v below lo, which only the discarded side of the
+    select would meet. The decaying sides are products of inverse ratios,
+    which underflow to 0 and never overflow."""
+    n = len(q)
+    e = (lo + hi - 1) // 2
+    u = np.zeros((n, r.shape[1]))
+    v = np.zeros_like(u)
+    u[e] = v[e] = 1.0
+    u[:e] = np.cumprod(1.0 / (1.0 + r[e:0:-1]), axis=0)[::-1]
+    u[e + 1:hi] = np.cumprod(1.0 + r[e + 1:hi], axis=0)
+    v[lo:e] = np.cumprod(1.0 + q[lo:e][::-1], axis=0)[::-1]
+    v[e + 1:] = np.cumprod(1.0 / (1.0 + q[e:n - 1]), axis=0)
+    # theta / (u(e) v(e)) = u(e + 1) / u(e) - v(e + 1) / v(e), without
+    # cancellation
+    g = 1.0 / (r[e + 1] + q[e] / (1.0 + q[e]))
+    return u, v, g
+
+
+def _add_pairs(pairs, s_layer, s_hat, w_layer, w_hat, u, v, g):
+    """Add the Green's function between the S entries on layers
+    ``s_layer`` and the W entries on ``w_layer``, weighted by their lead
+    transforms, to ``pairs``: u(z) v(w) g where z <= w and v(z) u(w) g
+    where z > w (``_window_factors``). Both entry lists are in layer order,
+    so in a block of S entries the W entries below the block's lowest
+    layer meet v(z) u(w) only, and those from its highest layer up u(z)
+    v(w) only."""
+    w_u, w_v = u[w_layer], v[w_layer]
+    for w in (w_u, w_v):
+        w *= w_hat
+        w *= g
+    for a in range(0, len(s_layer), _BLOCK_ENTRIES):
+        b = a + _BLOCK_ENTRIES
+        z = s_layer[a:b]
+        j, k = np.searchsorted(w_layer, [z[0], z[-1]])
+        s_u, s_v = u[z], v[z]
+        s_u *= s_hat[a:b]
+        s_v *= s_hat[a:b]
+        pairs[a:b, :j] += s_v @ w_u[:j].T
+        pairs[a:b, j:k] += np.where(z[:, None] > w_layer[j:k],
+                                    s_v @ w_u[j:k].T, s_u @ w_v[j:k].T)
+        pairs[a:b, k:] += s_u @ w_v[k:].T
 
 
 def _stored(matrix: sp.spmatrix):

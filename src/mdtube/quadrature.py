@@ -1,33 +1,42 @@
-"""Tanh-sinh (double exponential) quadrature.
+"""Piecewise cumulative quadrature: tanh-sinh and Gauss-Legendre panels.
 
-One fixed rule, applied per interval and summed along a node array
-(``tanh_sinh_piecewise_cumulative``), builds the Kirchhoff table of the one
-law without a closed-form antiderivative, Van Genuchten-Mualem. The rule
-clusters its nodes exponentially towards the interval's ends, so an
-integrand with an infinite derivative at an end, as Van Genuchten's D has
-at saturation, costs it no accuracy. Its 51 nodes lie strictly inside the
-interval: it never evaluates the integrand at an end.
+One chunked pass (``piecewise_cumulative``) applies a fixed rule on [-1, 1]
+per interval of a node array and sums along it. It builds the Kirchhoff
+table of the one law without a closed-form antiderivative, Van
+Genuchten-Mualem, with two rules:
+
+- Gauss-Legendre, ``_GAUSS_POINTS`` nodes, on every interval where the
+  integrand is smooth: all but the few next to saturation.
+- Tanh-sinh (double exponential, ``tanh_sinh_piecewise_cumulative``) on
+  those. The rule clusters its nodes exponentially towards the interval's
+  ends, so an integrand with an infinite derivative at an end, as Van
+  Genuchten's D has at saturation, costs it no accuracy. Its 51 nodes lie
+  strictly inside the interval: it never evaluates the integrand at an end.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-#: the rule's spacing in t
+#: the tanh-sinh rule's spacing in t
 _H = 0.125
 
-#: the largest |t| of the rule's nodes: at t = 6.1 cosh(pi/2 sinh t)
-#: still fits a float, and the weights have long underflowed
+#: the largest |t| of the tanh-sinh rule's nodes: at t = 6.1
+#: cosh(pi/2 sinh t) still fits a float, and the weights have long
+#: underflowed
 _T_MAX = 6.1
 
-#: intervals evaluated at once by ``tanh_sinh_piecewise_cumulative``; at
-#: 51 nodes per interval one chunk holds 13 k points, 0.1 MB per
-#: temporary, whatever the node count. Temporaries this small are reused
-#: from the allocator's heap; 3 MB ones (4096 intervals) were mapped and
-#: zero-filled afresh for every array unless an earlier large allocation
-#: had raised the allocator's mapping threshold, which made a pass over
-#: 2e5 intervals 1.1-1.7 times slower
-_CHUNK_INTERVALS = 256
+#: nodes of the Gauss-Legendre rule, exact for polynomials of degree 11
+_GAUSS_POINTS = 6
+
+#: integrand values evaluated at once by ``piecewise_cumulative``: 0.1 MB
+#: per temporary, whatever the rule (256 intervals of the tanh-sinh rule).
+#: Temporaries this small are reused from the allocator's heap; 3 MB ones
+#: (4096 tanh-sinh intervals) were mapped and zero-filled afresh for every
+#: array unless an earlier large allocation had raised the allocator's
+#: mapping threshold, which made a pass over 2e5 intervals 1.1-1.7 times
+#: slower
+_CHUNK_POINTS = 256 * 51
 
 
 def _nodes_weights() -> tuple[np.ndarray, np.ndarray]:
@@ -45,22 +54,30 @@ def _nodes_weights() -> tuple[np.ndarray, np.ndarray]:
     return x[inside], w[inside]
 
 
-def tanh_sinh_piecewise_cumulative(f, nodes: np.ndarray) -> np.ndarray:
+def gauss_legendre_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the ``_GAUSS_POINTS``-node Gauss-Legendre rule
+    on [-1, 1]."""
+    return np.polynomial.legendre.leggauss(_GAUSS_POINTS)
+
+
+def piecewise_cumulative(f, nodes: np.ndarray, rule) -> np.ndarray:
     """Cumulative integral of ``f`` from ``nodes[0]`` along a node array.
 
-    Applies one fixed tanh-sinh rule per interval, vectorized over chunks
-    of ``_CHUNK_INTERVALS`` intervals so the temporaries stay small for
-    dense tables. Intended for building dense lookup tables where the
-    per-interval integrand is smooth.
+    Applies the rule ``(x, w)`` on [-1, 1] per interval, vectorized over
+    chunks of ``_CHUNK_POINTS`` integrand values, so the temporaries stay
+    small for dense tables. Intended for building dense lookup tables
+    where the per-interval integrand is smooth, or, with the tanh-sinh
+    rule, has an infinite derivative at an interval's end.
 
     Returns an array ``F`` with ``F[0] = 0`` and
     ``F[i] = integral from nodes[0] to nodes[i]``.
     """
     nodes = np.asarray(nodes, float)
-    x, w = _nodes_weights()
+    x, w = rule
     per_interval = np.empty(nodes.size - 1, float)
-    for start in range(0, per_interval.size, _CHUNK_INTERVALS):
-        stop = min(start + _CHUNK_INTERVALS, per_interval.size)
+    step = max(1, _CHUNK_POINTS // x.size)
+    for start in range(0, per_interval.size, step):
+        stop = min(start + step, per_interval.size)
         lo = nodes[start:stop]
         hi = nodes[start + 1:stop + 1]
         mid = 0.5 * (hi + lo)
@@ -73,3 +90,8 @@ def tanh_sinh_piecewise_cumulative(f, nodes: np.ndarray) -> np.ndarray:
     out[0] = 0.0
     np.cumsum(per_interval, out=out[1:])
     return out
+
+
+def tanh_sinh_piecewise_cumulative(f, nodes: np.ndarray) -> np.ndarray:
+    """``piecewise_cumulative`` with the tanh-sinh rule."""
+    return piecewise_cumulative(f, nodes, _nodes_weights())

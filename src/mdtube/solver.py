@@ -112,6 +112,27 @@ def _components(n: int, i: np.ndarray, m: np.ndarray) -> np.ndarray:
         label = lower
 
 
+def coupling_operators(seg_cells: list[SegmentCell],
+                       couplings: list[SegmentCoupling], n_bulk: int):
+    """The deposition W (bulk by segment cells, kernel weight times cell
+    length, CSR) and the sampling S (segment by bulk cells, 1/|stencil|
+    on each segment cell's stencil, CSR) of a coupled problem."""
+
+    def by_segment(values, bulk_cells):
+        """Segment-by-bulk matrix, one row of values per segment cell."""
+        indptr = np.cumsum([0] + [len(c) for c in bulk_cells])
+        return sp.csr_matrix((np.concatenate(values),
+                              np.concatenate(bulk_cells), indptr),
+                             shape=(len(seg_cells), n_bulk))
+
+    deposit = by_segment([c.weights * s.length for s, c
+                          in zip(seg_cells, couplings)],
+                         [c.cells for c in couplings]).T.tocsr()
+    sample = by_segment([np.full(len(c.stencil), 1.0 / len(c.stencil))
+                         for c in couplings], [c.stencil for c in couplings])
+    return deposit, sample
+
+
 @dataclass
 class CoupledProblem:
     """The coupled system, with the bulk in psi = int_0^u D: the bulk
@@ -173,19 +194,8 @@ class CoupledProblem:
             kernel_radius=np.array([s.kernel_radius for s in segs]),
             delta=np.array([c.delta for c in cpls]),
             gamma=np.array([s.gamma for s in segs]), law=self.law)
-
-        def by_segment(values, bulk_cells):
-            """Segment-by-bulk matrix, one row of values per segment cell."""
-            indptr = np.cumsum([0] + [len(c) for c in bulk_cells])
-            return sp.csr_matrix((np.concatenate(values),
-                                  np.concatenate(bulk_cells), indptr),
-                                 shape=(len(segs), self.n_bulk))
-
-        self.deposit = by_segment([c.weights * s.length for s, c
-                                   in zip(segs, cpls)],
-                                  [c.cells for c in cpls]).T.tocsr()
-        self.sample = by_segment([np.full(len(c.stencil), 1.0 / len(c.stencil))
-                                  for c in cpls], [c.stencil for c in cpls])
+        self.deposit, self.sample = coupling_operators(segs, cpls,
+                                                       self.n_bulk)
         if self.network is not None:
             self._build_axial()
         self.laplacian, self.dirichlet_rhs = laplacian(self.grid,

@@ -204,25 +204,64 @@ def by_support(supports, n_cells, rng):
                          shape=(len(supports), n_cells))
 
 
-@pytest.mark.parametrize("one_layer_chunks", [False, True],
-                         ids=["default_chunks", "one_layer_chunks"])
-@pytest.mark.parametrize("name", sorted(PATTERNS))
-def test_capacitance_matches_dense_solve(name, one_layer_chunks,
-                                         monkeypatch):
-    if one_layer_chunks:
-        # every W layer in a chunk of its own, as on large grids
-        monkeypatch.setattr(poisson, "_CHUNK_VALUES", 1)
-    dim, origin, extents, shape, sides = PATTERNS[name]
-    grid = BulkGrid(dim, origin, extents, shape)
-    rng = np.random.default_rng(len(name) + 11)
-    sample = by_support(capacitance_supports(shape, rng), grid.n_cells, rng)
-    deposit = by_support(capacitance_supports(shape, rng)[::-1],
+def assert_capacitance_matches_dense_solve(grid, sides, seed):
+    rng = np.random.default_rng(seed)
+    sample = by_support(capacitance_supports(grid.shape, rng), grid.n_cells,
+                        rng)
+    deposit = by_support(capacitance_supports(grid.shape, rng)[::-1],
                          grid.n_cells, rng).T.tocsr()
     solve = laplacian_solver(grid, sides)
     ref = sample @ solve(deposit.toarray())
     cap = solve.capacitance(sample, deposit)
     assert cap.shape == (sample.shape[0], deposit.shape[1])
     assert np.max(np.abs(cap - ref)) <= 1e-13 * np.max(np.abs(ref))
+    return solve
+
+
+@pytest.mark.parametrize("one_layer_chunks", [False, True],
+                         ids=["default_chunks", "one_layer_chunks"])
+@pytest.mark.parametrize("name", sorted(PATTERNS))
+def test_capacitance_matches_dense_solve(name, one_layer_chunks,
+                                         monkeypatch):
+    if one_layer_chunks:
+        # the smallest pieces of the build: a window of one layer, a chunk
+        # of one lead mode and a block of one S entry
+        monkeypatch.setattr(poisson, "_WINDOW_GROWTH", 1.0)
+        monkeypatch.setattr(poisson, "_CHUNK_VALUES", 1)
+        monkeypatch.setattr(poisson, "_BLOCK_ENTRIES", 1)
+    dim, origin, extents, shape, sides = PATTERNS[name]
+    grid = BulkGrid(dim, origin, extents, shape)
+    solve = assert_capacitance_matches_dense_solve(grid, sides,
+                                                   len(name) + 11)
+    if one_layer_chunks and dim != "radial":
+        assert len(solve._windows()) == shape[-1]
+
+
+# grids whose last-axis recurrence solutions outgrow the floats along the
+# axis, by e^(kappa n) with cosh kappa = 1 + mu / 2 at the largest lead
+# eigenvalue mu over the last axis's scale, and a last axis of one cell:
+# (origin, extents, shape, Dirichlet sides, windows of the build)
+LONG_AXES = {
+    # cubic cells: kappa n = 917
+    "cubic_4x4x400": ([0.0, 0.0, 0.0], [0.04, 0.04, 4.0], (4, 4, 400),
+                      (0, 1, 2, 3, 4), 2),
+    # cells 4 times as long in the last axis as across it: kappa n = 1554,
+    # past twice the largest float's log, so that even relative to the
+    # axis's centre they overflow; zero flux at the low end of the last
+    # axis and of x
+    "flat_cells_5x6x320": ([0.0, 0.0, 0.0], [0.05, 0.06, 12.8],
+                           (5, 6, 320), (1, 2, 3, 5), 3),
+    "one_cell_axis_6x5x1": ([0.0, 0.0, 0.0], [0.06, 0.05, 0.01], (6, 5, 1),
+                            (0, 2, 3, 4), 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LONG_AXES))
+def test_capacitance_on_long_last_axes(name):
+    origin, extents, shape, sides, windows = LONG_AXES[name]
+    grid = BulkGrid("3d", origin, extents, shape)
+    solve = assert_capacitance_matches_dense_solve(grid, sides, len(name))
+    assert len(solve._windows()) == windows
 
 
 def test_capacitance_of_root_coupling():
@@ -244,3 +283,5 @@ def test_capacitance_of_root_coupling():
     ref = problem.sample @ problem.solve_bulk(problem.deposit.toarray())
     assert np.max(np.abs(problem.capacitance - ref)) <= 1e-13 * np.max(
         np.abs(ref))
+    # in column order: the Newton steps' LU factors I - diag(a) C in place
+    assert problem.capacitance.flags.f_contiguous

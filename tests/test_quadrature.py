@@ -1,4 +1,4 @@
-"""Tests for the cumulative tanh-sinh rule.
+"""Tests for the cumulative tanh-sinh and Gauss-Legendre rules.
 
 The oracles are closed-form antiderivatives and scipy's adaptive
 ``quad``, which shares no code with the rule.
@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import mdtube.laws
 import mdtube.quadrature as quadrature
 from mdtube.laws import VanGenuchtenLaw
-from mdtube.quadrature import tanh_sinh_piecewise_cumulative
+from mdtube.quadrature import (piecewise_cumulative,
+                               tanh_sinh_piecewise_cumulative)
 
 
 def _rule_97():
@@ -115,14 +117,47 @@ def test_cumulative_monotone_for_positive_integrand():
 
 
 def test_cumulative_chunked_matches_single_chunk(monkeypatch):
-    # chunking over intervals must not change the per-interval sums; 1000
-    # does not divide the 10,000 intervals' count, so the last chunk is
-    # short
+    # chunking over intervals must not change the per-interval sums, for
+    # either rule; 999 intervals do not divide the 10,000 intervals' count,
+    # so the last chunk is short
     f = lambda x: np.exp(-x) * np.sin(3.0 * x) + 2.0
     nodes = np.linspace(-1.0, 4.0, 10_001)
-    monkeypatch.setattr(quadrature, "_CHUNK_INTERVALS", 10 ** 9)
-    whole = tanh_sinh_piecewise_cumulative(f, nodes)
-    monkeypatch.setattr(quadrature, "_CHUNK_INTERVALS", 999)
-    chunked = tanh_sinh_piecewise_cumulative(f, nodes)
-    assert chunked[0] == 0.0
-    np.testing.assert_allclose(chunked, whole, rtol=1e-15, atol=0.0)
+    for rule in (quadrature._nodes_weights(), quadrature.gauss_legendre_rule()):
+        monkeypatch.setattr(quadrature, "_CHUNK_POINTS", 10 ** 9)
+        whole = piecewise_cumulative(f, nodes, rule)
+        monkeypatch.setattr(quadrature, "_CHUNK_POINTS", 999 * rule[0].size)
+        chunked = piecewise_cumulative(f, nodes, rule)
+        assert chunked[0] == 0.0
+        np.testing.assert_allclose(chunked, whole, rtol=1e-15, atol=0.0)
+
+
+def test_gauss_rule_is_exact_to_degree_11():
+    x, w = quadrature.gauss_legendre_rule()
+    assert x.size == 6 and np.all(np.abs(x) < 1.0) and np.all(w > 0.0)
+    for k in range(12):
+        exact = (1.0 - (-1.0) ** (k + 1)) / (k + 1)
+        assert abs(w @ x ** k - exact) <= 4e-16
+    # degree 12 is the first it misses
+    assert abs(w @ x ** 12 - 2.0 / 13.0) > 1e-6
+
+
+def test_gauss_panels_match_closed_forms():
+    # a smooth integrand on short panels, against its antiderivative
+    nodes = np.linspace(-1.0, 4.0, 201)
+    cum = piecewise_cumulative(np.cos, nodes, quadrature.gauss_legendre_rule())
+    np.testing.assert_allclose(cum, np.sin(nodes) - np.sin(-1.0), rtol=0.0,
+                               atol=1e-14)
+
+
+def test_table_matches_an_all_tanh_sinh_table(monkeypatch):
+    # Gauss-Legendre where D is smooth moves the Van Genuchten table from
+    # tanh-sinh on every panel by rounding only
+    law = VanGenuchtenLaw(5.89912e-13, mu=1e-3)
+    monkeypatch.setattr(mdtube.laws, "gauss_legendre_rule",
+                        quadrature._nodes_weights)
+    everywhere = VanGenuchtenLaw(5.89912e-13, mu=1e-3)
+    np.testing.assert_array_equal(law.table.u, everywhere.table.u)
+    psi = everywhere.table.psi
+    assert np.max(np.abs(law.table.psi - psi)) <= 1e-15 * np.max(np.abs(psi))
+    assert law.table.roundtrip_error == pytest.approx(
+        everywhere.table.roundtrip_error, rel=1e-9)

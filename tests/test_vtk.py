@@ -123,3 +123,56 @@ class TestNetworkPolydata:
         start = lines.index(f"POINTS {2 * mesh.n_cells} double") + 1
         first = np.array([float(t) for t in lines[start].split()])
         assert np.allclose(first, mesh.cells[0].p0)
+
+
+# negative, subnormal, huge, integral and non-finite values, and signed
+# zeros
+AWKWARD = np.array([-1.25e5, 5e-324, -2.5e-310, 1.7976931348623157e308,
+                    -1e300, 3.0, -7.0, 12345678901.0, 2.0 ** 60, 0.0, -0.0,
+                    1.0 / 3.0, np.nan, np.inf, -np.inf, -2.5e-12])
+
+
+def per_value_text(values, per_line=1):
+    """One f-string per value: the formatting the block writer replaces."""
+    values = np.asarray(values, float).reshape(-1, per_line)
+    return "".join(" ".join(f"{v:.10g}" for v in row) + "\n"
+                   for row in values.tolist())
+
+
+class TestBlockFormatting:
+    def test_structured_points_bytes_match_per_value_format(self, tmp_path):
+        # 2,520 values, past one block of lines
+        grid = BulkGrid("3d", [-1e-3, 0.0, 5.0], [2.0, 3.0, 4.0], (15, 14, 12))
+        rng = np.random.default_rng(5)
+        field = np.resize(AWKWARD, grid.n_cells) * rng.choice(
+            [1.0, -1.0, 0.5, 1e-7], grid.n_cells)
+        path = tmp_path / "bulk.vtk"
+        write_structured_points(path, grid, {"u": field})
+        text = path.read_text()
+        head, _, data = text.partition("LOOKUP_TABLE default\n")
+        ordered = field.reshape(15, 14, 12).transpose(2, 1, 0)
+        assert data == per_value_text(ordered)
+        assert path.read_bytes() == (head + "LOOKUP_TABLE default\n"
+                                     + per_value_text(ordered)).encode()
+
+    def test_network_bytes_match_per_value_format(self, tmp_path):
+        nodes = np.array([[0.0, 0.0, 0.0], [1e-310, -2.5e-3, -0.06],
+                          [0.03, 7.0, -0.09]])
+        net = TubeNetwork(nodes=nodes,
+                          segments=[Segment(0, 1, 2e-3, 3.0, 1.0, 1.0),
+                                    Segment(1, 2, 1e-3, 3.0, 1.0, 1.0)])
+        mesh = discretize_network(net, 0.004)
+        n = mesh.n_cells
+        assert 2 * n > 16
+        values = np.resize(AWKWARD, n)
+        path = tmp_path / "net.vtk"
+        write_network_polydata(path, mesh, {"q": values})
+        points = np.array([p for c in mesh.cells for p in (c.p0, c.p1)])
+        expect = ("# vtk DataFile Version 3.0\nmdtube network\nASCII\n"
+                  f"DATASET POLYDATA\nPOINTS {2 * n} double\n"
+                  + per_value_text(points, per_line=3)
+                  + f"LINES {n} {3 * n}\n"
+                  + "".join(f"2 {2 * i} {2 * i + 1}\n" for i in range(n))
+                  + f"CELL_DATA {n}\nSCALARS q double 1\n"
+                  "LOOKUP_TABLE default\n" + per_value_text(values))
+        assert path.read_bytes() == expect.encode()
