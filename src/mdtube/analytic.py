@@ -7,6 +7,12 @@ variants are supported: averaging the untransformed unknown
 (``variant="u"``) or the transformed variable (``variant="psi"``); the
 latter is the solution the distributed-source scheme converges to.
 
+The tubes' profiles depend on the geometry alone (``tube_profiles``): a
+field at fixed points is formed from profiles evaluated there once, for
+any sources and constant. So the dense Newton evaluates them at the
+perimeter points once per solve, and a convergence study once per
+level's grid for all its references.
+
 A single straight tube is the one-tube case: its perimeter condition pins
 the constant to T(u_hat), which the initial guess already meets, so the
 closed-form radial profile comes out with no Newton step.
@@ -44,6 +50,24 @@ def _perimeter_points(tube: TubeSpec, k_ip: int) -> np.ndarray:
                                           axis=-1))
 
 
+def tube_profiles(tubes, points) -> np.ndarray:
+    """The profile ``kernel_profile_f(|x - c_j|, R_j, rho_j)`` of each tube
+    j at (n, 2) ``points``, one row per tube. It depends on the geometry
+    alone, so the fields of any sources and constant at these points are
+    formed from it (``MultiTubeSolution.psi_of_profiles``) without
+    evaluating it again."""
+    pts = np.atleast_2d(np.asarray(points, float))
+    return np.array([kernel_profile_f(
+        np.linalg.norm(pts - np.asarray(tube.center), axis=-1),
+        tube.tube_radius, tube.kernel_radius) for tube in tubes])
+
+
+def _perimeter_profiles(tubes, k_ip: int) -> list[np.ndarray]:
+    """Per tube, the profiles of all tubes at its ``k_ip`` perimeter
+    points (``tube_profiles``)."""
+    return [tube_profiles(tubes, _perimeter_points(t, k_ip)) for t in tubes]
+
+
 @dataclass
 class MultiTubeSolution:
     """Superposition solution for parallel tubes in the plane.
@@ -65,22 +89,26 @@ class MultiTubeSolution:
 
     def psi(self, points):
         """Transformed field at (n, 2) points (or a single point)."""
-        pts = np.atleast_2d(np.asarray(points, float))
-        out = np.full(len(pts), self.c_psi)
-        for tube, q in zip(self.tubes, self.q):
-            d = np.linalg.norm(pts - np.asarray(tube.center), axis=-1)
-            out -= q * kernel_profile_f(d, tube.tube_radius,
-                                        tube.kernel_radius)
+        out = self.psi_of_profiles(tube_profiles(self.tubes, points))
         return out if np.asarray(points).ndim > 1 else float(out[0])
+
+    def psi_of_profiles(self, profiles: np.ndarray) -> np.ndarray:
+        """Transformed field at the points where the tubes' profiles are
+        ``profiles`` (``tube_profiles``): ``c_psi`` minus q_j times the
+        profile of tube j, subtracted in tube order."""
+        out = np.full(profiles.shape[1], self.c_psi)
+        for q, profile in zip(self.q, profiles):
+            out -= q * profile
+        return out
 
     def u(self, points):
         return self.law.inverse_transform(self.psi(points))
 
     def residuals(self, k_ip: int | None = None) -> np.ndarray:
         """Perimeter-average residuals, re-evaluated at ``k_ip`` points."""
-        points = [_perimeter_points(t, k_ip or self.k_ip) for t in self.tubes]
-        return _average_residuals(self.tubes, self.law, self.variant,
-                                  self.u_hat, self.c_psi, points)
+        return _average_residuals(
+            self.tubes, self.law, self.variant, self.u_hat, self.c_psi,
+            _perimeter_profiles(self.tubes, k_ip or self.k_ip))
 
 
 def _sources(tubes, u_hat) -> np.ndarray:
@@ -91,22 +119,20 @@ def _sources(tubes, u_hat) -> np.ndarray:
 
 def _average_residuals(tubes, law: DiffusionLaw, variant: str,
                        u_hat: np.ndarray, c_psi: float,
-                       points) -> np.ndarray:
+                       profiles) -> np.ndarray:
     """u_hat minus the perimeter average of the field (of u, or of psi
-    mapped back to u, by ``variant``) over each tube's ``points``."""
+    mapped back to u, by ``variant``) over each tube's points, where the
+    tubes' profiles are ``profiles[i]`` (``_perimeter_profiles``)."""
     q = _sources(tubes, u_hat)
     res = np.empty(len(tubes))
-    for i, pts in enumerate(points):
+    for i, at_tube in enumerate(profiles):
         # the interface averages live on the line-source field, whose
         # own-tube log contribution vanishes on the tube wall; only the
-        # neighbor terms and the constant remain
-        psi = np.full(len(pts), c_psi)
-        for j, other in enumerate(tubes):
-            if j == i:
-                continue
-            d = np.linalg.norm(pts - np.asarray(other.center), axis=-1)
-            psi -= q[j] * kernel_profile_f(d, other.tube_radius,
-                                           other.kernel_radius)
+        # neighbor terms and the constant remain, over all the points
+        psi = np.full(at_tube.shape[1], c_psi)
+        for j, profile in enumerate(at_tube):
+            if j != i:
+                psi -= q[j] * profile
         if variant == "u":
             avg = float(np.mean(law.inverse_transform(psi)))
         else:
@@ -148,7 +174,9 @@ def solve_multi_tube(tubes, law: DiffusionLaw, anchor: tuple[int, float],
         raise ValueError("variant must be 'u' or 'psi'")
     anchor_idx, anchor_val = anchor
     free = [i for i in range(n) if i != anchor_idx]
-    pts = [_perimeter_points(t, k_ip) for t in tubes]
+    # the residuals differ in the sources and the constant only: the
+    # profiles at the perimeter points are evaluated once
+    profiles = _perimeter_profiles(tubes, k_ip)
 
     def unpack(z):
         u_hat = np.empty(n)
@@ -158,7 +186,8 @@ def solve_multi_tube(tubes, law: DiffusionLaw, anchor: tuple[int, float],
 
     def residual(z):
         c_psi, u_hat = unpack(z)
-        return _average_residuals(tubes, law, variant, u_hat, c_psi, pts)
+        return _average_residuals(tubes, law, variant, u_hat, c_psi,
+                                  profiles)
 
     # initial guess: interface values at the tube unknowns, constant from
     # the anchor transform

@@ -126,6 +126,9 @@ class ExponentialLaw(DiffusionLaw):
 
     The floor makes the transform affine below the kink
     u_c = 1 + ln(d_min / d0) / k, keeping the inverse defined on all reals.
+    The two exponentials the transform and its inverse offset by,
+    exp(k (0 - 1)) and exp(k (u_c - 1)), are computed once, at
+    construction.
     """
 
     d0: float
@@ -136,6 +139,8 @@ class ExponentialLaw(DiffusionLaw):
         if not (self.d0 > 0.0 and self.k > 0.0 and 0.0 < self.d_min < self.d0):
             raise ValueError("require d0 > 0, k > 0, 0 < d_min < d0")
         self.u_c = 1.0 + np.log(self.d_min / self.d0) / self.k
+        self._exp_0 = self._exp(0.0)
+        self._exp_c = self._exp(self.u_c)
         self.psi_c = self.transform(np.float64(self.u_c))
 
     def _exp(self, u):
@@ -147,13 +152,12 @@ class ExponentialLaw(DiffusionLaw):
     def transform(self, u):
         u = np.asarray(u, float)
         d0, k, uc = self.d0, self.k, self.u_c
+        exp_0, exp_c = self._exp_0, self._exp_c
         if uc <= 0.0:
-            upper = d0 / k * (self._exp(u) - self._exp(0.0))
-            lower = self.d_min * (u - uc) + d0 / k * (self._exp(uc)
-                                                      - self._exp(0.0))
+            upper = d0 / k * (self._exp(u) - exp_0)
+            lower = self.d_min * (u - uc) + d0 / k * (exp_c - exp_0)
         else:
-            upper = (d0 / k * (self._exp(u) - self._exp(uc))
-                     + self.d_min * uc)
+            upper = d0 / k * (self._exp(u) - exp_c) + self.d_min * uc
             lower = self.d_min * u
         out = np.where(u > uc, upper, lower)
         return float(out) if out.ndim == 0 else out
@@ -161,14 +165,14 @@ class ExponentialLaw(DiffusionLaw):
     def inverse_transform(self, psi):
         psi = np.asarray(psi, float)
         d0, k, uc = self.d0, self.k, self.u_c
+        exp_0, exp_c = self._exp_0, self._exp_c
         if uc <= 0.0:
-            lower = (psi - d0 / k * (self._exp(uc) - self._exp(0.0))
-                     ) / self.d_min + uc
-            arg = np.maximum(k / d0 * psi + self._exp(0.0), 1e-300)
+            lower = (psi - d0 / k * (exp_c - exp_0)) / self.d_min + uc
+            arg = np.maximum(k / d0 * psi + exp_0, 1e-300)
         else:
             lower = psi / self.d_min
-            arg = np.maximum(k / d0 * (psi - self.d_min * uc)
-                             + self._exp(uc), 1e-300)
+            arg = np.maximum(k / d0 * (psi - self.d_min * uc) + exp_c,
+                             1e-300)
         upper = 1.0 + np.log(arg) / k
         out = np.where(psi > self.psi_c, upper, lower)
         return float(out) if out.ndim == 0 else out

@@ -17,7 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analytic import MultiTubeSolution, TubeSpec, solve_multi_tube
+from .analytic import MultiTubeSolution, TubeSpec, solve_multi_tube, \
+    tube_profiles
 from .coupling import build_coupling
 from .grid import BulkGrid, bulk_l2_error, observed_orders, source_l2_error
 from .laws import ConstantLaw, DiffusionLaw, ExponentialLaw, VanGenuchtenLaw
@@ -305,7 +306,8 @@ def _degenerate_segments(specs) -> list[SegmentCell]:
 
 def parallel_level_coupling(specs, n: int, delta_correction: bool = False):
     """Grid of [-1,1]^2 with n-by-n cells, the tubes' segment cells and
-    their coupling; both reference variants of a level solve on these."""
+    their coupling; every solve of a level, at each stiffness and against
+    both reference variants, is on these."""
     grid = BulkGrid("2d", [-1.0, -1.0], [2.0, 2.0], (n, n))
     segs = _degenerate_segments(specs)
     return grid, segs, build_coupling(grid, segs,
@@ -316,6 +318,22 @@ def _physical_state(law: DiffusionLaw, state: CoupledState) -> CoupledState:
     """``state`` of a solve with its bulk mapped from psi back to the
     physical variable."""
     return replace(state, u_b=law.inverse_transform(state.u_b))
+
+
+class LevelProfiles(NamedTuple):
+    """The tubes' profiles (``tube_profiles``) on one level's grid, at the
+    cell centers and at the boundary face centers of each side: they
+    depend on the geometry alone, so every reference of the level is
+    evaluated from them."""
+
+    cells: np.ndarray
+    sides: dict[int, np.ndarray]
+
+
+def level_profiles(specs, grid: BulkGrid) -> LevelProfiles:
+    return LevelProfiles(tube_profiles(specs, grid.cell_centers),
+                         {s: tube_profiles(specs, grid.side_centers(s))
+                          for s in range(4)})
 
 
 class LevelReference(NamedTuple):
@@ -329,22 +347,26 @@ class LevelReference(NamedTuple):
     u: np.ndarray
 
 
-def level_reference(ref: MultiTubeSolution, grid: BulkGrid) -> LevelReference:
-    """``ref`` on the cells and boundary faces of ``grid``; u is psi mapped
-    through the law, as ``ref.u`` maps it."""
+def level_reference(ref: MultiTubeSolution,
+                    profiles: LevelProfiles) -> LevelReference:
+    """``ref`` on the cells and boundary faces of a level whose tube
+    profiles are ``profiles``; u is psi mapped through the law, as
+    ``ref.u`` maps it, and the Dirichlet values are that u mapped back."""
     law = ref.law
-    psi = ref.psi(grid.cell_centers)
-    dirichlet = {s: law.transform(ref.u(grid.side_centers(s)))
-                 for s in range(4)}
+    psi = ref.psi_of_profiles(profiles.cells)
+    dirichlet = {s: law.transform(law.inverse_transform(
+        ref.psi_of_profiles(side))) for s, side in profiles.sides.items()}
     return LevelReference(ref, dirichlet, psi, law.inverse_transform(psi))
 
 
 def parallel_level_problem(law: DiffusionLaw, specs, grid: BulkGrid,
-                           segs: list[SegmentCell], cpl,
-                           level: LevelReference) -> CoupledProblem:
+                           segs: list[SegmentCell], cpl) -> CoupledProblem:
     """The three-tube problem on one level's grid and coupling (see
-    ``parallel_level_coupling``), on the boundary values of ``level``."""
-    return CoupledProblem(grid=grid, law=law, dirichlet=level.dirichlet,
+    ``parallel_level_coupling``). Each solve sets its law and boundary
+    values (``solve_parallel_level``), so it is built with ``law`` and
+    zero boundary values."""
+    dirichlet = {s: np.zeros(len(grid.side_cells(s))) for s in range(4)}
+    return CoupledProblem(grid=grid, law=law, dirichlet=dirichlet,
                           seg_cells=segs, couplings=cpl,
                           u_e_fixed=np.array([t.u_e for t in specs]))
 
@@ -353,9 +375,10 @@ def solve_parallel_level(problem: CoupledProblem,
                          level: LevelReference) -> CoupledState:
     """Solve the three-tube cross-section of ``problem``, one level's
     (``parallel_level_problem``), against the reference ``level``. The
-    problem is given the reference's boundary values in place of a new
-    build: the references differ only in those."""
-    law = problem.law
+    problem is given the reference's law and boundary values in place of
+    a new build: the references of a level differ only in those."""
+    law = level.ref.law
+    problem.set_law(law)
     problem.set_dirichlet(level.dirichlet)
     state = newton_solve(problem, law.transform(level.u))
     return _physical_state(law, state)
@@ -404,42 +427,47 @@ def run_single_tube(config: ScenarioConfig) -> ErrorReport:
     return report
 
 
-def run_parallel_tubes(config: ScenarioConfig,
-                       k: float | None = None,
-                       r_max: float | None = None) -> ErrorReport:
-    """Three-tube convergence for one (k, r_max) pair, both references.
+def run_parallel_tubes(config: ScenarioConfig, ks=None,
+                       r_max: float | None = None) -> list[ErrorReport]:
+    """Three-tube convergence at one r_max for each stiffness of ``ks``
+    (``config.k`` by default), against both references: one report per
+    k, in the order of ``ks``.
 
-    The grid sequence is uniformly refined starting from 4x4 cells. For
-    radius sweeps the anchor is adjusted so the largest tube's source
-    matches the baseline.
+    The grid sequence is uniformly refined starting from 4x4 cells. Each
+    level's grid, coupling, tube profiles and problem are built once, for
+    every k: the solves of a level differ only in the law and the
+    boundary values, which ``solve_parallel_level`` sets. For radius
+    sweeps the anchor is adjusted so the largest tube's source matches
+    the baseline.
     """
-    k = config.k if k is None else k
+    ks = (config.k,) if ks is None else tuple(ks)
     r_max = config.r_max if r_max is None else r_max
-    law = (ConstantLaw(config.d0) if k == 0.0
-           else ExponentialLaw(config.d0, k, config.d_min))
     specs = three_tube_specs(r_max, config.rho_factor, config.gamma)
     anchor = (config.anchor if r_max == BASE_R_MAX
               else radius_sweep_anchor(r_max, base_anchor=config.anchor))
-    refs = {v: solve_multi_tube(specs, law, anchor=(0, anchor), variant=v)
-            for v in ("u", "psi")}
-    report = ErrorReport(label=f"k={k:g}_rmax={r_max:g}")
+    laws = [ConstantLaw(config.d0) if k == 0.0
+            else ExponentialLaw(config.d0, k, config.d_min) for k in ks]
+    refs = [{v: solve_multi_tube(specs, law, anchor=(0, anchor), variant=v)
+             for v in ("u", "psi")} for law in laws]
+    reports = [ErrorReport(label=f"k={k:g}_rmax={r_max:g}") for k in ks]
     for level in range(config.levels):
         n = 4 * 2 ** level
         grid, segs, cpl = parallel_level_coupling(specs, n,
                                                   config.delta_correction)
-        row = LevelErrors(h=2.0 / n)
-        levels = {v: level_reference(ref, grid) for v, ref in refs.items()}
-        problem = parallel_level_problem(law, specs, grid, segs, cpl,
-                                         levels["u"])
-        for variant, level in levels.items():
-            state = solve_parallel_level(problem, level)
-            e_ub, e_psi, e_q = _level_errors(grid, law, state, level)
-            if variant == "u":
-                row.e_ub, row.e_psi, row.e_q = e_ub, e_psi, e_q
-            else:
-                row.et_ub, row.et_psi, row.et_q = e_ub, e_psi, e_q
-        report.rows.append(row)
-    return report
+        profiles = level_profiles(specs, grid)
+        problem = parallel_level_problem(laws[0], specs, grid, segs, cpl)
+        for report, k_refs in zip(reports, refs):
+            row = LevelErrors(h=2.0 / n)
+            for variant, ref in k_refs.items():
+                level_ref = level_reference(ref, profiles)
+                state = solve_parallel_level(problem, level_ref)
+                errors = _level_errors(grid, ref.law, state, level_ref)
+                if variant == "u":
+                    row.e_ub, row.e_psi, row.e_q = errors
+                else:
+                    row.et_ub, row.et_psi, row.et_q = errors
+            report.rows.append(row)
+    return reports
 
 
 def model_error_plateau(config: ScenarioConfig, r_max: float) -> float:
@@ -471,21 +499,21 @@ def run_kernel_radius_study(config: ScenarioConfig) -> list[tuple[float, float]]
         ref = solve_multi_tube(specs, law, anchor=(0, config.anchor),
                                variant="u")
         grid, segs, cpl = parallel_level_coupling(specs, 16)
-        level = level_reference(ref, grid)
+        level = level_reference(ref, level_profiles(specs, grid))
         state = solve_parallel_level(
-            parallel_level_problem(law, specs, grid, segs, cpl, level), level)
+            parallel_level_problem(law, specs, grid, segs, cpl), level)
         rows.append((float(factor), source_l2_error(state.q, ref.q)))
     return rows
 
 
 def run_delta_study(config: ScenarioConfig) -> dict[float, tuple]:
-    """Source errors with and without the mean-distance correction."""
-    out = {}
-    for k in config.k_values:
-        off = run_parallel_tubes(replace(config, delta_correction=False), k=k)
-        on = run_parallel_tubes(replace(config, delta_correction=True), k=k)
-        out[k] = (off, on)
-    return out
+    """Source errors with and without the mean-distance correction, per
+    k: one study over all of ``config.k_values`` per setting."""
+    off = run_parallel_tubes(replace(config, delta_correction=False),
+                             ks=config.k_values)
+    on = run_parallel_tubes(replace(config, delta_correction=True),
+                            ks=config.k_values)
+    return {k: (a, b) for k, a, b in zip(config.k_values, off, on)}
 
 
 # -- root-soil scenario ----------------------------------------------------
@@ -695,13 +723,14 @@ def run_scenario(config: ScenarioConfig, out_dir=None):
     if config.kind == "single_tube":
         results = run_single_tube(config)
     elif config.kind == "parallel_tubes":
-        results = []
-        for k in config.k_values:
-            results.append(run_parallel_tubes(config, k=k))
+        results = run_parallel_tubes(config, ks=config.k_values)
+        # the radius sweep is at k = 1; the stiffness sweep made its report
+        # at config.r_max when 1 is among its k
+        have = config.r_max if 1.0 in config.k_values else None
         for r_max in config.r_max_values:
-            if r_max != BASE_R_MAX:
-                results.append(run_parallel_tubes(config, k=1.0,
-                                                  r_max=r_max))
+            if r_max != have:
+                results += run_parallel_tubes(config, ks=(1.0,),
+                                              r_max=r_max)
     elif config.kind == "kernel_radius_study":
         results = run_kernel_radius_study(config)
     elif config.kind == "delta_study":

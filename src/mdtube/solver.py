@@ -166,7 +166,11 @@ class CoupledProblem:
     ``network.joint_dirichlet`` at construction; their values are problem
     data, changed with ``set_joint_dirichlet`` (a collar-pressure sweep
     reuses one problem, and so its operators, for every pressure). So are
-    the values on the Dirichlet sides of the bulk (``set_dirichlet``)."""
+    the values on the Dirichlet sides of the bulk (``set_dirichlet``), and
+    the law (``set_law``): it enters only through ``Interface.law``, in the
+    interface equation, and no operator built at construction reads it,
+    so a sweep over laws (the three-tube stiffness sweep) reuses one
+    problem too."""
 
     grid: BulkGrid
     law: DiffusionLaw
@@ -365,6 +369,14 @@ class CoupledProblem:
                              f"the problem's {sorted(self.dirichlet)}")
         self.dirichlet_rhs = dirichlet_vector(self.grid, values)
         self.dirichlet = values
+
+    def set_law(self, law: DiffusionLaw):
+        """A new diffusion law, and nothing else. The law enters only the
+        interface equation, through ``interface.law``; W, S, the coupling
+        factor, L, its solver, C and the axial operator do not read it, so
+        they stay as built."""
+        self.law = law
+        self.interface.law = law
 
     def axial_residual(self, u_e: np.ndarray,
                        dir_value: np.ndarray | float | None = None

@@ -16,9 +16,9 @@ from mdtube.network import Segment, TubeNetwork, discretize_network
 from mdtube.poisson import laplacian
 from mdtube.reconstruction import Interface, reconstruct_interface
 from mdtube.scenarios import (ScenarioConfig, model_error_plateau,
-                              run_kernel_radius_study, run_parallel_tubes,
-                              run_root_soil, run_single_tube,
-                              three_tube_specs)
+                              run_delta_study, run_kernel_radius_study,
+                              run_parallel_tubes, run_root_soil,
+                              run_single_tube, three_tube_specs)
 from mdtube.solver import (CoupledProblem, assemble_coupled,
                            collar_flux_total, coupled_jacobian, newton_solve)
 
@@ -33,15 +33,17 @@ def report_line(criterion, ok, detail):
 def parallel_k1_report():
     """Three-tube study, k=1, refinements 4x4 up to 256x256."""
     config = ScenarioConfig(kind="parallel_tubes", levels=7)
-    return run_parallel_tubes(config, k=1.0)
+    [report] = run_parallel_tubes(config, ks=(1.0,))
+    return report
 
 
 @pytest.fixture(scope="module")
 def k_sweep_reports():
-    """Three-tube study for each stiffness k, up to 128x128."""
+    """Three-tube study for each stiffness k, up to 128x128, in one run:
+    each level is built once for all k."""
     config = ScenarioConfig(kind="parallel_tubes", levels=6)
-    return {k: run_parallel_tubes(config, k=k)
-            for k in config.k_values}
+    return dict(zip(config.k_values,
+                    run_parallel_tubes(config, ks=config.k_values)))
 
 
 @pytest.fixture(scope="module")
@@ -132,13 +134,9 @@ def test_criterion_5_kernel_radius_study():
 
 
 def test_criterion_6_delta_correction():
-    config = ScenarioConfig(kind="parallel_tubes", levels=3)
+    config = ScenarioConfig(kind="delta_study", levels=3)
     ratios = {}
-    for k in config.k_values:
-        off = run_parallel_tubes(config, k=k)
-        on = run_parallel_tubes(
-            ScenarioConfig(kind="parallel_tubes", levels=3,
-                           delta_correction=True), k=k)
+    for k, (off, on) in run_delta_study(config).items():
         # coarse levels before the model-error plateau (8x8 and 16x16)
         r = on.column("e_q")[1:] / off.column("e_q")[1:]
         ratios[k] = float(np.min(r))

@@ -5,7 +5,7 @@ import pytest
 
 import mdtube.analytic as analytic
 from mdtube.analytic import (AnalyticSolveError, MultiTubeSolution, TubeSpec,
-                             solve_multi_tube)
+                             solve_multi_tube, tube_profiles)
 from mdtube.laws import ConstantLaw, ExponentialLaw, VanGenuchtenLaw
 from mdtube.reconstruction import kernel_profile_f
 
@@ -154,3 +154,56 @@ class TestMultiTube:
         with pytest.raises(ValueError):
             solve_multi_tube(three_tubes(), EXP_LAW, anchor=(0, 0.8),
                              variant="bogus")
+
+
+class TestSharedProfiles:
+    """The field from profiles evaluated once for many points, against
+    the profiles evaluated point by point."""
+
+    @pytest.mark.parametrize("tubes, anchor", [([ONE_TUBE], 0.5),
+                                               (three_tubes(), 0.8)],
+                             ids=["one_tube", "three_tubes"])
+    def test_psi_matches_pointwise_evaluation(self, tubes, anchor):
+        sol = solve_multi_tube(tubes, EXP_LAW, anchor=(0, anchor))
+        rng = np.random.default_rng(11)
+        # points anywhere, inside each kernel support and on each wall
+        points = np.concatenate(
+            [rng.uniform(-1.0, 1.0, (64, 2))]
+            + [np.asarray(t.center) + t.kernel_radius
+               * rng.uniform(-0.7, 0.7, (8, 2)) for t in tubes]
+            + [analytic._perimeter_points(t, 16) for t in tubes])
+        pointwise = []
+        for p in points:
+            value = sol.c_psi
+            for tube, q in zip(tubes, sol.q):
+                d = np.linalg.norm(p - np.asarray(tube.center), axis=-1)
+                value -= q * kernel_profile_f(d, tube.tube_radius,
+                                              tube.kernel_radius)
+            pointwise.append(value)
+        shared = sol.psi_of_profiles(tube_profiles(tubes, points))
+        assert shared.tobytes() == np.array(pointwise).tobytes()
+        assert sol.psi(points).tobytes() == shared.tobytes()
+        assert [sol.psi(p) for p in points] == pointwise
+
+    @pytest.mark.parametrize("variant", ["u", "psi"])
+    def test_residuals_match_pointwise_evaluation(self, variant):
+        tubes = three_tubes()
+        sol = solve_multi_tube(tubes, EXP_LAW, anchor=(0, 0.8),
+                               variant=variant)
+        expect = []
+        for i, tube in enumerate(tubes):
+            psi = []
+            for p in analytic._perimeter_points(tube, sol.k_ip):
+                value = sol.c_psi
+                for j, (other, q) in enumerate(zip(tubes, sol.q)):
+                    if j != i:
+                        d = np.linalg.norm(p - np.asarray(other.center),
+                                           axis=-1)
+                        value -= q * kernel_profile_f(
+                            d, other.tube_radius, other.kernel_radius)
+                psi.append(value)
+            avg = (np.mean(EXP_LAW.inverse_transform(np.array(psi)))
+                   if variant == "u" else
+                   EXP_LAW.inverse_transform(np.float64(np.mean(psi))))
+            expect.append(sol.u_hat[i] - float(avg))
+        assert sol.residuals().tobytes() == np.array(expect).tobytes()

@@ -19,8 +19,9 @@ import mdtube.solver as solver
 from mdtube.laws import ConstantLaw, ExponentialLaw, VanGenuchtenLaw
 from mdtube.analytic import solve_multi_tube
 from mdtube.scenarios import (ConfigError, ErrorReport, LevelErrors,
-                              ScenarioConfig, _level_errors, level_reference,
-                              parallel_level_coupling, parallel_level_problem,
+                              ScenarioConfig, _level_errors, level_profiles,
+                              level_reference, parallel_level_coupling,
+                              parallel_level_problem,
                               parse_config, radius_sweep_anchor,
                               run_parallel_tubes, run_scenario,
                               solve_parallel_level, three_tube_specs,
@@ -218,7 +219,8 @@ class TestHelpers:
         assert np.allclose(rep.orders("e_ub"), 2.0)
 
     def test_parallel_tubes_builds_one_coupling_per_level(self, monkeypatch):
-        # both reference variants of a level solve on the same coupling
+        # both reference variants of a level, at every k, solve on the
+        # same coupling
         built = []
         build = scenarios.build_coupling
 
@@ -227,14 +229,15 @@ class TestHelpers:
             return build(grid, *args, **kwargs)
 
         monkeypatch.setattr(scenarios, "build_coupling", counting_build)
-        report = run_parallel_tubes(
-            ScenarioConfig(kind="parallel_tubes", levels=2), k=1.0)
+        reports = run_parallel_tubes(
+            ScenarioConfig(kind="parallel_tubes", levels=2), ks=(1.0, 5.0))
         assert built == [(4, 4), (8, 8)]
-        for name in ("e_q", "et_q"):
-            assert np.all(np.isfinite(report.column(name)))
+        for report in reports:
+            for name in ("e_q", "et_q"):
+                assert np.all(np.isfinite(report.column(name)))
 
     def test_parallel_tubes_builds_one_problem_per_level(self, monkeypatch):
-        # the two references of a level differ only in their boundary
+        # the references of a level differ only in their law and boundary
         # values, so their solves share one problem and its operators
         built = []
 
@@ -244,12 +247,45 @@ class TestHelpers:
                 built.append(self)
 
         monkeypatch.setattr(scenarios, "CoupledProblem", CountingProblem)
-        report = run_parallel_tubes(
-            ScenarioConfig(kind="parallel_tubes", levels=2), k=1.0)
+        reports = run_parallel_tubes(
+            ScenarioConfig(kind="parallel_tubes", levels=2), ks=(1.0, 5.0))
         assert [p.grid.shape for p in built] == [(4, 4), (8, 8)]
         # kernel shares times cell lengths: W is its own magnitude
         assert all(p.deposit.data.min() > 0 for p in built)
-        assert len(report.rows) == 2
+        assert [len(r.rows) for r in reports] == [2, 2]
+
+    def test_multi_k_run_matches_single_k_runs(self):
+        # every k solves on one problem per level, switched by set_law; the
+        # reports keep the bits of runs that build their own
+        config = ScenarioConfig(kind="parallel_tubes", levels=3)
+        both = run_parallel_tubes(config, ks=(1.0, 5.0))
+        assert [r.label for r in both] == ["k=1_rmax=0.2", "k=5_rmax=0.2"]
+        for k, report in zip((1.0, 5.0), both):
+            [single] = run_parallel_tubes(config, ks=(k,))
+            for name in ("h", "e_ub", "e_psi", "e_q", "et_ub", "et_psi",
+                         "et_q"):
+                assert (report.column(name).tobytes()
+                        == single.column(name).tobytes()), (k, name)
+        [default] = run_parallel_tubes(config)
+        assert default.column("e_q").tobytes() == both[0].column(
+            "e_q").tobytes()
+
+    @pytest.mark.parametrize("variant", ["u", "psi"])
+    def test_level_reference_matches_pointwise_evaluation(self, variant):
+        # the level's profiles, evaluated once, give the values of the
+        # reference evaluated at the points themselves
+        law = ExponentialLaw(0.5, 3.0, 1e-6)
+        specs = three_tube_specs(0.2, 2.0)
+        ref = solve_multi_tube(specs, law, anchor=(0, 0.8), variant=variant)
+        grid = parallel_level_coupling(specs, 8)[0]
+        level = level_reference(ref, level_profiles(specs, grid))
+        psi = ref.psi(grid.cell_centers)
+        assert level.psi.tobytes() == psi.tobytes()
+        assert level.u.tobytes() == law.inverse_transform(psi).tobytes()
+        assert list(level.dirichlet) == [0, 1, 2, 3]
+        for side, values in level.dirichlet.items():
+            expect = law.transform(ref.u(grid.side_centers(side)))
+            assert values.tobytes() == expect.tobytes()
 
     def test_stiff_coarse_level_solved_by_newton(self):
         # k = 5 on the 4x4 level once stalled Newton in the pressure form
@@ -259,9 +295,9 @@ class TestHelpers:
         specs = three_tube_specs(0.2, 2.0)
         ref = solve_multi_tube(specs, law, anchor=(0, 0.8), variant="u")
         grid, segs, cpl = parallel_level_coupling(specs, 4)
-        level = level_reference(ref, grid)
+        level = level_reference(ref, level_profiles(specs, grid))
         state = solve_parallel_level(
-            parallel_level_problem(law, specs, grid, segs, cpl, level), level)
+            parallel_level_problem(law, specs, grid, segs, cpl), level)
         assert state.iterations > 0
         e_ub, _, e_q = _level_errors(grid, law, state, level)
         assert e_ub < 0.2
@@ -269,6 +305,21 @@ class TestHelpers:
 
 
 class TestArtifacts:
+    @pytest.mark.parametrize("r_max, k_values, labels", [
+        (0.1, (1.0,), ["k=1_rmax=0.1", "k=1_rmax=0.2"]),
+        (0.2, (3.0,), ["k=3_rmax=0.2", "k=1_rmax=0.2", "k=1_rmax=0.1"]),
+    ], ids=["config_radius_off_base", "no_k_1_in_the_stiffness_sweep"])
+    def test_radius_sweep_skips_only_the_stiffness_sweeps_report(
+            self, tmp_path, r_max, k_values, labels):
+        # the radius sweep is at k = 1; the one report it need not make is
+        # the stiffness sweep's at k = 1 and config.r_max, when it exists
+        config = ScenarioConfig(kind="parallel_tubes", levels=1, r_max=r_max,
+                                k_values=k_values, r_max_values=(0.2, 0.1))
+        reports = run_scenario(config, tmp_path)
+        assert [r.label for r in reports] == labels
+        with open(tmp_path / "errors.csv", newline="") as fh:
+            assert [row["label"] for row in csv.DictReader(fh)] == labels
+
     def test_single_tube_csv_schema_and_determinism(self, tmp_path):
         config = ScenarioConfig(kind="single_tube", levels=2, rho_factor=5.0)
         run_scenario(config, tmp_path / "a")

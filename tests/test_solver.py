@@ -21,7 +21,7 @@ from mdtube.network import (Segment, SegmentCell, TubeNetwork,
                             discretize_network)
 from mdtube.reconstruction import ReconstructionError
 from mdtube.analytic import solve_multi_tube
-from mdtube.scenarios import (ScenarioConfig, level_reference,
+from mdtube.scenarios import (ScenarioConfig, level_profiles, level_reference,
                               parallel_level_coupling, parallel_level_problem,
                               solve_parallel_level, three_tube_specs)
 from mdtube.solver import (CoupledProblem, NonconvergenceError,
@@ -373,9 +373,9 @@ class TestNewton:
         ref = solve_multi_tube(specs, law, anchor=(0, config.anchor),
                                variant=variant)
         grid, segs, cpl = parallel_level_coupling(specs, 64)
-        level = level_reference(ref, grid)
+        level = level_reference(ref, level_profiles(specs, grid))
         state = solve_parallel_level(
-            parallel_level_problem(law, specs, grid, segs, cpl, level), level)
+            parallel_level_problem(law, specs, grid, segs, cpl), level)
         assert len(calls) <= state.iterations + 1
 
     def test_initial_guesses_are_validated(self):
@@ -726,6 +726,32 @@ class TestBulkDirichlet:
         del values[0]
         with pytest.raises(ValueError, match="Dirichlet sides"):
             problem.set_dirichlet(values)
+
+
+class TestLaw:
+    @pytest.mark.parametrize("case", ["point_source", "network"])
+    def test_switched_law_matches_fresh_problem(self, case):
+        # the law is problem data: a problem built with one law and given
+        # another by set_law solves to the bits of one built with it
+        if case == "point_source":
+            problem, u_e0 = point_source_problem(), None
+        else:
+            problem = small_coupled_problem()[0]
+            u_e0 = np.full(problem.n_net, 0.5)
+        u_b0 = np.full(problem.n_bulk, psi(0.1))
+        stiff = ExponentialLaw(d0=0.5, k=5.0)
+        before = newton_solve(problem, u_b0, u_e0)
+        capacitance = problem.capacitance
+        problem.set_law(stiff)
+        assert problem.interface.law is stiff
+        assert problem.capacitance is capacitance
+        switched = newton_solve(problem, u_b0, u_e0)
+        fresh = newton_solve(replace(problem, law=stiff), u_b0, u_e0)
+        assert not np.array_equal(switched.q, before.q)
+        for name in ("u_b", "u_e", "u_hat", "q", "residual_history",
+                     "step_lengths"):
+            assert (np.asarray(getattr(switched, name)).tobytes()
+                    == np.asarray(getattr(fresh, name)).tobytes()), name
 
 
 class TestAxialOperator:
