@@ -3,8 +3,9 @@
 Runs the root-soil scenario's five-collar sweep on the 16x16x30 grid for
 the synthetic networks of seeds 1-24, with and without the delta
 correction: networks other than the benchmark's seed 2024. Prints the
-Newton steps of each sweep, their total and the worst relative collar
-balance defect, |r_T + collar flux| / max(|r_T|, |collar flux|).
+Newton steps of each sweep, their total, the total of the solver's
+restarts (see ``newton_solve``) and the worst relative collar balance
+defect, |r_T + collar flux| / max(|r_T|, |collar flux|).
 
 Exits 1 if a solve raises NonconvergenceError or a defect exceeds 1e-10.
 Takes about 10 s and writes no file.
@@ -21,7 +22,7 @@ MAX_DEFECT = 1e-10
 
 
 def main() -> int:
-    total, worst, failures = 0, 0.0, []
+    total, restarts, worst, failures = 0, 0, 0.0, []
     print(f"{'seed':>4} {'delta':>5} {'Newton steps':>14} {'defect':>9}")
     for delta in (True, False):
         for seed in SEEDS:
@@ -40,11 +41,12 @@ def main() -> int:
             if not defect <= MAX_DEFECT:
                 failures.append(f"{label}: collar defect {defect:.2e}")
             total += sum(steps)
+            restarts += sum(row["restarts"] for row in rows)
             worst = max(worst, defect)
             print(f"{seed:>4} {'on' if delta else 'off':>5} "
                   f"{' '.join(map(str, steps)):>14} {defect:9.2e}")
-    print(f"total Newton steps {total}; worst relative collar defect "
-          f"{worst:.2e} (bound {MAX_DEFECT:g})")
+    print(f"total Newton steps {total}; restarts {restarts}; worst relative "
+          f"collar defect {worst:.2e} (bound {MAX_DEFECT:g})")
     for failure in failures:
         print(f"FAILED {failure}")
     return 1 if failures else 0

@@ -11,6 +11,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from .network import NetworkFormatError
 from .scenarios import ConfigError, parse_config, run_scenario
 
 
@@ -25,6 +26,10 @@ def _cmd_run(args) -> int:
     out_dir = args.out or config.out_dir
     try:
         run_scenario(config, out_dir)
+    except NetworkFormatError as exc:
+        # the network file is input, as the config is
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:
         print(f"error: scenario failed: {exc}", file=sys.stderr)
         return 1

@@ -62,8 +62,14 @@ class NetworkFormatError(ValueError):
 
 
 def parse_network(path) -> TubeNetwork:
-    nodes: dict[int, tuple[float, float, float]] = {}
-    segments: dict[int, Segment] = {}
+    """Read a network file in the native format. Raises
+    ``NetworkFormatError``, naming the file and line, for a record that is
+    malformed, repeats a node or segment id, holds a non-finite number or
+    a negative gamma or D_e, or joins a node that the file does not hold;
+    and, naming the file, for node ids other than 0..n-1 and for a network
+    that ``TubeNetwork`` refuses."""
+    nodes: dict[int, tuple[int, tuple[float, ...]]] = {}
+    segments: dict[int, tuple[int, Segment]] = {}     # id: (line, record)
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -72,13 +78,22 @@ def parse_network(path) -> TubeNetwork:
             parts = line.split()
             try:
                 if parts[0] == "node" and len(parts) == 5:
-                    nodes[int(parts[1])] = tuple(map(float, parts[2:5]))
+                    table = nodes
+                    record = numbers = tuple(map(float, parts[2:5]))
                 elif parts[0] == "seg" and len(parts) == 8:
-                    segments[int(parts[1])] = Segment(
-                        int(parts[2]), int(parts[3]), float(parts[4]),
-                        float(parts[5]), float(parts[6]), float(parts[7]))
+                    table, numbers = segments, tuple(map(float, parts[4:8]))
+                    record = Segment(int(parts[2]), int(parts[3]), *numbers)
+                    if record.gamma < 0.0 or record.d_e < 0.0:
+                        raise ValueError("gamma and D_e must be >= 0")
                 else:
                     raise ValueError("unknown record")
+                if not all(map(np.isfinite, numbers)):
+                    raise ValueError("numbers must be finite")
+                ident = int(parts[1])
+                if ident in table:
+                    raise ValueError(f"{parts[0]} id {ident} repeats line "
+                                     f"{table[ident][0]}")
+                table[ident] = (lineno, record)
             except (ValueError, IndexError) as exc:
                 raise NetworkFormatError(
                     f"{path}:{lineno}: bad record {line!r}: {exc}") from exc
@@ -87,8 +102,18 @@ def parse_network(path) -> TubeNetwork:
     ids = sorted(nodes)
     if ids != list(range(len(ids))):
         raise NetworkFormatError(f"{path}: node ids must be 0..n-1")
-    return TubeNetwork(nodes=np.array([nodes[i] for i in ids]),
-                       segments=[segments[i] for i in sorted(segments)])
+    for lineno, seg in segments.values():
+        for node in (seg.node_a, seg.node_b):
+            if not 0 <= node < len(ids):
+                raise NetworkFormatError(
+                    f"{path}:{lineno}: node {node} is not among the file's "
+                    f"nodes 0..{len(ids) - 1}")
+    try:
+        return TubeNetwork(
+            nodes=np.array([nodes[i][1] for i in ids]),
+            segments=[segments[i][1] for i in sorted(segments)])
+    except ValueError as exc:
+        raise NetworkFormatError(f"{path}: {exc}") from exc
 
 
 @dataclass

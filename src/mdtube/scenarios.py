@@ -615,6 +615,7 @@ def run_root_soil(config: ScenarioConfig) -> RootSoilResult:
                 "r_t": r_t,
                 "collar_flux": collar_flux_total(prob, state.u_e),
                 "iterations": state.iterations,
+                "restarts": state.restarts,
             })
             result.segments.append(SegmentTable(
                 [label] * len(cells), np.full(len(cells), float(p_rc)),

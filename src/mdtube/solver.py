@@ -32,11 +32,11 @@ matrix each and no bulk solve, until F is at the rounding level of its
 terms, entry by entry. Then it assembles the state and holds it to one
 stopping test per block (``_converged``): each residual at the rounding
 level of its flux terms, and the network residuals balanced at the
-collar. The bulk is solved only as a correction of the initial one, so
-that the solves' forward error is that of the correction; should it
-still leave the assembled state above the test, full Newton steps of the
-coupled system (``CoupledProblem.solve_step``) take it on until it
-passes. Failing that, the solve raises ``NonconvergenceError``.
+collar. The bulk is solved only as a correction of an anchor state, so
+that the solves' forward error is that of the correction. Should it
+still leave the assembled state above the test, that state becomes the
+anchor and the same steps continue from it (a restart), until a state
+passes; failing that, the solve raises ``NonconvergenceError``.
 """
 
 from __future__ import annotations
@@ -59,17 +59,15 @@ from .reconstruction import (Interface, ReconstructionError,
 
 
 class NonconvergenceError(RuntimeError):
-    """A solve that did not converge. ``step`` is the kind of step that
-    failed, "reduced" or "full" (see ``newton_solve``), and ``history``
-    the solve's residual history (``CoupledState.residual_history``)."""
+    """A solve that did not converge (see ``newton_solve``). ``history``
+    is the solve's residual history (``CoupledState.residual_history``)."""
 
-    def __init__(self, message: str, step: str, history):
+    def __init__(self, message: str, history):
         super().__init__(f"{message}; residual history {history}")
-        self.step = step
         self.history = list(history)
 
 
-#: Newton steps, reduced and full, before a solve is reported as not
+#: Newton steps and restarts, together, before a solve is reported as not
 #: converged
 _MAX_ITER = 50
 #: step halvings of the backtracking line search
@@ -215,62 +213,11 @@ class CoupledProblem:
             self.axial_lu = lu_factor(self.axial.toarray())
             self.axial_green = lu_solve(self.axial_lu, np.diag(self.lengths))
 
-    def solve_step(self, asm: Assembly) -> np.ndarray:
-        """Full Newton step of the coupled system at the state of ``asm``,
-        by the capacitance-matrix method (Buzbee, Dorr, George & Golub,
-        SIAM J. Numer. Anal. 8, 1971), in the exchange unknowns z alone.
-        ``newton_solve`` takes it only after the reduced steps, on an
-        assembled state that fails ``_converged``: its bulk solves act on
-        the residual, so their forward error is that of the correction,
-        not of the field.
-
-        With z = a*(S x_b) + b*x_e the step equations read
-        ``L x_b - W z = r_b`` and ``len*z + A x_e = r_e``. So x_b =
-        y + L^-1 W z with y = L^-1 r_b, and with the capacitance matrix
-        C = S L^-1 W, built at construction, the block rows
-        ``(I - diag(a) C) z - b*x_e = a*(S y)`` and ``len*z + A x_e = r_e``
-        remain. Without network unknowns x_e = 0, and z solves the first
-        row alone. With them, x_e = w - G z, where w = A^-1 r_e and G =
-        A^-1 diag(len) come from the factor of A built at construction, and
-        z solves ``(I - diag(a) C + diag(b) G) z = a*(S y) + b*w`` by one
-        dense LU of size n_seg. Then x_e = A^-1 (r_e - len*z) through the
-        factor. One step of fixed-precision iterative refinement against
-        the two block rows, with both factors, makes the step as backward
-        stable as a factorization of the whole block system (Skeel, Math.
-        Comp. 35, 1980); it needs no bulk solve. Its axial residual is in
-        pairwise form (``axial_residual``), so the network rows of the
-        step balance to the rounding of the differences, as the Newton
-        residual does. Then ``x_b = L^-1 (r_b + W z)``.
-        """
-        n_b = self.n_bulk
-        r_b = -asm.res[:n_b]
-        a = asm.dq_dub
-        a_sy = a * (self.sample @ self.solve_bulk(r_b))
-        lu = self.exchange_factor(a, asm.dq_due)
-        if self.n_net:
-            b, r_e = asm.dq_due, -asm.res[n_b:]
-        else:
-            z = lu_solve(lu, a_sy, check_finite=False)
-            return self.solve_bulk(r_b + self.deposit @ z)
-
-        def exchange(f, g):
-            """z and x_e of the block rows with right-hand sides f, g."""
-            z = lu_solve(lu, f + b * lu_solve(self.axial_lu, g),
-                         check_finite=False)
-            return z, lu_solve(self.axial_lu, g - self.lengths * z)
-
-        z, x_e = exchange(a_sy, r_e)
-        dz, dx_e = exchange(a_sy + b * x_e - z + a * (self.capacitance @ z),
-                            r_e - self.lengths * z
-                            - self.axial_residual(x_e, 0.0))
-        z += dz
-        x_b = self.solve_bulk(r_b + self.deposit @ z)
-        return np.concatenate([x_b, x_e + dx_e])
-
     def exchange_factor(self, a: np.ndarray, b: np.ndarray):
         """LU factor of ``I - diag(a) C + diag(b) G`` (without network
-        unknowns ``I - diag(a) C``): the matrix of the capacitance step,
-        and the Jacobian of the exchange residual (``exchange_residual``)."""
+        unknowns ``I - diag(a) C``): the Jacobian of the exchange residual
+        (``exchange_residual``), the matrix of the capacitance-matrix
+        method."""
         system = -a[:, None] * self.capacitance
         system.flat[::len(a) + 1] += 1.0
         if self.n_net:
@@ -282,7 +229,7 @@ class CoupledProblem:
         ``u_e = A^-1 (d - len q)`` (d the Dirichlet joints' terms) through
         the factor of A, refined once against the pairwise axial residual
         (``axial_residual``), so that the network rows balance to the
-        rounding of the differences, as in ``solve_step``."""
+        rounding of the differences."""
         if not self.n_net:
             return np.asarray(self.u_e_fixed, float)
         exchange = self.lengths * q
@@ -378,21 +325,15 @@ class CoupledProblem:
         self.law = law
         self.interface.law = law
 
-    def axial_residual(self, u_e: np.ndarray,
-                       dir_value: np.ndarray | float | None = None
-                       ) -> np.ndarray:
+    def axial_residual(self, u_e: np.ndarray) -> np.ndarray:
         """Axial residual in pairwise-difference form: ``k (u_i - u_m)``
         keeps the conservation defect at the rounding scale of the tiny
-        differences, not of the O(u) eliminated joint values. The Dirichlet
-        joints hold ``dir_value``, the problem's by default; with 0 it is
-        ``A u_e``."""
-        if dir_value is None:
-            dir_value = self.dir_value
+        differences, not of the O(u) eliminated joint values."""
         n_e = len(u_e)
         return (np.bincount(self.pair_i, self.pair_k
                             * (u_e[self.pair_i] - u_e[self.pair_m]), n_e)
                 + np.bincount(self.dir_cell, self.dir_k
-                              * (u_e[self.dir_cell] - dir_value), n_e))
+                              * (u_e[self.dir_cell] - self.dir_value), n_e))
 
     @property
     def n_bulk(self) -> int:
@@ -412,15 +353,14 @@ class CoupledState:
     u_e: np.ndarray                 # per segment cell (fixed or solved)
     u_hat: np.ndarray               # reconstructed interface values
     q: np.ndarray                   # source per unit tube length
-    iterations: int = 0             # reduced_steps + full_steps
-    #: max-norm of the coupled residual at each iterate: of the state
-    #: that the exchange sets, (W F, -len F), at a reduced iterate; then
-    #: of the assembled state the reduced steps end on, and of each full
-    #: step's
+    iterations: int = 0             # Newton steps
+    #: restarts from an assembled state that failed ``_converged``
+    restarts: int = 0
+    #: max-norm of the coupled residual, in order: of the state that the
+    #: exchange sets, (W F, -len F), at each iterate, and of each
+    #: assembled state
     residual_history: list = field(default_factory=list)
-    reduced_steps: int = 0
-    full_steps: int = 0
-    #: max |F| / bound of the exchange residual at each reduced iterate
+    #: max |F| / bound of the exchange residual at each iterate
     reduced_history: list = field(default_factory=list)
     #: the line search's step length of each step, in order
     step_lengths: list = field(default_factory=list)
@@ -483,9 +423,9 @@ def coupled_jacobian(problem: CoupledProblem, asm: Assembly) -> sp.csc_matrix:
     """Sparse Jacobian of the coupled residual at the state of ``asm``:
     ``[[L - W diag(a) S, -W diag(b)], [diag(len a) S, diag(len b) + A]]``
     with the Laplacian L, the scalings a = ``dq_dub`` and b = ``dq_due``
-    and the axial operator A. The solver never assembles it
-    (``solve_step`` works with its blocks); it is the reference for the
-    step in the tests."""
+    and the axial operator A. The solver never assembles it (its steps are
+    in the exchange unknowns, ``exchange_factor``); it is the reference
+    for the assembly's derivatives in the tests."""
     jac_bb = (problem.laplacian
               - problem.deposit @ sp.diags(asm.dq_dub) @ problem.sample)
     if not problem.n_net:
@@ -554,23 +494,26 @@ def _collar_bound(problem: CoupledProblem, asm: Assembly, u_b: np.ndarray,
 
 
 def exchange_residual(problem: CoupledProblem, psi_g: np.ndarray,
-                      q: np.ndarray) -> Exchange:
-    """The exchange residual ``F(q) = q - Q(psi_g + C q, u_e(q))``. The
-    bulk is linear in psi and the axial operator is linear, so the exchange
-    q alone sets the sampled bulk, ``S L^-1 (g + W q) = psi_g + C q`` with
-    ``psi_g = S L^-1 g``, and the tube values u_e(q)
+                      q: np.ndarray, q_a: np.ndarray | float = 0.0
+                      ) -> Exchange:
+    """The exchange residual ``F(q) = q - Q(psi_g + C (q - q_a), u_e(q))``.
+    The bulk is linear in psi and the axial operator is linear, so the
+    exchange q alone sets the sampled bulk, ``S L^-1 (g + W q) = psi_g +
+    C (q - q_a)`` with ``psi_g = S L^-1 (g + W q_a)``, the sampled bulk of
+    the anchor exchange q_a, and the tube values u_e(q)
     (``CoupledProblem.tube_values``); Q is the source of the interface
     equation there. The Jacobian of F is ``I - diag(a) C + diag(b) G``
     (``CoupledProblem.exchange_factor``).
 
-    ``bound`` is ``_ROUNDING eps (|q| + |a| (|psi_g| + C |q|) + |b|
+    ``bound`` is ``_ROUNDING eps (|q| + |a| (|psi_g| + C |q - q_a|) + |b|
     |u_e|)``, per entry: the magnitudes that F's terms carry, read with C
     >= 0, as S, L^-1 and W are non-negative."""
     u_e = problem.tube_values(q)
+    shift = q - q_a
     _, source, a, b = reconstruct_interface(
-        problem.interface, psi_g + problem.capacitance @ q, u_e)
+        problem.interface, psi_g + problem.capacitance @ shift, u_e)
     scale = (np.abs(q) + np.abs(a) * (np.abs(psi_g)
-                                      + problem.capacitance @ np.abs(q))
+                                      + problem.capacitance @ np.abs(shift))
              + np.abs(b) * np.abs(u_e))
     return Exchange(q, u_e, a, b, q - source,
                     _ROUNDING * np.finfo(float).eps * scale)
@@ -588,26 +531,30 @@ def _coupled_norm(problem: CoupledProblem, ex: Exchange) -> float:
 def newton_solve(problem: CoupledProblem, u_b0: np.ndarray,
                  u_e0: np.ndarray | None = None) -> CoupledState:
     """Damped Newton iteration from (u_b0, u_e0), in the exchange unknowns
-    q while it can, until the state passes ``_converged``. ``u_e0`` is
-    required with network unknowns and refused with fixed tube values.
+    q, until the state passes ``_converged``. ``u_e0`` is required with
+    network unknowns and refused with fixed tube values.
 
-    The initial q is the source of the interface equation at the initial
-    state. The loop takes reduced steps, Newton steps on the exchange
-    residual F(q) (``exchange_residual``), with ``psi_g = S L^-1 g``
-    formed once per solve, by one bulk solve; no bulk field is solved for
-    or applied in them. Once |F| is within its bound per entry, the
-    iterate's state is assembled, the bulk ``L^-1 (g + W q)`` by one more
-    bulk solve and the tube values u_e(q), and tested. A state that fails,
-    as the rounding of the bulk solves could leave it, is taken on by full
-    steps (``solve_step``) until one passes. Both bulk solves act on the
-    residual of the initial bulk u_b0, as corrections of it.
+    The iteration is anchored at a bulk state u_a with an exchange q_a,
+    first the initial bulk u_b0 with q_a = 0. The bulk of an exchange q is
+    u_a + L^-1 (r_a + W (q - q_a)), with r_a = g + W q_a - L u_a the
+    anchor's bulk residual with its sign turned: a correction of the
+    anchor, so that a bulk solve's forward error is that of the
+    correction. ``psi_g = S (u_a + L^-1 r_a)`` takes one bulk solve per
+    anchor; the steps, Newton steps on the exchange residual F(q)
+    (``exchange_residual``), take none. The initial q is the source of the
+    interface equation at the initial state. Once |F| is within its bound
+    per entry, the iterate's state is assembled, its bulk by one more bulk
+    solve and the tube values u_e(q), and tested. A state that fails, as
+    the rounding of the bulk solves could leave it, becomes the anchor,
+    with q_a its interface source, and the steps go on from q = q_a (a
+    restart): the Newton step of the coupled system there has the step in
+    q as its Schur complement, with the same factor.
 
-    Each step has a backtracking line search: a trial is accepted when its
-    max-norm residual (F in a reduced step, the coupled residual in a full
-    one) is lower or the trial passes its test, and a trial that the
-    interface equation cannot solve (``ReconstructionError``) halves the
-    step. Raises :class:`NonconvergenceError`, naming the kind of step,
-    when a line search fails or after ``_MAX_ITER`` steps."""
+    Each step has a backtracking line search: a trial is accepted when
+    max |F| is lower or the trial is within its bound, and a trial that
+    the interface equation cannot solve (``ReconstructionError``) halves
+    the step. Raises :class:`NonconvergenceError` when a line search fails
+    or after ``_MAX_ITER`` steps and restarts."""
     n_b, n_e = problem.n_bulk, problem.n_net
     u_b = _initial_guess("u_b0", u_b0, n_b)
     if n_e:
@@ -618,89 +565,70 @@ def newton_solve(problem: CoupledProblem, u_b0: np.ndarray,
     else:
         u_e = np.asarray(problem.u_e_fixed, float).copy()
 
-    # the bulk as the initial one plus a correction, L^-1 g = u_b0 + L^-1
-    # r_b0 with r_b0 = g - L u_b0, so that a bulk solve's forward error is
-    # that of the correction: psi is a large level with small differences,
-    # and solved from g the bulk's mass balance was off by 6e-10 of the
-    # exchanged flow on 64x64x120, r_T by 1.4e-10, and states failed the
-    # bulk block of _converged by up to 1.5 times
-    r_b0 = problem.dirichlet_rhs - problem.laplacian @ u_b
-    psi_g = problem.sample @ (u_b + problem.solve_bulk(r_b0))
+    # the bulk as the anchor plus a correction, so that a bulk solve's
+    # forward error is that of the correction: psi is a large level with
+    # small differences, and solved from g the bulk's mass balance was off
+    # by 6e-10 of the exchanged flow on 64x64x120, r_T by 1.4e-10, and
+    # states failed the bulk block of _converged by up to 1.5 times
+    q_a, r_a = 0.0, problem.dirichlet_rhs - problem.laplacian @ u_b
+    psi_g = problem.sample @ (u_b + problem.solve_bulk(r_a))
     _, q, _, _ = reconstruct_interface(problem.interface,
                                        problem.sample @ u_b, u_e)
     exchange = exchange_residual(problem, psi_g, q)
     history, ratios = [_coupled_norm(problem, exchange)], [exchange.ratio()]
-    lengths = []
-    steps = {"reduced": 0, "full": 0}
-    kind, passed = "reduced", False
+    lengths, restarts = [], 0
     while True:
-        if kind == "reduced" and exchange.converged:
-            u_b += problem.solve_bulk(r_b0 + problem.deposit @ exchange.q)
+        if exchange.converged:
+            u_b += problem.solve_bulk(r_a + problem.deposit
+                                      @ (exchange.q - q_a))
             u_e = exchange.u_e
             asm = assemble_coupled(problem, u_b, u_e)
             history.append(_max_abs(asm.res))
-            passed = _converged(problem, asm, u_b, u_e)
-            kind = "full"
-        if passed:
-            break
-        if len(lengths) == _MAX_ITER:
+            if _converged(problem, asm, u_b, u_e):
+                break
+        if len(lengths) + restarts == _MAX_ITER:
             raise NonconvergenceError(
-                f"Newton did not converge in {_MAX_ITER} steps "
-                f"({steps['reduced']} reduced, {steps['full']} full)", kind,
-                history)
-        if kind == "reduced":
+                f"Newton did not converge in {_MAX_ITER} steps and restarts "
+                f"({len(lengths)} steps, {restarts} restarts)", history)
+        if exchange.converged:
+            # restart, anchored at the assembled state, whose bulk residual
+            # -r_a is the rounding that the bulk solves left
+            restarts += 1
+            q_a, r_a = asm.q, -asm.res[:n_b]
+            psi_g = problem.sample @ (u_b + problem.solve_bulk(r_a))
+            exchange = exchange_residual(problem, psi_g, q_a, q_a)
+        else:
             norm = _max_abs(exchange.res)
             dq = lu_solve(problem.exchange_factor(exchange.dq_dub,
                                                   exchange.dq_due),
                           -exchange.res, check_finite=False)
-
-            def trial(alpha):
-                ex = exchange_residual(problem, psi_g,
-                                       exchange.q + alpha * dq)
-                return ex, _max_abs(ex.res), ex.converged
-        else:
-            norm = _max_abs(asm.res)
-            delta = problem.solve_step(asm)
-
-            def trial(alpha):
-                ub = u_b + alpha * delta[:n_b]
-                ue = u_e + alpha * delta[n_b:] if n_e else u_e
-                at = assemble_coupled(problem, ub, ue)
-                return ((ub, ue, at), _max_abs(at.res),
-                        _converged(problem, at, ub, ue))
-        alpha = 1.0
-        for _ in range(_MAX_HALVINGS + 1):
-            try:
-                # overshooting trial states may overflow the coefficient;
-                # the resulting nan norm fails the comparison and the
-                # step is halved, so silence the transient warnings
-                with np.errstate(over="ignore", invalid="ignore",
-                                 divide="ignore"):
-                    point, trial_norm, done = trial(alpha)
-            except ReconstructionError:
-                # a trial state the interface equation cannot handle; any
-                # other error is a defect
+            alpha = 1.0
+            for _ in range(_MAX_HALVINGS + 1):
+                try:
+                    # overshooting trial states may overflow the
+                    # coefficient; the resulting nan norm fails the
+                    # comparison and the step is halved, so silence the
+                    # transient warnings
+                    with np.errstate(over="ignore", invalid="ignore",
+                                     divide="ignore"):
+                        trial = exchange_residual(
+                            problem, psi_g, exchange.q + alpha * dq, q_a)
+                        if _max_abs(trial.res) < norm or trial.converged:
+                            break
+                except ReconstructionError:
+                    # a trial state the interface equation cannot handle;
+                    # any other error is a defect
+                    pass
                 alpha *= 0.5
-                continue
-            if trial_norm < norm or done:
-                break
-            alpha *= 0.5
-        else:
-            raise NonconvergenceError(f"line search failed in a {kind} step",
-                                      kind, history)
-        steps[kind] += 1
-        lengths.append(alpha)
-        if kind == "reduced":
-            exchange = point
-            history.append(_coupled_norm(problem, exchange))
-            ratios.append(exchange.ratio())
-        else:
-            (u_b, u_e, asm), passed = point, done
-            history.append(trial_norm)
+            else:
+                raise NonconvergenceError("line search failed", history)
+            exchange = trial
+            lengths.append(alpha)
+        history.append(_coupled_norm(problem, exchange))
+        ratios.append(exchange.ratio())
     return CoupledState(u_b=u_b, u_e=u_e, u_hat=asm.u_hat, q=asm.q,
-                        iterations=len(lengths), residual_history=history,
-                        reduced_steps=steps["reduced"],
-                        full_steps=steps["full"], reduced_history=ratios,
+                        iterations=len(lengths), restarts=restarts,
+                        residual_history=history, reduced_history=ratios,
                         step_lengths=lengths)
 
 

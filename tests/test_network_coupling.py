@@ -697,6 +697,54 @@ class TestNetworkFormat:
         with pytest.raises(NetworkFormatError, match="0..n-1"):
             parse_network(path)
 
+    @pytest.mark.parametrize("lines, line, message", [
+        (["node 0 0 0 0", "node 1 0 0 -1", "seg 0 0 1 0.002 3 1 1",
+          "seg 0 1 0 0.001 3 1 1"], 4, "seg id 0 repeats line 3"),
+        (["node 0 0 0 0", "node 1 0 0 -1", "node 1 0 0 -2",
+          "seg 0 0 1 0.002 3 1 1"], 3, "node id 1 repeats line 2"),
+        (["node 0 0 0 0", "node 1 0 0 -1", "seg 0 0 -1 0.002 3 1 1"], 3,
+         "node -1 is not among"),
+        (["node 0 0 0 0", "seg 0 0 1 0.002 3 1 1", "node 1 0 0 -1",
+          "seg 1 1 2 0.002 3 1 1"], 4, "node 2 is not among"),
+        (["node 0 0 0 0", "node 1 0 0 -1", "seg 0 0 1 0.002 3 -1 1"], 3,
+         "gamma and D_e must be >= 0"),
+        (["node 0 0 0 0", "node 1 0 0 -1", "seg 0 0 1 0.002 3 1 -1"], 3,
+         "gamma and D_e must be >= 0"),
+        (["node 0 0 0 0", "node 1 0 nan -1", "seg 0 0 1 0.002 3 1 1"], 2,
+         "must be finite"),
+        (["node 0 0 0 0", "node 1 0 0 -1", "seg 0 0 1 inf 3 1 1"], 3,
+         "must be finite"),
+    ], ids=["duplicate_segment", "duplicate_node", "node_minus_one",
+            "node_past_the_end", "negative_gamma", "negative_d_e",
+            "nan_coordinate", "infinite_radius"])
+    def test_malformed_network_names_its_line(self, tmp_path, lines, line,
+                                              message):
+        # each of these used to be read: a repeated id replaced the earlier
+        # record, node -1 wrapped to the last node, and the numbers entered
+        # the network as given
+        path = tmp_path / "net.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(NetworkFormatError,
+                           match=rf"net\.txt:{line}: .*{message}"):
+            parse_network(path)
+
+    def test_zero_gamma_and_d_e_are_read(self, tmp_path):
+        # gamma = 0 decouples a tube, and d_e = 0 is left to the axial
+        # operator, which names the cell it cannot anchor
+        path = tmp_path / "net.txt"
+        path.write_text("node 0 0 0 0\nnode 1 0 0 -1\n"
+                        "seg 0 0 1 0.002 3 0 0\n")
+        seg, = parse_network(path).segments
+        assert seg.gamma == 0.0 and seg.d_e == 0.0
+
+    def test_geometry_refused_by_the_network_names_the_file(self, tmp_path):
+        path = tmp_path / "net.txt"
+        path.write_text("node 0 0 0 0\nnode 1 0 0 0\n"
+                        "seg 0 0 1 0.002 3 1 1\n")
+        with pytest.raises(NetworkFormatError,
+                           match=r"net\.txt: zero-length segment"):
+            parse_network(path)
+
     def test_validation_of_segment_geometry(self):
         nodes = np.zeros((2, 3))
         with pytest.raises(ValueError, match="zero-length"):

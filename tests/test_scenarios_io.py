@@ -376,19 +376,25 @@ class TestArtifacts:
 
     def test_root_csvs_are_csv_writer_bytes(self, tmp_path):
         # segments.csv and transpiration.csv of a run against csv.writer
-        # over the rows of the same result
+        # over the rows of the same result. The solver's restart count is
+        # in each transpiration row but not in the table
         config = ScenarioConfig(kind="root_soil", grids=((8, 8, 15),),
                                 collar_pressures=(0.0, -1e5),
                                 delta_correction=True)
         result = run_scenario(config, tmp_path)
-        for name, rows in (("segments.csv", result.segment_rows),
-                           ("transpiration.csv", result.transpiration)):
+        trans_header = scenarios._TRANSPIRATION_HEADER
+        assert list(result.transpiration[0]) == trans_header + ["restarts"]
+        for name, rows, header in (
+                ("segments.csv", result.segment_rows,
+                 list(result.segment_rows[0])),
+                ("transpiration.csv", result.transpiration, trans_header)):
             with open(tmp_path / f"ref-{name}", "w", newline="") as fh:
                 writer = csv.writer(fh)
-                writer.writerow(list(rows[0]))
+                writer.writerow(header)
                 for row in rows:
-                    writer.writerow([repr(float(v)) if isinstance(v, float)
-                                     else v for v in row.values()])
+                    writer.writerow([repr(float(row[h]))
+                                     if isinstance(row[h], float) else row[h]
+                                     for h in header])
             assert ((tmp_path / name).read_bytes()
                     == (tmp_path / f"ref-{name}").read_bytes())
 
@@ -633,6 +639,21 @@ class TestCli:
                      "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == "error: levels must be >= 1\n"
         assert not (tmp_path / "out").exists()
+
+    def test_cli_reports_network_file_errors(self, tmp_path, capsys):
+        # a malformed network file is bad input, as a bad config is, and
+        # the message names its line
+        from mdtube.cli import main
+        net = tmp_path / "net.txt"
+        net.write_text("node 0 0 0 -0.01\nnode 1 0 0 -0.05\n"
+                       "seg 0 0 1 0.002 3 2e-11 5e-13\n"
+                       "seg 0 0 1 0.002 3 2e-11 5e-13\n")
+        cfg = tmp_path / "root.ini"
+        cfg.write_text(f"[scenario]\nkind = root_soil\n"
+                       f"[root]\nnetwork_file = {net}\n")
+        capsys.readouterr()
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert f"{net}:4: " in capsys.readouterr().err
 
     def test_cli_requires_subcommand(self):
         from mdtube.cli import main

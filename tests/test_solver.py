@@ -1,6 +1,6 @@
 """Coupled Newton solver: assembly consistency, convergence, balances."""
 
-import math
+import re
 from dataclasses import replace
 from functools import cache
 
@@ -9,7 +9,6 @@ import pytest
 import scipy.sparse as sp
 from scipy.linalg import lu_solve
 from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import spsolve
 
 import mdtube.reconstruction as reconstruction
 import mdtube.scenarios as scenarios
@@ -412,7 +411,7 @@ class TestNewton:
         self.fail_first_trial(monkeypatch, ReconstructionError("trial"))
         problem = point_source_problem()
         state = newton_solve(problem, np.full(problem.n_bulk, psi(0.1)))
-        assert state.reduced_steps > 0 and state.step_lengths[0] == 0.5
+        assert state.iterations > 0 and state.step_lengths[0] == 0.5
 
     def test_programming_errors_propagate(self, monkeypatch):
         # an operator shape error is a defect, not a bad trial state
@@ -425,31 +424,40 @@ class TestNewton:
         problem, _ = small_coupled_problem(y_junction=True)
         state = newton_solve(problem, np.full(problem.n_bulk, psi(0.1)),
                              np.full(problem.n_net, 0.4))
-        assert state.reduced_steps > 0
-        assert state.iterations == state.reduced_steps + state.full_steps
+        assert state.iterations > 0 and state.restarts == 0
         assert len(state.step_lengths) == state.iterations
-        # the initial iterate's ratio, then one per reduced step, the last
-        # within the bound
-        assert len(state.reduced_history) == state.reduced_steps + 1
+        # the initial iterate's ratio, then one per step, the last within
+        # the bound
+        assert len(state.reduced_history) == state.iterations + 1
         assert state.reduced_history[0] > 1.0 >= state.reduced_history[-1]
         # one coupled residual per iterate, and the assembled state's
         assert len(state.residual_history) == state.iterations + 2
 
     def test_nonconvergence_names_the_step(self, monkeypatch):
-        # with no step allowed the reduced loop fails; with a contract that
-        # no state passes, the full steps after the reduced loop fail
+        # with no step allowed the loop stops at the initial iterate and
+        # counts what it took; a step whose every trial the interface
+        # equation cannot solve fails its line search
         problem = point_source_problem()
         u_b = np.full(problem.n_bulk, psi(0.1))
         monkeypatch.setattr(solver, "_MAX_ITER", 0)
         with pytest.raises(NonconvergenceError,
-                           match=r"\(0 reduced, 0 full\)") as exc:
+                           match=r"\(0 steps, 0 restarts\)") as exc:
             newton_solve(problem, u_b)
-        assert exc.value.step == "reduced"
+        assert len(exc.value.history) == 1
         monkeypatch.setattr(solver, "_MAX_ITER", 50)
-        monkeypatch.setattr(solver, "_converged", lambda *args: False)
-        with pytest.raises(NonconvergenceError, match="full") as exc:
+        real = solver.exchange_residual
+        calls = []
+
+        def failing(*args):
+            calls.append(None)
+            if len(calls) > 1:           # every line-search trial
+                raise ReconstructionError("trial")
+            return real(*args)
+
+        monkeypatch.setattr(solver, "exchange_residual", failing)
+        with pytest.raises(NonconvergenceError, match="line search failed"):
             newton_solve(problem, u_b)
-        assert exc.value.step == "full"
+        assert len(calls) == 1 + solver._MAX_HALVINGS + 1
 
     def test_axial_chain_linear_profile(self):
         # gamma = 0 decouples the tube from the bulk; with both segment
@@ -525,77 +533,6 @@ def radial_single_tube_problem():
                           u_e_fixed=np.array([0.1]))
 
 
-class TestCapacitanceStep:
-    @pytest.mark.parametrize("case", ["chain", "y_junction", "point_source",
-                                      "radial", "root"])
-    def test_step_matches_sparse_solve(self, case):
-        rng = np.random.default_rng(13)
-        if case == "root":
-            problem, u_b, u_e = root_sweep_state()
-        else:
-            if case == "point_source":
-                problem = point_source_problem()
-            elif case == "radial":
-                problem = radial_single_tube_problem()
-            else:
-                problem = small_coupled_problem(
-                    y_junction=case == "y_junction")[0]
-            u_b = random_bulk(problem, rng)
-            u_e = (rng.uniform(0.2, 0.8, problem.n_net) if problem.n_net
-                   else problem.u_e_fixed)
-        asm = assemble_coupled(problem, u_b, u_e)
-        assert np.all(asm.dq_dub != 0.0)
-        ref = spsolve(coupled_jacobian(problem, asm), -asm.res)
-        step = problem.solve_step(asm)
-        assert step.shape == ref.shape
-        assert np.max(np.abs(step - ref)) <= 1e-10 * np.max(np.abs(ref))
-
-    def test_network_rows_balance_to_rounding(self):
-        # the step's linear residual on the network rows sums, like the
-        # residual of the collar balance it feeds, to one eps of the sum of
-        # its terms' magnitudes; the axial terms in pairwise form. The
-        # refinement's axial residual is pairwise too: in the form A x_e it
-        # is rounded at the scale of the O(u) values, and the sum read up
-        # to 3.5 eps over network seeds 1-11 and 2024 (0.33 now)
-        problem, u_b, u_e = root_sweep_state()
-        asm = assemble_coupled(problem, u_b, u_e)
-        n_b = problem.n_bulk
-        step = problem.solve_step(asm)
-        x_b, x_e = step[:n_b], step[n_b:]
-        terms = np.concatenate([
-            problem.lengths * asm.dq_dub * (problem.sample @ x_b),
-            problem.lengths * asm.dq_due * x_e,
-            problem.pair_k * (x_e[problem.pair_i] - x_e[problem.pair_m]),
-            problem.dir_k * x_e[problem.dir_cell],
-            asm.res[n_b:]])
-        assert abs(math.fsum(terms)) <= (np.finfo(float).eps
-                                         * math.fsum(np.abs(terms)))
-
-    def test_refinement_squares_the_error_of_an_inexact_factor(self):
-        # with the factor of A off by 1e-6 relative, the unrefined step
-        # is off by 1e-6 and one step of refinement against both block
-        # rows leaves (1e-6)^2: the bound is ten times that
-        problem, u_b, u_e = root_sweep_state()
-        asm = assemble_coupled(problem, u_b, u_e)
-        ref = spsolve(coupled_jacobian(problem, asm), -asm.res)
-        problem.axial_lu = solver.lu_factor((1.0 + 1e-6)
-                                            * problem.axial.toarray())
-        step = problem.solve_step(asm)
-        assert np.max(np.abs(step - ref)) <= 1e-11 * np.max(np.abs(ref))
-
-    def test_no_exchange_gives_plain_bulk_solve(self):
-        # gamma = 0: no exchange, so z = 0 exactly and the bulk step is the
-        # bulk solve of the bulk residual alone
-        problem, _ = small_coupled_problem(gamma=0.0, y_junction=True)
-        rng = np.random.default_rng(19)
-        asm = assemble_coupled(problem, random_bulk(problem, rng),
-                               rng.uniform(0.2, 0.8, problem.n_net))
-        assert not np.any(asm.dq_dub) and not np.any(asm.dq_due)
-        n_b = problem.n_bulk
-        np.testing.assert_array_equal(problem.solve_step(asm)[:n_b],
-                                      problem.solve_bulk(-asm.res[:n_b]))
-
-
 class TestExchangeResidual:
     @pytest.mark.parametrize("case", ["point_source", "y_junction"])
     def test_jacobian_matches_finite_differences(self, case):
@@ -653,31 +590,64 @@ def sweep_states(config):
 
 
 class TestFullSteps:
+    """An assembled state that fails ``_converged`` restarts the exchange
+    iteration from itself: the restart takes the coupled system's full
+    Newton step through its Schur complement in the exchange."""
+
     def test_reduced_steps_reach_the_contract(self):
         # seed 2024 on 16x16x30: the assembled states sit at 0.08-0.11 of
         # the bulk bound and at most 0.2 of the collar bound, and no solve
-        # of the sweep takes a full step
+        # of the sweep restarts
         solves = sweep_states(ScenarioConfig(
             kind="root_soil", seed=2024, grids=((16, 16, 30),),
             delta_correction=True))
-        assert [s.full_steps for s, _ in solves] == [0] * 5
+        assert [s.restarts for s, _ in solves] == [0] * 5
         assert all(passed for _, passed in solves)
 
-    def test_full_steps_refine_an_inexact_bulk_solver(self, monkeypatch):
-        # a bulk solver off by 1e-8 relative leaves the assembled state
-        # far above the bulk bound; each full step's bulk solves act on a
+    @pytest.mark.parametrize("error", [1e-8, 1e-6])
+    @pytest.mark.parametrize("case", ["point_source", "network", "radial"])
+    def test_restarts_refine_an_inexact_bulk_solver(self, monkeypatch, case,
+                                                   error):
+        # a bulk solver off by `error` relative leaves the assembled state
+        # far above the bulk bound; each restart's bulk solves act on a
         # smaller correction, so their error shrinks with it. No grid of
         # the root scenario from 16x16x30 to 64x64x120, held-out network
-        # or demo config needs a full step: they are the safety net
-        problem, _ = small_coupled_problem()
+        # or demo config restarts: restarts are the safety net
+        if case == "network":
+            problem = small_coupled_problem()[0]
+            u_e0 = np.full(problem.n_net, 0.4)
+        else:
+            problem = (point_source_problem() if case == "point_source"
+                       else radial_single_tube_problem())
+            u_e0 = None
         exact = problem.solve_bulk
         monkeypatch.setattr(problem, "solve_bulk",
-                            lambda rhs: exact(rhs) * (1.0 + 1e-8))
+                            lambda rhs: exact(rhs) * (1.0 + error))
         state = newton_solve(problem, np.full(problem.n_bulk, psi(0.1)),
-                             np.full(problem.n_net, 0.4))
+                             u_e0)
         asm = assemble_coupled(problem, state.u_b, state.u_e)
-        assert state.full_steps >= 1
+        assert state.restarts >= 1
         assert solver._converged(problem, asm, state.u_b, state.u_e)
+
+    def test_a_contract_that_never_passes_ends_the_loop(self, monkeypatch):
+        # every assembled state fails, so each one restarts the iteration;
+        # steps and restarts together stop at _MAX_ITER
+        assemblies = []
+        real = solver.assemble_coupled
+
+        def counting(*args):
+            assemblies.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(solver, "assemble_coupled", counting)
+        monkeypatch.setattr(solver, "_converged", lambda *args: False)
+        problem = point_source_problem()
+        with pytest.raises(NonconvergenceError) as exc:
+            newton_solve(problem, np.full(problem.n_bulk, psi(0.1)))
+        steps, restarts = map(int, re.search(
+            r"\((\d+) steps, (\d+) restarts\)", str(exc.value)).groups())
+        assert steps + restarts == solver._MAX_ITER and restarts >= 1
+        assert len(assemblies) == restarts + 1
 
 
 class TestJointDirichlet:
@@ -714,9 +684,9 @@ class TestBulkDirichlet:
         assert not np.array_equal(res, before)
         np.testing.assert_array_equal(
             res, assemble_coupled(fresh, u_b, fresh.u_e_fixed).res)
-        np.testing.assert_array_equal(problem.solve_step(
-            assemble_coupled(problem, u_b, problem.u_e_fixed)),
-            fresh.solve_step(assemble_coupled(fresh, u_b, fresh.u_e_fixed)))
+        solved, solved_fresh = (newton_solve(p, u_b) for p in (problem, fresh))
+        np.testing.assert_array_equal(solved.u_b, solved_fresh.u_b)
+        np.testing.assert_array_equal(solved.q, solved_fresh.q)
         assert (boundary_flux_total(problem, u_b)
                 == boundary_flux_total(fresh, u_b))
 
