@@ -15,14 +15,19 @@ infinite derivative of D at saturation or come within half a panel of it.
 D is constant below the Van Genuchten floor kink and above saturation, so
 T is affine there. The table's nodes run from the floor kink to 0, both
 kinks among them, padded by one node beyond each, and it extrapolates
-affinely with the tail slopes: a tabled transform and its inverse are one
-``np.interp`` plus the tail terms, exact (to the table's interpolation
-error) on all reals.
+affinely with the tail slopes: a tabled transform is one piece lookup and
+its inverse one ``np.interp`` plus the tail terms, exact (to the table's
+interpolation error) on all reals.
+
+``transform_and_slope`` returns T(u) with its slope dT/du in one call: the
+closed forms' transform and D, and for a table the slope of the piece the
+lookup used, so that a Newton iteration on an equation in the tabled T
+linearizes the function it solves.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,6 +52,11 @@ class TransformTable:
     interpolate linearly between nodes and extrapolate along the tails.
     ``roundtrip_error`` is the max abs error of ``u -> psi -> u`` over the
     probe grid (twice as fine as the nodes) the table was built from.
+
+    ``slope``, built with the table, holds the slope of each piece, one
+    more than the nodes: ``d_lo`` below ``u[0]``, the secant of each pair
+    of neighbouring nodes, and ``d_hi`` from ``u[-1]`` up. A node belongs
+    to the piece above it.
     """
 
     u: np.ndarray
@@ -54,16 +64,29 @@ class TransformTable:
     d_lo: float
     d_hi: float
     roundtrip_error: float
+    slope: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not (np.all(np.diff(self.u) > 0) and np.all(np.diff(self.psi) > 0)):
             raise ValueError("transform table must be strictly increasing")
+        # the secants as np.interp computes them, so that psi_and_slope
+        # rounds as np.interp plus the tail terms does
+        object.__setattr__(self, "slope", np.concatenate(
+            [[self.d_lo], np.diff(self.psi) / np.diff(self.u), [self.d_hi]]))
+
+    def psi_and_slope(self, u):
+        """T(u) and the slope of the piece that holds u: one binary search
+        on the nodes. Each T is, bit for bit, ``np.interp`` on the nodes
+        plus the tail terms ``d_lo min(u - u[0], 0) + d_hi max(u - u[-1],
+        0)``: inside the nodes the same secant times the same offset plus
+        the same node value, outside them the node value plus the tail."""
+        piece = np.searchsorted(self.u, u, side="right")
+        node = np.maximum(piece - 1, 0)
+        slope = self.slope[piece]
+        return self.psi[node] + slope * (u - self.u[node]), slope
 
     def psi_of_u(self, u):
-        # np.interp holds the end values outside the nodes; add the tails
-        return (np.interp(u, self.u, self.psi)
-                + self.d_lo * np.minimum(u - self.u[0], 0.0)
-                + self.d_hi * np.maximum(u - self.u[-1], 0.0))
+        return self.psi_and_slope(u)[0]
 
     def u_of_psi(self, psi):
         return (np.interp(psi, self.psi, self.u)
@@ -83,7 +106,7 @@ class DiffusionLaw:
     """Base class; subclasses set ``d_min`` and implement ``eval``. A law
     with a closed-form transform overrides ``transform`` and
     ``inverse_transform``; a law without one sets ``table`` at
-    construction, and these look it up."""
+    construction, and these look it up, as does ``transform_and_slope``."""
 
     d_min: float = 0.0
     #: the tabled transform of a law without a closed form, else None
@@ -94,6 +117,14 @@ class DiffusionLaw:
 
     def transform(self, u):
         return self.table.psi_of_u(np.asarray(u, float))
+
+    def transform_and_slope(self, u):
+        """``(T(u), dT/du)``: for a closed form ``transform`` and ``eval``,
+        bit for bit; for a table its lookup with the slope of the piece it
+        used, the derivative of the T it returns (not ``eval``)."""
+        if self.table is None:
+            return self.transform(u), self.eval(u)
+        return self.table.psi_and_slope(np.asarray(u, float))
 
     def inverse_transform(self, psi):
         return self.table.u_of_psi(np.asarray(psi, float))
@@ -147,17 +178,29 @@ class ExponentialLaw(DiffusionLaw):
         return np.exp(self.k * (np.asarray(u, float) - 1.0))
 
     def eval(self, u):
-        return np.maximum(self.d0 * self._exp(u), self.d_min)
+        return self._eval(self._exp(u))
 
     def transform(self, u):
         u = np.asarray(u, float)
+        return self._transform(u, self._exp(u))
+
+    def transform_and_slope(self, u):
+        """``transform`` and ``eval`` from one exponential."""
+        u = np.asarray(u, float)
+        exp_u = self._exp(u)
+        return self._transform(u, exp_u), self._eval(exp_u)
+
+    def _eval(self, exp_u):
+        return np.maximum(self.d0 * exp_u, self.d_min)
+
+    def _transform(self, u, exp_u):
         d0, k, uc = self.d0, self.k, self.u_c
         exp_0, exp_c = self._exp_0, self._exp_c
         if uc <= 0.0:
-            upper = d0 / k * (self._exp(u) - exp_0)
+            upper = d0 / k * (exp_u - exp_0)
             lower = self.d_min * (u - uc) + d0 / k * (exp_c - exp_0)
         else:
-            upper = d0 / k * (self._exp(u) - exp_c) + self.d_min * uc
+            upper = d0 / k * (exp_u - exp_c) + self.d_min * uc
             lower = self.d_min * u
         out = np.where(u > uc, upper, lower)
         return float(out) if out.ndim == 0 else out

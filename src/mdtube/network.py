@@ -170,13 +170,14 @@ def discretize_network(net: TubeNetwork, target_length: float) -> NetworkMesh:
         length = net.segment_length(seg)
         n_sub = max(1, int(np.ceil(length / target_length)))
         ts = np.linspace(0.0, 1.0, n_sub + 1)
+        # the cells' end points, row i the start of cell i and the end of
+        # cell i - 1
+        ends = a + ts[:, None] * (b - a)
         joints = ([seg.node_a] + list(range(n_joints, n_joints + n_sub - 1))
                   + [seg.node_b])
         n_joints += n_sub - 1
         for i in range(n_sub):
-            p0 = a + ts[i] * (b - a)
-            p1 = a + ts[i + 1] * (b - a)
-            cells.append(SegmentCell(p0=p0, p1=p1,
+            cells.append(SegmentCell(p0=ends[i], p1=ends[i + 1],
                                      length=length / n_sub,
                                      radius=seg.radius,
                                      kernel_radius=seg.kernel_radius,
@@ -219,7 +220,11 @@ def synthetic_root_network(n_laterals: int = 24,
                                 taproot_radius * taper, rho_factor,
                                 gamma_taproot, d_e_taproot))
 
-    # laterals from interior taproot nodes
+    # laterals from interior taproot nodes, kept inside an 8x8 cm column
+    column_lo = np.array([-0.037, -0.037, -0.148])
+    column_hi = np.array([0.037, 0.037, -0.002])
+    n_sub = segments_per_branch
+    steps = np.arange(1, n_sub + 1)[:, None]
     for il in range(n_laterals):
         base = 1 + int(rng.integers(1, n_tap - 1))
         azimuth = rng.uniform(0.0, 2.0 * np.pi)
@@ -228,20 +233,14 @@ def synthetic_root_network(n_laterals: int = 24,
                               np.sin(azimuth) * np.cos(tilt),
                               -np.sin(tilt)])
         length = lateral_length * rng.uniform(0.6, 1.3)
-        n_sub = segments_per_branch
-        prev = base
-        start = nodes[base]
+        prev, first = base, len(nodes)
+        nodes.extend(np.clip(nodes[base] + direction * length * steps / n_sub,
+                             column_lo, column_hi))
         for i in range(n_sub):
-            pos = start + direction * length * (i + 1) / n_sub
-            # keep laterals inside an 8x8 cm column
-            pos[0] = np.clip(pos[0], -0.037, 0.037)
-            pos[1] = np.clip(pos[1], -0.037, 0.037)
-            pos[2] = np.clip(pos[2], -0.148, -0.002)
-            nodes.append(pos.copy())
             taper = 1.0 - 0.5 * (i / n_sub)
-            segments.append(Segment(prev, len(nodes) - 1,
+            segments.append(Segment(prev, first + i,
                                     lateral_radius * taper, rho_factor,
                                     gamma_lateral, d_e_lateral))
-            prev = len(nodes) - 1
+            prev = first + i
 
     return TubeNetwork(nodes=np.array(nodes), segments=segments)

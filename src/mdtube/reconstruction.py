@@ -84,7 +84,7 @@ def reconstruct_interface(interface: Interface, psi_bar, u_e,
 
     ``u_hat`` satisfies ``g(u_hat) = psi_bar - T(u_hat) - |P| gamma
     f(delta) (u_hat - u_e) = 0`` and ``q = -|P| gamma (u_hat - u_e)`` is the
-    source per unit tube length. As ``g' = -(D(u_hat) + |P| gamma f) < 0``,
+    source per unit tube length. As ``g' = -(T'(u_hat) + |P| gamma f) < 0``,
     the root lies between ``u_e`` and ``u_bar = T^-1(psi_bar)``: Newton runs
     in that bracket, padded, and bisects when an iterate leaves it or
     stalls. A cell is done once its step or its bracket is at most ``_TOL *
@@ -92,8 +92,12 @@ def reconstruct_interface(interface: Interface, psi_bar, u_e,
     non-finite inputs or after ``max_iter`` iterations.
 
     The derivatives of q come from the implicit function theorem on g:
-    ``dq/dpsi_bar = -|P| gamma / (D(u_hat) + |P| gamma f)`` and ``dq/du_e =
-    |P| gamma D(u_hat) / (D(u_hat) + |P| gamma f)``.
+    ``dq/dpsi_bar = -|P| gamma / (T'(u_hat) + |P| gamma f)`` and ``dq/du_e
+    = |P| gamma T'(u_hat) / (T'(u_hat) + |P| gamma f)``. The slope T' is
+    the one ``law.transform_and_slope`` returns with T: D for a closed
+    form, and for a tabled transform the slope of the table's piece at
+    u_hat, so that a and b are the exact derivatives of the equation that
+    is solved; Newton steps take the same slope.
     """
     law = interface.law
     psi_bar = np.asarray(psi_bar, float)
@@ -113,25 +117,29 @@ def reconstruct_interface(interface: Interface, psi_bar, u_e,
     lo, hi = lo - pad, hi + pad
 
     # the root of the equation linearized at u_bar, exact for D = const
-    d_bar = law.eval(u_bar)
+    d_bar = law.transform_and_slope(u_bar)[1]
     u = np.clip((d_bar * u_bar + pf * u_e) / (d_bar + pf), lo, hi)
     step = hi - lo
+    tol = _TOL * scale
     active = np.ones(u.shape, bool)
     for _ in range(max_iter):
-        g = psi_bar - law.transform(u) - pf * (u - u_e)
-        lo = np.where(g > 0.0, u, lo)
-        hi = np.where(g > 0.0, hi, u)
-        newton = g / (law.eval(u) + pf)
-        converged = np.abs(newton) <= _TOL * scale
+        t, d = law.transform_and_slope(u)
+        g = psi_bar - t - pf * (u - u_e)
+        rising = g > 0.0
+        lo = np.where(rising, u, lo)
+        hi = np.where(rising, hi, u)
+        newton = g / (d + pf)
+        target, size = u + newton, np.abs(newton)
+        converged = size <= tol
         # bisect where Newton leaves the bracket or gains less than a
         # bisection would, as in a cycle on a law with non-monotone D
-        take = converged | ((lo <= u + newton) & (u + newton <= hi)
-                            & (np.abs(newton) <= 0.5 * np.abs(step)))
+        take = converged | ((lo <= target) & (target <= hi)
+                            & (size <= 0.5 * np.abs(step)))
         step = np.where(take, newton, 0.5 * (lo + hi) - u)
         u = np.where(active, u + step, u)
         # a bracket narrower than the tolerance ends a cell whose Newton
         # step is held above it by rounding in g
-        active &= ~(converged | (hi - lo <= _TOL * scale))
+        active &= ~(converged | (hi - lo <= tol))
         if not np.any(active):
             break
     else:
@@ -139,7 +147,7 @@ def reconstruct_interface(interface: Interface, psi_bar, u_e,
             f"interface equation not solved in {max_iter} iterations; "
             f"inputs: psi_bar={psi_bar!r}, u_e={u_e!r}")
     pg = interface.perimeter * interface.gamma
-    d_hat = law.eval(u)
+    d_hat = law.transform_and_slope(u)[1]
     denom = d_hat + pf
     return tuple(_scalar_or_array(x) for x in
                  (u, -pg * (u - u_e), -pg / denom, pg * d_hat / denom))

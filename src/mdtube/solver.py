@@ -153,12 +153,13 @@ class CoupledProblem:
     (``SpectralSolver.capacitance``); on radial grids by one banded solve
     of the columns of W.
 
-    With network unknowns, the axial operator A is also factored once
-    (``axial_lu``, a dense LU), and ``axial_green`` holds G = A^-1
-    diag(len), the tube values' response to the exchange of each segment
-    cell. A must be invertible: each connected part of the network must
-    reach a Dirichlet joint through positive axial conductances, or the
-    construction raises ``ValueError``.
+    With network unknowns, ``axial_green`` holds G = A^-1 diag(len), the
+    tube values' response to the exchange of each segment cell, formed
+    once through a dense LU of the axial operator A that is not kept: G
+    applies A^-1 too, as ``A^-1 y = G (y / len)``. A must be invertible:
+    each connected part of the network must reach a Dirichlet joint
+    through positive axial conductances, or the construction raises
+    ``ValueError``.
 
     Which network joints are Dirichlet is read from
     ``network.joint_dirichlet`` at construction; their values are problem
@@ -210,8 +211,8 @@ class CoupledProblem:
             # dense only after the Laplacian, whose build is the memory peak
             # of the construction: 86 MiB of arrays on a 64x64x120 grid,
             # against 67 MiB for the capacitance matrix
-            self.axial_lu = lu_factor(self.axial.toarray())
-            self.axial_green = lu_solve(self.axial_lu, np.diag(self.lengths))
+            self.axial_green = lu_solve(lu_factor(self.axial.toarray()),
+                                        np.diag(self.lengths))
 
     def exchange_factor(self, a: np.ndarray, b: np.ndarray):
         """LU factor of ``I - diag(a) C + diag(b) G`` (without network
@@ -226,19 +227,19 @@ class CoupledProblem:
 
     def tube_values(self, q: np.ndarray) -> np.ndarray:
         """The tube values of the exchange q: the prescribed ones, or
-        ``u_e = A^-1 (d - len q)`` (d the Dirichlet joints' terms) through
-        the factor of A, refined once against the pairwise axial residual
-        (``axial_residual``), so that the network rows balance to the
-        rounding of the differences."""
+        ``u_e = A^-1 (d - len q)`` (d the Dirichlet joints' terms), with
+        A^-1 y applied as ``G (y / len)`` by the stored G = A^-1 diag(len)
+        (``axial_green``), and refined once the same way against the
+        pairwise axial residual (``axial_residual``), so that the network
+        rows balance to the rounding of the differences."""
         if not self.n_net:
             return np.asarray(self.u_e_fixed, float)
         exchange = self.lengths * q
-        u_e = lu_solve(self.axial_lu, np.bincount(
-            self.dir_cell, self.dir_k * self.dir_value, len(q)) - exchange,
-            check_finite=False)
-        return u_e - lu_solve(self.axial_lu,
-                              exchange + self.axial_residual(u_e),
-                              check_finite=False)
+        u_e = self.axial_green @ ((np.bincount(
+            self.dir_cell, self.dir_k * self.dir_value, len(q)) - exchange)
+            / self.lengths)
+        return u_e - self.axial_green @ ((exchange + self.axial_residual(u_e))
+                                         / self.lengths)
 
     def _build_axial(self):
         """Axial TPFA operator with the joints eliminated: through

@@ -238,6 +238,40 @@ class TestVanGenuchtenLaw:
             assert abs(table.psi_of_u(u) - ref) <= max(1e-12 * abs(ref), est)
         assert_tails_match_oracle(law, (-1e8, -2e6, 5e4, 1e6))
 
+    def test_lookup_is_interp_plus_tails_bit_for_bit(self, loam):
+        # transform and transform_and_slope return the bits of np.interp
+        # on the nodes plus the two tail terms, and the slope of the piece
+        # that holds u: its secant inside the nodes, d_lo and d_hi beyond
+        table = loam.table
+        rng = np.random.default_rng(30)
+        u = np.concatenate([rng.uniform(-2e6, 2e4, 200_000), table.u,
+                            [loam._u_floor, 0.0, -0.0]])
+
+        def interp_plus_tails(u):
+            return (np.interp(u, table.u, table.psi)
+                    + table.d_lo * np.minimum(u - table.u[0], 0.0)
+                    + table.d_hi * np.maximum(u - table.u[-1], 0.0))
+
+        expect = interp_plus_tails(u)
+        psi, slope = loam.transform_and_slope(u)
+        assert psi.tobytes() == expect.tobytes()
+        assert loam.transform(u).tobytes() == expect.tobytes()
+        for value in map(np.float64, (loam._u_floor, 0.0, -0.0, -60.0, -3e6,
+                                      5e4)):
+            assert (loam.transform(value).tobytes()
+                    == loam.transform_and_slope(value)[0].tobytes()
+                    == interp_plus_tails(value).tobytes())
+        # a node starts the piece above it
+        piece = np.searchsorted(table.u, u, side="right")
+        inside = (piece > 0) & (piece < table.u.size)
+        j = piece[inside]
+        secant = ((table.psi[j] - table.psi[j - 1])
+                  / (table.u[j] - table.u[j - 1]))
+        assert slope[inside].tobytes() == secant.tobytes()
+        assert np.all(slope[u < table.u[0]] == table.d_lo)
+        assert np.all(slope[u >= table.u[-1]] == table.d_hi)
+        assert np.any(u < table.u[0]) and np.any(u > table.u[-1])
+
     def test_far_extension_at_fine_spacing_raises(self, monkeypatch):
         # 0.05 Pa spacing across the 7.2e4 Pa between the kinks: 1.4e6 nodes
         monkeypatch.setattr(mdtube.laws, "_TABLE_SPACING", 0.05)
@@ -297,6 +331,19 @@ class TestTabulatedLaw:
             TabulatedLaw(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
         with pytest.raises(ValueError):
             TabulatedLaw(np.array([0.0, 1.0]), np.array([1.0, -1.0]))
+
+
+@pytest.mark.parametrize("law", [
+    ConstantLaw(2.5), ExponentialLaw(d0=0.5, k=1.0, d_min=1e-6),
+    ExponentialLaw(d0=0.5, k=5.0, d_min=0.4),
+    TabulatedLaw(np.array([-3.0, -1.0, 0.5, 2.0]),
+                 np.array([2.0, 0.1, 4.0, 0.3]))],
+    ids=["constant", "exponential", "exponential_kink_above_0", "tabulated"])
+def test_closed_form_transform_and_slope_are_transform_and_eval(law):
+    u = np.random.default_rng(3).uniform(-20.0, 5.0, 1000)
+    psi, d = law.transform_and_slope(u)
+    assert psi.tobytes() == np.asarray(law.transform(u)).tobytes()
+    assert d.tobytes() == np.asarray(law.eval(u)).tobytes()
 
 
 @settings(max_examples=50, deadline=None)

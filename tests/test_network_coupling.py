@@ -804,3 +804,61 @@ class TestSyntheticRoot:
         net = synthetic_root_network(seed=2024)
         taproot = [s for s in net.segments if s.radius > 1e-3]
         assert taproot[0].radius > taproot[-1].radius
+
+    @staticmethod
+    def per_node_network(seed, n_laterals=24, depth=0.12,
+                         lateral_length=0.035, segments_per_branch=6):
+        """``synthetic_root_network`` at its default radii and
+        conductances, built node by node with three clips per node: the
+        oracle of the array build."""
+        rng = np.random.default_rng(seed)
+        nodes, segments = [np.zeros(3)], []
+        n_tap = 2 * segments_per_branch
+        zs = np.linspace(0.0, -depth, n_tap + 1)
+        for i in range(n_tap):
+            nodes.append(np.array([0.0, 0.0, zs[i + 1]]))
+            segments.append(Segment(len(nodes) - 2, len(nodes) - 1,
+                                    2.0e-3 * (1.0 - 0.6 * (i / n_tap)), 3.0,
+                                    2.0e-11, 5.0e-13))
+        for _ in range(n_laterals):
+            base = 1 + int(rng.integers(1, n_tap - 1))
+            azimuth = rng.uniform(0.0, 2.0 * np.pi)
+            tilt = rng.uniform(0.2, 0.7)
+            direction = np.array([np.cos(azimuth) * np.cos(tilt),
+                                  np.sin(azimuth) * np.cos(tilt),
+                                  -np.sin(tilt)])
+            length = lateral_length * rng.uniform(0.6, 1.3)
+            n_sub = segments_per_branch
+            prev, start = base, nodes[base]
+            for i in range(n_sub):
+                pos = start + direction * length * (i + 1) / n_sub
+                pos[0] = np.clip(pos[0], -0.037, 0.037)
+                pos[1] = np.clip(pos[1], -0.037, 0.037)
+                pos[2] = np.clip(pos[2], -0.148, -0.002)
+                nodes.append(pos.copy())
+                segments.append(Segment(prev, len(nodes) - 1,
+                                        5.0e-4 * (1.0 - 0.5 * (i / n_sub)),
+                                        3.0, 2.0e-11, 5.0e-14))
+                prev = len(nodes) - 1
+        return TubeNetwork(nodes=np.array(nodes), segments=segments)
+
+    @pytest.mark.parametrize("seed", [*range(1, 25), 31, 2024])
+    def test_array_build_equals_the_per_node_loop(self, seed):
+        # the same draws in the same order and the same arithmetic per
+        # coordinate, so the same bits; the cells' end points likewise
+        net = synthetic_root_network(seed=seed)
+        oracle = self.per_node_network(seed)
+        assert net.nodes.tobytes() == oracle.nodes.tobytes()
+        assert net.segments == oracle.segments
+        cells = discretize_network(net, 0.005).cells
+        expect = []
+        for seg in net.segments:
+            a, b = net.nodes[seg.node_a], net.nodes[seg.node_b]
+            n_sub = max(1, int(np.ceil(net.segment_length(seg) / 0.005)))
+            ts = np.linspace(0.0, 1.0, n_sub + 1)
+            expect += [(a + ts[i] * (b - a), a + ts[i + 1] * (b - a))
+                       for i in range(n_sub)]
+        assert len(cells) == len(expect)
+        for cell, (p0, p1) in zip(cells, expect):
+            assert cell.p0.tobytes() == p0.tobytes()
+            assert cell.p1.tobytes() == p1.tobytes()

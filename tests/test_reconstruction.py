@@ -114,6 +114,38 @@ class TestDerivatives:
             fd = (up - um) / (2.0 * eps)
             assert analytic == pytest.approx(fd, rel=1e-6)
 
+    @pytest.mark.parametrize("u_near", [-60.0, -504.0])
+    def test_exact_for_the_tabled_law(self, u_near):
+        # a and b are the implicit-function derivatives of the equation in
+        # the tabled T, whose slope inside a piece is its secant: steps
+        # that keep u_hat in its piece, where q is affine, make central
+        # differences exact but for rounding. D(u_hat) differs from the
+        # secant by 1.1 % (at -60 Pa) and 0.6 % (-504 Pa), u_hat lying
+        # 0.06 and 0.09 of a piece above a node
+        law = VanGenuchtenLaw(5.89912e-13)
+        iface = Interface(tube_radius=5e-4, kernel_radius=1.5e-3,
+                          delta=1e-3, gamma=2e-11, law=law)
+        table, pf = law.table, iface.coupling_factor
+        j = np.searchsorted(table.u, u_near)
+        secant = ((table.psi[j] - table.psi[j - 1])
+                  / (table.u[j] - table.u[j - 1]))
+        room = min(u_near - table.u[j - 1], table.u[j] - u_near)
+        u_e = u_near - 2e3
+        psi_bar = float(law.transform(u_near)) + pf * (u_near - u_e)
+        u_hat, _, d_psi, d_ue = reconstruct_interface(iface, psi_bar, u_e)
+        assert abs(u_hat - u_near) < 1e-3 * room
+        for index, analytic, h in ((0, d_psi, 0.5 * room * (secant + pf)),
+                                   (1, d_ue, 0.5 * room)):
+            args = [psi_bar, u_e]
+            args[index] += h
+            up_u, up, _, _ = reconstruct_interface(iface, *args)
+            args[index] -= 2.0 * h
+            um_u, um, _, _ = reconstruct_interface(iface, *args)
+            assert table.u[j - 1] < min(up_u, um_u) <= max(up_u, um_u) < (
+                table.u[j])
+            fd = (up - um) / (2.0 * h)
+            assert analytic == pytest.approx(fd, rel=1e-5)
+
     def test_derivatives_sum_below_one(self):
         # the interface value is a weighted interpolation between bulk
         # sample and tube value: du_hat/dpsi_bar = -(dq/dpsi_bar) / |P|

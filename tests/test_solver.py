@@ -561,6 +561,35 @@ class TestExchangeResidual:
         x = lu_solve(problem.exchange_factor(ex.dq_dub, ex.dq_due), jv)
         assert np.max(np.abs(x - v)) <= 1e-12 * np.max(np.abs(v))
 
+    @pytest.mark.parametrize("case", ["two_branch", "y_junction", "root"])
+    def test_tube_values_from_the_green_matrix(self, case):
+        # u_e(q) = A^-1 (d - len q), applied as G (y / len) and refined
+        # once: it matches a dense solve with A, and the network rows it
+        # leaves sit within the network bound of the stopping test
+        if case == "root":
+            problem, u_b, u_e = root_sweep_state()
+        else:
+            problem, _ = small_coupled_problem(y_junction=case == "y_junction")
+            rng = np.random.default_rng(31)
+            u_b = random_bulk(problem, rng)
+            u_e = rng.uniform(0.2, 0.8, problem.n_net)
+        assert not hasattr(problem, "axial_lu")
+        q = assemble_coupled(problem, u_b, u_e).q
+        d = np.bincount(problem.dir_cell, problem.dir_k * problem.dir_value,
+                        problem.n_net)
+        expect = np.linalg.solve(problem.axial.toarray(),
+                                 d - problem.lengths * q)
+        got = problem.tube_values(q)
+        assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+        rows = problem.lengths * q + problem.axial_residual(got)
+        scale = (solver._abs_product(problem.axial, problem.axial_diag, got)
+                 + np.abs(problem.lengths * q)
+                 + np.bincount(problem.dir_cell,
+                               np.abs(problem.dir_k * problem.dir_value),
+                               problem.n_net))
+        bound = solver._ROUNDING * np.finfo(float).eps * np.max(scale)
+        assert np.max(np.abs(rows)) <= bound
+
     def test_capacitance_is_non_negative(self):
         # the bound on F takes C |q| for |C| |q|: S, L^-1 and W are
         # non-negative, so C is
